@@ -130,13 +130,10 @@ def evaluate(
     task: TaskConfig | None = None,
     phys: PhysicsConfig | None = None,
     dr: DRConfig | None = None,
-    deterministic: bool = True,
     checkpoint_hash: str = "",
 ) -> EvalReport:
     """Run one fixed-length episode in each of ``n_trials`` parallel envs and
     score end-of-episode success."""
-    if not deterministic:
-        raise NotImplementedError("stochastic evaluation is not used by the protocols")
     tcfg = copy.deepcopy(task) if task else TaskConfig()
     env = CubeReposeTask(n_trials, seed=eval_seed, task=tcfg, phys=phys, dr=dr)
     obs = env.reset_all()
@@ -311,7 +308,7 @@ def zero_shot_objects(
     """Swap the simulated object, keep the cube-corner keypoint encoding and
     the 10 Hz camera model, disable all other randomization, evaluate.
 
-    The keypoints fед to the policy remain those of the nominal training
+    The keypoints fed to the policy remain those of the nominal training
     cube regardless of the object's true shape.
     """
     out = {}

@@ -6,6 +6,10 @@ differences in the test suite.  Parameters are plain numpy arrays, which
 keeps checkpoints a flat list of raw little-endian tensors and makes
 training bit-reproducible.
 
+Bias add and ELU run in place on each fresh matmul output and the ELU
+gradient comes from the activation alone, so the cache keeps only layer
+inputs; these in-place forms give the same bits as the textbook ones.
+
 Initialization is orthogonal (QR of a keyed Gaussian draw) with gain
 sqrt(2) for hidden layers; output layers take an explicit ``final_gain``
 (small for the policy head so early torques stay near zero).
@@ -18,13 +22,20 @@ import numpy as np
 from . import rng
 
 
-def elu(x: np.ndarray) -> np.ndarray:
-    return np.where(x > 0.0, x, np.expm1(x))
+def elu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """expm1(min(x, 0)) + max(x, 0); ``out=x`` computes it in place."""
+    pos = np.maximum(x, 0.0)
+    out = np.minimum(x, 0.0, out=out)
+    np.expm1(out, out=out)
+    out += pos
+    return out
 
 
-def elu_grad(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """d elu/dx given input x and output y (= elu(x))."""
-    return np.where(x > 0.0, 1.0, y + 1.0)
+def elu_grad(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """d elu/dx from the output a = elu(x) alone: 1 where a > 0, else a + 1."""
+    out = np.minimum(a, 0.0, out=out)
+    out += 1.0
+    return out
 
 
 def orthogonal_init(shape: tuple, key: np.ndarray, gain: float, dtype) -> np.ndarray:
@@ -42,9 +53,9 @@ class MLP:
     """ELU MLP with a linear output layer.
 
     Parameters live in ``self.weights`` / ``self.biases`` (lists, input to
-    output).  ``forward`` returns the output plus a cache consumed by
-    ``backward``, which accumulates parameter gradients and returns the
-    gradient w.r.t. the input.
+    output).  ``forward`` returns the output plus a cache holding each
+    layer's input; ``backward`` consumes it and returns the parameter
+    gradients (no gradient w.r.t. the network input).
     """
 
     def __init__(
@@ -76,45 +87,35 @@ class MLP:
             out.extend([w, b])
         return out
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, list]:
-        x = np.ascontiguousarray(x, dtype=self.dtype)
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        h = np.ascontiguousarray(x, dtype=self.dtype)
         cache = []
-        h = x
-        for li in range(self.n_layers):
-            z = h @ self.weights[li].T + self.biases[li]
+        for li, (w, b) in enumerate(zip(self.weights, self.biases)):
+            cache.append(h)
+            h = h @ w.T  # a fresh buffer, so everything below may run in place
+            h += b
             if li < self.n_layers - 1:
-                a = elu(z)
-                cache.append((h, z, a))
-                h = a
-            else:
-                cache.append((h, z, z))
-                h = z
+                elu(h, out=h)
         return h, cache
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)[0]
 
-    def backward(self, cache: list, dout: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-        """Gradients of a scalar loss given d loss / d output.
-
-        Returns (param_grads ordered like ``parameters()``, d loss / d input).
-        """
-        grads_w = [None] * self.n_layers
-        grads_b = [None] * self.n_layers
+    def backward(self, cache: list[np.ndarray], dout: np.ndarray) -> list[np.ndarray]:
+        """Parameter gradients, ordered like ``parameters()``, of a scalar
+        loss given d loss / d output.  Neither ``cache`` nor ``dout`` is
+        modified."""
+        grads = [None] * (2 * self.n_layers)
         delta = np.ascontiguousarray(dout, dtype=self.dtype)
         for li in reversed(range(self.n_layers)):
-            h, z, a = cache[li]
-            if li < self.n_layers - 1:
-                delta = delta * elu_grad(z, a)
-            grads_w[li] = delta.T @ h
-            grads_b[li] = delta.sum(axis=0)
+            h = cache[li]
+            grads[2 * li] = delta.T @ h
+            grads[2 * li + 1] = delta.sum(axis=0)
             if li > 0:
+                # h is the previous layer's activation; delta is fresh from the matmul
                 delta = delta @ self.weights[li]
-        dx = delta @ self.weights[0] if self.n_layers > 0 else delta
-        grads = []
-        for gw, gb in zip(grads_w, grads_b):
-            grads.extend([gw, gb])
-        return grads, dx
+                delta *= elu_grad(h)
+        return grads
 
 
 class RunningNorm:

@@ -139,13 +139,11 @@ class GaussianPolicy:
     def std(self) -> np.ndarray:
         return np.exp(np.clip(self.log_std, self.cfg.log_std_min, self.cfg.log_std_max))
 
-    def log_prob(self, actions: np.ndarray, mean: np.ndarray) -> np.ndarray:
-        """Diagonal-Gaussian log density, evaluated in float64."""
-        a = np.asarray(actions, dtype=np.float64)
-        mu = np.asarray(mean, dtype=np.float64)
+    def log_prob(self, resid: np.ndarray) -> np.ndarray:
+        """Diagonal-Gaussian log density of the float64 ``actions - mean``."""
         log_sigma = np.clip(self.log_std.astype(np.float64), self.cfg.log_std_min, self.cfg.log_std_max)
         sigma = np.exp(log_sigma)
-        z = (a - mu) / sigma
+        z = resid / sigma
         return -0.5 * np.sum(z * z, axis=-1) - np.sum(log_sigma) - 0.5 * self.action_dim * LOG_2PI
 
     def act(
@@ -168,7 +166,7 @@ class GaussianPolicy:
         else:
             sample = mean
         action = np.clip(sample, -1.0, 1.0)
-        return action, self.log_prob(action, mean)
+        return action, self.log_prob(np.asarray(action, dtype=np.float64) - mean)
 
     def entropy(self) -> float:
         log_sigma = np.clip(self.log_std.astype(np.float64), self.cfg.log_std_min, self.cfg.log_std_max)
@@ -252,9 +250,6 @@ class PPOAgent:
             v = self.norm_value.denormalize(v[:, None])[:, 0]
         return v
 
-    def value_estimate(self, critic_obs: np.ndarray) -> np.ndarray:
-        return self.predict_values(self.prep_critic_obs(critic_obs))
-
     # ----------------------------------------------------------- losses
 
     def policy_loss_and_grads(
@@ -272,7 +267,8 @@ class PPOAgent:
         """
         cfg = self.cfg
         mean, cache = self.policy.trunk.forward(obs)
-        logp = self.policy.log_prob(actions, mean)
+        resid = np.asarray(actions, dtype=np.float64) - mean  # float64: mean is promoted
+        logp = self.policy.log_prob(resid)
         with np.errstate(over="ignore", invalid="ignore"):
             ratio = np.exp(logp - np.asarray(logp_old, dtype=np.float64))
             adv = np.asarray(advantages, dtype=np.float64)
@@ -291,16 +287,16 @@ class PPOAgent:
             self.policy.log_std.astype(np.float64), cfg.log_std_min, cfg.log_std_max
         )
         sigma = np.exp(log_sigma)
-        diff = (np.asarray(actions, dtype=np.float64) - np.asarray(mean, dtype=np.float64)) / sigma**2
+        diff = resid / sigma**2
         dmean = dlogp[:, None] * diff
-        dlogstd = np.sum(dlogp[:, None] * (diff * (np.asarray(actions, np.float64) - np.asarray(mean, np.float64)) - 1.0), axis=0)
+        dlogstd = np.sum(dlogp[:, None] * (diff * resid - 1.0), axis=0)
         dlogstd -= cfg.entropy_coef  # d(-c * entropy)/dlog_std = -c per dim
         # gradient is blocked where the clamp on log_std is active
         at_clip = (self.policy.log_std <= cfg.log_std_min) | (self.policy.log_std >= cfg.log_std_max)
         dlogstd = np.where(at_clip, 0.0, dlogstd)
 
-        grads, _ = self.policy.trunk.backward(cache, dmean.astype(self.dtype))
-        grads = grads + [dlogstd.astype(self.dtype)]
+        grads = self.policy.trunk.backward(cache, dmean.astype(self.dtype))
+        grads.append(dlogstd.astype(self.dtype))
 
         kl = float(np.mean(np.asarray(logp_old, dtype=np.float64) - logp))
         clip_frac = float(np.mean(np.abs(ratio - 1.0) > cfg.clip_eps))
@@ -312,7 +308,7 @@ class PPOAgent:
         err = pred.astype(np.float64) - np.asarray(returns, dtype=np.float64)
         loss = 0.5 * float(np.mean(err * err))
         dpred = (err / obs.shape[0]).astype(self.dtype)[:, None]
-        grads, _ = self.value.trunk.backward(cache, dpred)
+        grads = self.value.trunk.backward(cache, dpred)
         return loss, grads
 
     # ----------------------------------------------------------- update
@@ -500,7 +496,11 @@ def read_checkpoint(path: str) -> tuple[dict, dict]:
         raise ValueError(f"{path}: unsupported checkpoint version {manifest.get('format_version')}")
     tensors = {}
     for entry in manifest["tensors"]:
-        raw = payload[entry["offset"] : entry["offset"] + entry["nbytes"]]
+        end = entry["offset"] + entry["nbytes"]
+        if end > len(payload):
+            raise ValueError(f"{path}: truncated checkpoint: tensor {entry['name']!r} ends at "
+                             f"payload byte {end}, but the payload holds {len(payload)} bytes")
+        raw = payload[entry["offset"] : end]
         arr = np.frombuffer(raw, dtype=np.dtype(entry["dtype"])).reshape(entry["shape"])
         tensors[entry["name"]] = arr.copy()
     meta = {k: v for k, v in manifest.items() if k != "tensors"}

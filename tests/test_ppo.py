@@ -221,7 +221,7 @@ def test_ratio_one_equals_vanilla_policy_gradient():
     mean, cache = agent.policy.trunk.forward(obs)
     sigma = np.exp(np.clip(agent.policy.log_std, -5, 2))
     dmean = (-adv / b)[:, None] * (actions - mean) / sigma**2
-    want, _ = agent.policy.trunk.backward(cache, dmean)
+    want = agent.policy.trunk.backward(cache, dmean)
     for g, w in zip(grads[:-1], want):
         assert np.max(np.abs(g - w)) < 1e-12
 
@@ -376,6 +376,23 @@ def test_checkpoint_tensors_are_little_endian_f32(tmp_path):
     assert np.array_equal(by_hand, tensors["policy.p0"])
 
 
+def test_truncated_checkpoint_names_tensor_and_sizes(tmp_path):
+    agent = f64_agent()
+    path = tmp_path / "a.tckpt"
+    agent.save(str(path))
+    raw = path.read_bytes()
+    mlen = int(np.frombuffer(raw[8:16], dtype="<u8")[0])
+    path.write_bytes(raw[:-3])  # cut inside the last tensor, off its element size
+    import json as json_mod
+    last = json_mod.loads(raw[16 : 16 + mlen])["tensors"][-1]
+    payload = len(raw) - 16 - mlen - 3
+    with pytest.raises(ValueError) as err:
+        ppo_mod.read_checkpoint(str(path))
+    msg = str(err.value)
+    assert str(path) in msg and repr(last["name"]) in msg
+    assert str(last["offset"] + last["nbytes"]) in msg and str(payload) in msg
+
+
 # ------------------------------------------------------------ nets
 
 
@@ -384,7 +401,102 @@ def test_elu_grad_consistency():
     y = elu(x)
     h = 1e-7
     fd = (elu(x + h) - elu(x - h)) / (2 * h)
-    assert np.max(np.abs(elu_grad(x, y) - fd)) < 1e-6
+    assert np.max(np.abs(elu_grad(y) - fd)) < 1e-6
+
+
+class ReferenceMLP:
+    """The textbook ELU MLP: ``np.where`` activation, ``(h, z, a)`` cache,
+    gradient from the pre-activation, fresh temporaries everywhere."""
+
+    def __init__(self, net: MLP):
+        self.net = net
+
+    def forward(self, x):
+        net = self.net
+        h = np.ascontiguousarray(x, dtype=net.dtype)
+        cache = []
+        for li in range(net.n_layers):
+            z = h @ net.weights[li].T + net.biases[li]
+            with np.errstate(over="ignore"):  # expm1 of large z is discarded by where
+                a = np.where(z > 0.0, z, np.expm1(z)) if li < net.n_layers - 1 else z
+            cache.append((h, z, a))
+            h = a
+        return h, cache
+
+    def backward(self, cache, dout):
+        net = self.net
+        grads = [None] * (2 * net.n_layers)
+        delta = np.ascontiguousarray(dout, dtype=net.dtype)
+        for li in reversed(range(net.n_layers)):
+            h, z, a = cache[li]
+            if li < net.n_layers - 1:
+                delta = delta * np.where(z > 0.0, 1.0, a + 1.0)
+            grads[2 * li] = delta.T @ h
+            grads[2 * li + 1] = delta.sum(axis=0)
+            if li > 0:
+                delta = delta @ net.weights[li]
+        return grads
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mlp_in_place_matches_reference_bytes(dtype):
+    net = MLP([6, 16, 16, 3], seed_words=(9, 1), dtype=dtype)
+    for li, b in enumerate(net.biases):
+        b[:] = 0.1 * rng.normal(rng.stream_key(40, li, 0, 78), b.size)
+    x = 3.0 * rng.normal(rng.stream_key(41, np.arange(32), 0, 78), 6)
+    x[0] = 0.0  # exact zeros reach the first ELU as z == bias
+    x[1, :3] = 0.0
+    x[2] = -1e4  # large negatives saturate ELU at -1
+    x[3, 3:] = -50.0
+    net.biases[0][:4] = 0.0  # and some z are exactly zero
+    dout = rng.normal(rng.stream_key(42, np.arange(32), 0, 78), 3)
+    x_before, dout_before = x.copy(), dout.copy()
+    dout_in = dout.astype(dtype)  # already contiguous in the net dtype: no copy on entry
+
+    ref = ReferenceMLP(net)
+    want_out, ref_cache = ref.forward(x)
+    got_out, cache = net.forward(x)
+    assert same_bytes(got_out, want_out)
+    assert any(np.any(z == 0.0) for _, z, _ in ref_cache[:-1])
+    assert any(np.any(a == -1.0) for _, _, a in ref_cache[:-1])
+    for got, want in zip(net.backward(cache, dout_in), ref.backward(ref_cache, dout_in)):
+        assert same_bytes(got, want)
+    assert same_bytes(x, x_before)
+    assert same_bytes(dout_in, dout_before.astype(dtype))
+
+
+def test_update_with_reference_mlp_gives_identical_parameters(monkeypatch):
+    def run(forward, backward):
+        monkeypatch.setattr(MLP, "forward", forward)
+        monkeypatch.setattr(MLP, "backward", backward)
+        agent = PPOAgent(5, 7, 2, PPOConfig(policy_hidden=(16, 8), value_hidden=(16, 8),
+                                            batch_size=64, minibatch_size=32), seed=4)
+        b = 64
+        obs = rng.normal(rng.stream_key(43, np.arange(b), 0, 79), 5)
+        key = rng.stream_key(44, np.arange(b), 0, rng.CH_POLICY_SAMPLE)
+        actions, logp = agent.act(obs, stochastic=True, key=key)
+        batch = {
+            "actor_obs": agent.prep_actor_obs(obs),
+            "critic_obs": agent.prep_critic_obs(rng.normal(rng.stream_key(45, np.arange(b), 0, 79), 7)),
+            "actions": actions, "logp": logp - 0.1,
+            "advantages": rng.normal(rng.stream_key(46, np.arange(b), 0, 79), 1)[:, 0],
+            "returns": rng.normal(rng.stream_key(47, np.arange(b), 0, 79), 1)[:, 0],
+        }
+        stats = agent.update(batch, lr=1e-3)
+        return stats, agent.policy.parameters() + agent.value.parameters()
+
+    got_stats, got = run(MLP.forward, MLP.backward)
+    ref_stats, want = run(
+        lambda self, x: ReferenceMLP(self).forward(x),
+        lambda self, cache, dout: ReferenceMLP(self).backward(cache, dout),
+    )
+    assert got_stats == ref_stats
+    assert all(same_bytes(g, w) for g, w in zip(got, want))
 
 
 def test_mlp_init_is_deterministic_and_orthogonal():
