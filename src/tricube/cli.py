@@ -7,7 +7,7 @@ their output directory, hold a lock file there for the duration, and leave
 exactly one ``manifest.json`` describing the run.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime fault, 4
-checkpoint/config incompatibility.
+checkpoint/config incompatibility or an unreadable checkpoint.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from . import __version__, config as config_mod, harness, svgplot
 from .config import ConfigError, EngineConfig, config_hash, to_dict
 from .domrand import DRConfig
 from .env import actor_obs_dim, critic_obs_dim
-from .ppo import PPOAgent
+from .ppo import PPOAgent, read_checkpoint
 from .trainer import Trainer, make_task
 
 EXIT_OK = 0
@@ -135,17 +135,27 @@ def build_agent_for(cfg: EngineConfig) -> PPOAgent:
     return PPOAgent(a_dim, c_dim, act_dim, cfg=cfg.ppo, seed=cfg.run.seed)
 
 
-def load_agent_checkpoint(path: str, cfg: EngineConfig) -> tuple[PPOAgent, str]:
+def check_checkpoint(path: str, agent: PPOAgent) -> None:
+    """Fail unless ``path`` is a readable checkpoint of an agent shaped like
+    ``agent``: the same observation and action dims and layer sizes.  A
+    missing file is a configuration error, anything else an
+    incompatibility."""
     if not os.path.exists(path):
         raise ConfigError(f"checkpoint not found: {path}")
-    agent, _, meta = PPOAgent.from_checkpoint(path)
-    if cfg.run.task == "cube_repose":
-        want = actor_obs_dim(cfg.task.obs_variant)
-        if meta["actor_obs_dim"] != want:
-            raise IncompatibilityError(
-                f"checkpoint actor dim {meta['actor_obs_dim']} does not match "
-                f"task variant {cfg.task.obs_variant!r} (dim {want})"
-            )
+    try:
+        _, meta = read_checkpoint(path)
+    except ValueError as err:
+        raise IncompatibilityError(str(err)) from err
+    diffs = [
+        f"{k} {meta.get(k)} (configured {v})" for k, v in agent.shape().items() if meta.get(k) != v
+    ]
+    if diffs:
+        raise IncompatibilityError(f"{path} does not fit the configured agent: " + ", ".join(diffs))
+
+
+def load_agent_checkpoint(path: str, cfg: EngineConfig) -> tuple[PPOAgent, str]:
+    check_checkpoint(path, build_agent_for(cfg))
+    agent, _, _ = PPOAgent.from_checkpoint(path)
     return agent, harness.hash_file(path)
 
 
@@ -170,6 +180,7 @@ def cmd_train(args) -> int:
             checkpoint_interval=cfg.run.checkpoint_interval, seed=cfg.run.seed,
         )
         if args.resume:
+            check_checkpoint(args.resume, agent)
             trainer.load_checkpoint(args.resume)
             print(f"resumed from {args.resume} at step {agent.global_step}")
 
@@ -254,14 +265,16 @@ def cmd_eval(args) -> int:
     with OutputDir(out_dir_for(cfg)) as out:
         n = args.trials if args.trials is not None else cfg.harness.eval_trials
         if n == 0:
-            out.write_json("eval_report.json", {"n_trials": 0, "trials": []})
+            out.write_json(
+                "eval_report.json", {"n_trials": 0, "trials": [], "config_hash": config_hash(cfg)}
+            )
             out.write_manifest(cfg, "eval", report=None)
             print("eval: 0 trials requested, wrote empty report")
             return EXIT_OK
         agent, ckpt_hash = load_agent_checkpoint(args.checkpoint, cfg)
         report = harness.evaluate(
             agent, n, cfg.harness.eval_seed, task=cfg.task, phys=cfg.physics,
-            dr=DRConfig(enabled=False), checkpoint_hash=ckpt_hash,
+            dr=DRConfig(enabled=False), checkpoint_hash=ckpt_hash, config_hash=config_hash(cfg),
         )
         out.write_text("eval_report.json", report.to_json() + "\n")
         out.write_manifest(cfg, "eval", checkpoint=args.checkpoint, checkpoint_hash=ckpt_hash)
@@ -294,7 +307,7 @@ def cmd_sweep(args) -> int:
         n = args.trials if args.trials is not None else cfg.harness.eval_trials
         points = harness.robustness_sweep(
             agent, args.parameter, grid, n_trials=n, eval_seed=cfg.harness.eval_seed,
-            task=cfg.task, phys=cfg.physics, checkpoint_hash=ckpt_hash,
+            task=cfg.task, phys=cfg.physics, checkpoint_hash=ckpt_hash, config_hash=config_hash(cfg),
         )
         name = f"sweep_{args.parameter}.jsonl"
         with open(out.file(name), "w") as f:
@@ -319,15 +332,7 @@ def cmd_sweep(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = resolve_config(args)
     with OutputDir(out_dir_for(cfg)) as out:
-        spec = harness.AblationSpec(
-            seeds=tuple(cfg.harness.ablation_seeds),
-            total_steps=cfg.harness.ablation_total_steps,
-            num_envs=cfg.run.num_envs,
-            dr_enabled=cfg.dr.enabled,
-            eval_trials=cfg.harness.eval_trials,
-            eval_seed=cfg.harness.eval_seed,
-        )
-        results = harness.run_ablation(spec, base_task=cfg.task, phys=cfg.physics, ppo_cfg=cfg.ppo)
+        results = harness.run_ablation(cfg)
         summary = {}
         with open(out.file("ablation.jsonl"), "w") as f:
             for variant, by_seed in results.items():
@@ -361,10 +366,11 @@ def cmd_heatmap(args) -> int:
     cfg = resolve_config(args)
     with OutputDir(out_dir_for(cfg)) as out:
         agent, ckpt_hash = load_agent_checkpoint(args.checkpoint, cfg)
+        cfg_hash = config_hash(cfg)
         n = args.trials if args.trials is not None else cfg.harness.eval_trials
         report = harness.evaluate(
             agent, n, cfg.harness.eval_seed, task=cfg.task, phys=cfg.physics,
-            dr=DRConfig(enabled=False), checkpoint_hash=ckpt_hash,
+            dr=DRConfig(enabled=False), checkpoint_hash=ckpt_hash, config_hash=cfg_hash,
         )
         pos_ths = list(cfg.harness.heatmap_pos_thresholds)
         rot_ths_deg = list(cfg.harness.heatmap_rot_thresholds_deg)
@@ -377,6 +383,7 @@ def cmd_heatmap(args) -> int:
             "success_matrix": matrix.tolist(),
             "n_trials": n,
             "checkpoint_hash": ckpt_hash,
+            "config_hash": cfg_hash,
             "eval_seed": cfg.harness.eval_seed,
         }
         out.write_json("threshold_heatmap.json", data)
@@ -398,7 +405,7 @@ def cmd_objects(args) -> int:
         n = args.trials if args.trials is not None else cfg.harness.eval_trials
         reports = harness.zero_shot_objects(
             agent, names, n_trials=n, eval_seed=cfg.harness.eval_seed,
-            task=cfg.task, phys=cfg.physics, checkpoint_hash=ckpt_hash,
+            task=cfg.task, phys=cfg.physics, checkpoint_hash=ckpt_hash, config_hash=config_hash(cfg),
         )
         with open(out.file("objects.jsonl"), "w") as f:
             for name, rep in reports.items():

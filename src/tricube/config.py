@@ -234,5 +234,10 @@ def load_file(path: str) -> dict:
 
 
 def config_hash(cfg: EngineConfig) -> str:
-    canon = json.dumps(to_dict(cfg), sort_keys=True)
+    """Digest of the canonical JSON, leaving out ``run.output_dir``: where the
+    artifacts land changes none of them, so two runs of one config in two
+    directories share an identity."""
+    data = to_dict(cfg)
+    del data["run"]["output_dir"]
+    canon = json.dumps(data, sort_keys=True)
     return hashlib.sha256(canon.encode()).hexdigest()[:16]

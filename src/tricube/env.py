@@ -214,6 +214,13 @@ class CubeReposeTask:
     and partitioned batches are bit-identical.
     """
 
+    # per-env task arrays a checkpoint carries besides physics state and params
+    STATE_FIELDS = (
+        "goal_pos", "goal_quat", "goal_block", "episode_step", "episode_idx",
+        "last_action_torque", "held_cube_pos", "held_cube_quat",
+        "filtered_cube_quat", "episode_return", "success_any",
+    )
+
     def __init__(
         self,
         num_envs: int,
@@ -311,13 +318,6 @@ class CubeReposeTask:
         self.filtered_cube_quat[ids] = self.held_cube_quat[ids]
 
     # ------------------------------------------------------------- camera
-
-    def camera_delay_observe(self) -> tuple[np.ndarray, np.ndarray]:
-        """The actor-visible cube pose: held between camera frames, noised
-        in the world frame at each refresh."""
-        return self.held_cube_pos, (
-            self.filtered_cube_quat if self.cfg.obs_variant == "pos_quat" else self.held_cube_quat
-        )
 
     def _refresh_camera(self, ids: np.ndarray) -> None:
         pos = self.state.obj_pos[ids]
@@ -463,10 +463,12 @@ class CubeReposeTask:
                 joint_vel, self.dr.joint_velocity, self.params.joint_vel_offset, key
             )
 
-        cam_pos, cam_quat = self.camera_delay_observe()
+        # the cube pose seen through the camera: held between frames, noised
+        # in the world frame at each refresh
+        cam_quat = self.filtered_cube_quat if self.cfg.obs_variant == "pos_quat" else self.held_cube_quat
         goal_block = self.goal_block
         actor = np.concatenate(
-            [joint_pos, joint_vel, self._pose_blocks(cam_pos, cam_quat), goal_block,
+            [joint_pos, joint_vel, self._pose_blocks(self.held_cube_pos, cam_quat), goal_block,
              self.last_action_torque],
             axis=-1,
         )
@@ -503,11 +505,7 @@ class CubeReposeTask:
         for prefix, obj in (("state", self.state), ("params", self.params)):
             for name, arr in vars(obj).items():
                 arrays[f"{prefix}.{name}"] = arr.copy()
-        for name in (
-            "goal_pos", "goal_quat", "goal_block", "episode_step", "episode_idx",
-            "last_action_torque", "held_cube_pos", "held_cube_quat",
-            "filtered_cube_quat", "episode_return", "success_any",
-        ):
+        for name in self.STATE_FIELDS:
             arrays[f"task.{name}"] = getattr(self, name).copy()
         arrays["task.total_steps"] = np.array([self.total_steps], dtype=np.int64)
         return arrays
@@ -516,11 +514,7 @@ class CubeReposeTask:
         for prefix, obj in (("state", self.state), ("params", self.params)):
             for name in vars(obj):
                 getattr(obj, name)[:] = arrays[f"{prefix}.{name}"]
-        for name in (
-            "goal_pos", "goal_quat", "goal_block", "episode_step", "episode_idx",
-            "last_action_torque", "held_cube_pos", "held_cube_quat",
-            "filtered_cube_quat", "episode_return", "success_any",
-        ):
+        for name in self.STATE_FIELDS:
             getattr(self, name)[:] = arrays[f"task.{name}"]
         self.total_steps = int(arrays["task.total_steps"][0])
         self._kin = None

@@ -17,14 +17,15 @@ import copy
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from . import config as config_mod
 from .domrand import DRConfig
 from .env import CubeReposeTask, TaskConfig
 from .physics import ObjectParams, PhysicsConfig
-from .ppo import PPOAgent, PPOConfig
+from .ppo import PPOAgent
 from .trainer import Trainer
 
 # 80% two-sided confidence: Phi^-1(0.9)
@@ -84,21 +85,6 @@ class EvalReport:
         return cls(**json.loads(text))
 
 
-def hash_config(obj) -> str:
-    """Stable digest of any JSON-serializable config-ish object."""
-
-    def default(o):
-        if hasattr(o, "__dict__"):
-            return vars(o)
-        if isinstance(o, tuple):
-            return list(o)
-        raise TypeError(type(o))
-
-    return hashlib.sha256(
-        json.dumps(obj, sort_keys=True, default=default).encode()
-    ).hexdigest()[:16]
-
-
 def hash_file(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as f:
@@ -131,9 +117,12 @@ def evaluate(
     phys: PhysicsConfig | None = None,
     dr: DRConfig | None = None,
     checkpoint_hash: str = "",
+    config_hash: str = "",
 ) -> EvalReport:
     """Run one fixed-length episode in each of ``n_trials`` parallel envs and
-    score end-of-episode success."""
+    score end-of-episode success.  The report carries the two hashes it is
+    handed: ``config.config_hash`` of the run's resolved config and the
+    checkpoint file's."""
     tcfg = copy.deepcopy(task) if task else TaskConfig()
     env = CubeReposeTask(n_trials, seed=eval_seed, task=tcfg, phys=phys, dr=dr)
     obs = env.reset_all()
@@ -163,7 +152,7 @@ def evaluate(
         final_pos_err=[float(x) for x in pos_err],
         final_rot_err=[float(x) for x in rot_err],
         seed=eval_seed,
-        config_hash=hash_config({"task": tcfg, "phys": phys or PhysicsConfig(), "dr": dr or DRConfig()}),
+        config_hash=config_hash,
         checkpoint_hash=checkpoint_hash,
     )
 
@@ -171,76 +160,41 @@ def evaluate(
 # ------------------------------------------------------------------ ablation
 
 
-@dataclass
-class AblationSpec:
-    variants: tuple = ("O-KP+R-KP", "O-KP+R-PQ", "O-PQ+R-KP", "O-PQ+R-PQ")
-    seeds: tuple = (0, 1, 2)
-    total_steps: int = 50_000_000
-    num_envs: int = 4096
-    dr_enabled: bool = True
-    eval_trials: int = 256
-    eval_seed: int = 10_000
-
-    def __post_init__(self):
-        for v in self.variants:
-            obs_tag, rew_tag = v.split("+")
-            if obs_tag not in OBS_VARIANTS or rew_tag not in REWARD_VARIANTS:
-                raise ValueError(f"unknown ablation variant {v!r}")
+# the 2x2 grid: variant name -> (observation, reward) encodings
+ABLATION_VARIANTS = {
+    f"{o}+{r}": (obs, rew) for o, obs in OBS_VARIANTS.items() for r, rew in REWARD_VARIANTS.items()
+}
 
 
-def variant_task_config(variant: str, base: TaskConfig | None = None) -> TaskConfig:
-    obs_tag, rew_tag = variant.split("+")
-    cfg = copy.deepcopy(base) if base else TaskConfig()
-    cfg.obs_variant = OBS_VARIANTS[obs_tag]
-    cfg.reward_variant = REWARD_VARIANTS[rew_tag]
-    return cfg
-
-
-def run_ablation(
-    spec: AblationSpec,
-    base_task: TaskConfig | None = None,
-    phys: PhysicsConfig | None = None,
-    ppo_cfg: PPOConfig | None = None,
-    metrics_hook=None,
-) -> dict:
-    """Train each observation/reward variant for each seed and evaluate with
-    shared goals.  Returns {variant: {seed: {"curve": [...], "report": EvalReport}}}.
+def run_ablation(cfg: config_mod.EngineConfig) -> dict:
+    """Train each observation/reward variant for each of
+    ``cfg.harness.ablation_seeds`` and evaluate with shared goals.  Every arm
+    trains ``cfg.run.num_envs`` envs on ``cfg.task``, ``cfg.physics``,
+    ``cfg.dr`` and ``cfg.ppo`` with its variant's encodings.  Returns
+    {variant: {seed: {"curve": [...], "report": EvalReport}}}.
 
     A diverging arm is recorded with its exception and the grid continues.
     """
-    from .env import actor_obs_dim, critic_obs_dim  # local import to avoid cycle noise
-
+    h = cfg.harness
+    cfg_hash = config_mod.config_hash(cfg)
     results: dict = {}
-    for variant in spec.variants:
+    for variant, (obs, rew) in ABLATION_VARIANTS.items():
         results[variant] = {}
-        tcfg = variant_task_config(variant, base_task)
-        for seed in spec.seeds:
-            dr = DRConfig(enabled=spec.dr_enabled)
-            task = CubeReposeTask(spec.num_envs, seed=seed, task=copy.deepcopy(tcfg), phys=phys, dr=dr)
-            agent = PPOAgent(
-                actor_obs_dim(tcfg.obs_variant),
-                critic_obs_dim(tcfg.obs_variant),
-                9,
-                cfg=ppo_cfg,
-                seed=seed,
-            )
-            trainer = Trainer(task, agent, total_steps=spec.total_steps, seed=seed)
+        tcfg = replace(cfg.task, obs_variant=obs, reward_variant=rew)
+        for seed in h.ablation_seeds:
+            task = CubeReposeTask(cfg.run.num_envs, seed=seed, task=tcfg, phys=cfg.physics, dr=cfg.dr)
+            agent = PPOAgent(task.actor_dim, task.critic_dim, task.action_dim, cfg=cfg.ppo, seed=seed)
+            trainer = Trainer(task, agent, total_steps=h.ablation_total_steps, seed=seed)
             try:
                 curve = trainer.train()
             except FloatingPointError as err:
                 results[variant][seed] = {"curve": [], "report": None, "error": str(err)}
                 continue
             report = evaluate(
-                agent,
-                spec.eval_trials,
-                spec.eval_seed,
-                task=variant_task_config(variant, base_task),
-                phys=phys,
-                dr=DRConfig(enabled=False),
+                agent, h.eval_trials, h.eval_seed, task=tcfg, phys=cfg.physics,
+                dr=DRConfig(enabled=False), config_hash=cfg_hash,
             )
             results[variant][seed] = {"curve": curve, "report": report}
-            if metrics_hook:
-                metrics_hook(variant, seed, curve, report)
     return results
 
 
@@ -256,6 +210,7 @@ def robustness_sweep(
     task: TaskConfig | None = None,
     phys: PhysicsConfig | None = None,
     checkpoint_hash: str = "",
+    config_hash: str = "",
 ) -> list[dict]:
     """Success vs. one object parameter, all other randomization off.
 
@@ -278,6 +233,7 @@ def robustness_sweep(
         report = evaluate(
             agent, n_trials, eval_seed, task=task, phys=pcfg,
             dr=DRConfig(enabled=False), checkpoint_hash=checkpoint_hash,
+            config_hash=config_hash,
         )
         out.append({"parameter": parameter, "value": float(value), "report": report})
     return out
@@ -304,6 +260,7 @@ def zero_shot_objects(
     task: TaskConfig | None = None,
     phys: PhysicsConfig | None = None,
     checkpoint_hash: str = "",
+    config_hash: str = "",
 ) -> dict[str, EvalReport]:
     """Swap the simulated object, keep the cube-corner keypoint encoding and
     the 10 Hz camera model, disable all other randomization, evaluate.
@@ -332,6 +289,7 @@ def zero_shot_objects(
         report = evaluate(
             agent, n_trials, eval_seed, task=tcfg, phys=pcfg,
             dr=DRConfig(enabled=False), checkpoint_hash=checkpoint_hash,
+            config_hash=config_hash,
         )
         out[name] = report
     return out

@@ -256,10 +256,6 @@ class FingertipKin:
     joint_axes: np.ndarray  # (N, 3, 3, 3) [finger, joint, xyz]
     joint_origins: np.ndarray  # (N, 3, 3, 3)
 
-    @property
-    def centroid(self) -> np.ndarray:
-        return self.pos.mean(axis=1)
-
 
 def _mount_angles() -> np.ndarray:
     return np.arange(N_FINGERS) * (2.0 * np.pi / N_FINGERS)
@@ -371,14 +367,6 @@ def fingertip_kinematics(
     quat = spatial.quat_mul(qz, spatial.quat_mul(qx, qy))
 
     return FingertipKin(tip_world, quat, linvel, angvel, axes, origins)
-
-
-def forward_kinematics(joint_pos: np.ndarray, hand: HandModel) -> FingertipKin:
-    """Fingertip poses (and centroid) for a batch of joint configurations."""
-    joint_pos = np.atleast_2d(np.asarray(joint_pos, dtype=np.float64))
-    if not np.all(np.isfinite(joint_pos)):
-        raise ValueError("joint positions must be finite")
-    return fingertip_kinematics(joint_pos, None, hand)
 
 
 # ------------------------------------------------------------------ contacts

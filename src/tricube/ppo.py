@@ -391,17 +391,24 @@ class PPOAgent:
         tensors.update(self.norm_value.state_tensors("norm_value"))
         return tensors
 
+    def shape(self) -> dict:
+        """Observation and action dims and layer sizes, as a checkpoint
+        records them: two agents of equal shape can swap tensors."""
+        return {
+            "actor_obs_dim": self.policy.obs_dim,
+            "critic_obs_dim": self.value.obs_dim,
+            "action_dim": self.policy.action_dim,
+            "policy_layer_sizes": self.policy.trunk.sizes,
+            "value_layer_sizes": self.value.trunk.sizes,
+        }
+
     def save(self, path: str, extra_tensors: dict | None = None, extra_meta: dict | None = None) -> None:
         meta = {
             "kind": "ppo_agent",
             "iteration": self.iteration,
             "global_step": self.global_step,
             "seed": self.seed,
-            "actor_obs_dim": self.policy.obs_dim,
-            "critic_obs_dim": self.value.obs_dim,
-            "action_dim": self.policy.action_dim,
-            "policy_layer_sizes": self.policy.trunk.sizes,
-            "value_layer_sizes": self.value.trunk.sizes,
+            **self.shape(),
             "hyperparams": {
                 k: (list(v) if isinstance(v, tuple) else v)
                 for k, v in vars(self.cfg).items()
@@ -489,8 +496,16 @@ def read_checkpoint(path: str) -> tuple[dict, dict]:
         magic = f.read(8)
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint (magic {magic!r})")
-        (mlen,) = np.frombuffer(f.read(8), dtype="<u8")
-        manifest = json.loads(f.read(int(mlen)).decode("utf-8"))
+        head = f.read(8)
+        if len(head) < 8:
+            raise ValueError(f"{path}: truncated checkpoint: the 16-byte header ends "
+                             f"after {8 + len(head)} bytes")
+        mlen = int(np.frombuffer(head, dtype="<u8")[0])
+        mbytes = f.read(mlen)
+        if len(mbytes) < mlen:
+            raise ValueError(f"{path}: truncated checkpoint: the manifest holds "
+                             f"{len(mbytes)} of its {mlen} bytes")
+        manifest = json.loads(mbytes.decode("utf-8"))
         payload = f.read()
     if manifest.get("format_version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {manifest.get('format_version')}")

@@ -44,6 +44,9 @@ class ReachTask:
     xy (2), tip-to-target delta (2); the angle encoding keeps the input
     bounded since the joints have no limits."""
 
+    # per-env arrays a checkpoint carries
+    STATE_FIELDS = ("q", "qd", "target", "episode_step", "episode_idx", "episode_return")
+
     def __init__(self, num_envs: int, seed: int = 0, cfg: ReachConfig | None = None):
         self.num_envs = num_envs
         self.seed = seed
@@ -138,14 +141,11 @@ class ReachTask:
         return out
 
     def state_dict(self) -> dict:
-        arrays = {
-            f"reach.{k}": getattr(self, k).copy()
-            for k in ("q", "qd", "target", "episode_step", "episode_idx", "episode_return")
-        }
+        arrays = {f"reach.{k}": getattr(self, k).copy() for k in self.STATE_FIELDS}
         arrays["reach.total_steps"] = np.array([self.total_steps], dtype=np.int64)
         return arrays
 
     def load_state_dict(self, arrays: dict) -> None:
-        for k in ("q", "qd", "target", "episode_step", "episode_idx", "episode_return"):
+        for k in self.STATE_FIELDS:
             getattr(self, k)[:] = arrays[f"reach.{k}"]
         self.total_steps = int(arrays["reach.total_steps"][0])

@@ -95,12 +95,6 @@ def normal(key: np.ndarray, n: int) -> np.ndarray:
     return out[..., :n]
 
 
-def randint(key: np.ndarray, n: int, bound: int) -> np.ndarray:
-    """Integers in [0, bound) with negligible modulo bias for bound << 2**64."""
-    bits = raw_uint64(key, n)
-    return (bits % np.uint64(bound)).astype(np.int64)
-
-
 def permutation(key: np.ndarray, n: int) -> np.ndarray:
     """A deterministic permutation of range(n) keyed by ``key``."""
     u = uniform(np.asarray(key, dtype=np.uint64).reshape(()), n)

@@ -48,29 +48,6 @@ class KernelParams:
             raise ValueError(f"kernel offset b must be >= 0, got {self.b}")
 
 
-@dataclass
-class Pose:
-    """A rigid transform: ``translation`` (..., 3) meters, ``rotation``
-    (..., 4) unit quaternion, both possibly batched."""
-
-    translation: np.ndarray
-    rotation: np.ndarray
-
-    def __post_init__(self):
-        self.translation = np.asarray(self.translation, dtype=np.float64)
-        self.rotation = np.asarray(self.rotation, dtype=np.float64)
-
-    @classmethod
-    def identity(cls, shape: tuple = ()) -> "Pose":
-        t = np.zeros(shape + (3,))
-        q = np.broadcast_to(QUAT_IDENTITY, shape + (4,)).copy()
-        return cls(t, q)
-
-    def inverse(self) -> "Pose":
-        q_inv = quat_conj(self.rotation)
-        return Pose(-quat_rotate(q_inv, self.translation), q_inv)
-
-
 def quat_normalize(q: np.ndarray) -> np.ndarray:
     """Scale to unit norm. Near-zero quaternions fall back to identity."""
     q = np.asarray(q, dtype=np.float64)
@@ -189,13 +166,6 @@ def quat_sign_filter(q_new: np.ndarray, q_last: np.ndarray) -> np.ndarray:
     return np.where(d < 0.2, -q_new, q_new)
 
 
-def cube_local_keypoints(half_extent: float) -> np.ndarray:
-    """The 8 cube corners (8, 3) in the object frame, bit-pattern order."""
-    if not half_extent > 0:
-        raise ValueError(f"half_extent must be > 0, got {half_extent}")
-    return _CORNER_SIGNS * float(half_extent)
-
-
 def box_local_keypoints(half_extents: np.ndarray) -> np.ndarray:
     """Corners of an axis-aligned box with per-axis half extents (3,)."""
     h = np.asarray(half_extents, dtype=np.float64)
@@ -214,21 +184,7 @@ def transform_keypoints(pos: np.ndarray, quat: np.ndarray, local: np.ndarray) ->
     return quat_rotate(quat[..., None, :], local) + np.asarray(pos)[..., None, :]
 
 
-def pose_to_keypoints(pose: Pose, local: np.ndarray) -> np.ndarray:
-    return transform_keypoints(pose.translation, pose.rotation, local)
-
-
 def keypoints_to_flat(kps: np.ndarray) -> np.ndarray:
     """Flatten (..., 8, 3) keypoints to (..., 24), xyz-major per corner."""
     kps = np.asarray(kps)
     return kps.reshape(kps.shape[:-2] + (24,))
-
-
-def flat_to_keypoints(flat: np.ndarray) -> np.ndarray:
-    flat = np.asarray(flat)
-    return flat.reshape(flat.shape[:-1] + (8, 3))
-
-
-def keypoint_l2_sum(kps1: np.ndarray, kps2: np.ndarray) -> np.ndarray:
-    """Sum over the 8 corners of pairwise Euclidean distance."""
-    return np.linalg.norm(kps1 - kps2, axis=-1).sum(axis=-1)

@@ -213,8 +213,4 @@ class Trainer:
         env_state = {k[len("env."):]: v for k, v in tensors.items() if k.startswith("env.")}
         if env_state:
             self.task.load_state_dict(env_state)
-            self.obs = (
-                self.task._observations()
-                if hasattr(self.task, "_observations")
-                else None
-            )
+            self.obs = self.task._observations()

@@ -30,7 +30,7 @@ def note(n: int, text: str) -> None:
 def test_acceptance_1_kernel_values():
     k0 = spatial.logistic_kernel(0.0, KernelParams(a=30.0, b=2.0))
     assert abs(k0 - 0.25) <= 1e-12
-    local = spatial.cube_local_keypoints(0.0325)
+    local = spatial.box_local_keypoints((0.0325,) * 3)
     pos = np.array([[0.03, -0.01, 0.08]])
     quat = spatial.quat_from_axis_angle([0.3, 0.5, 1.0], 1.1)[None]
     reward = env_mod.object_goal_reward(pos, quat, pos, quat, TaskConfig(), local)
@@ -65,7 +65,7 @@ def test_acceptance_2_observation_contract():
 def test_acceptance_3_double_cover_and_sign_filter():
     n = 10_000
     cfg = TaskConfig()
-    local = spatial.cube_local_keypoints(0.0325)
+    local = spatial.box_local_keypoints((0.0325,) * 3)
     q = spatial.quat_from_shoemake(rng.uniform(rng.stream_key(50, np.arange(n), 0, 1), 3))
     gq = spatial.quat_from_shoemake(rng.uniform(rng.stream_key(51, np.arange(n), 0, 1), 3))
     pos = rng.normal(rng.stream_key(52, np.arange(n), 0, 1), 3) * 0.08

@@ -121,6 +121,44 @@ def test_eval_checkpoint_incompatibility(outroot):
     assert rc == EXIT_INCOMPAT
 
 
+def test_resume_checkpoint_incompatibility(outroot, capsys):
+    assert run_cli("train", "--out", "kp", "--seed", "1", *TINY) == EXIT_OK
+    ckpt = str(outroot / "kp" / "ckpt_final.tckpt")
+    rc = run_cli("train", "--out", "pq", "--seed", "1", *TINY,
+                 "--set", "task.obs_variant=pos_quat", "--resume", ckpt)
+    assert rc == EXIT_INCOMPAT
+    err = capsys.readouterr().err
+    assert "actor_obs_dim 75 (configured 41)" in err
+    rc = run_cli("train", "--out", "wide", "--seed", "1", *TINY,
+                 "--set", "ppo.policy_hidden=[32]", "--resume", ckpt)
+    assert rc == EXIT_INCOMPAT
+    assert "policy_layer_sizes [75, 16, 9] (configured [75, 32, 9])" in capsys.readouterr().err
+
+
+def test_unreadable_checkpoint_exits_incompatible(outroot):
+    assert run_cli("train", "--out", "tr", "--seed", "1", *TINY) == EXIT_OK
+    cut = outroot / "cut.tckpt"
+    cut.write_bytes((outroot / "tr" / "ckpt_final.tckpt").read_bytes()[:40])
+    assert run_cli("eval", "--out", "ev", "--checkpoint", str(cut), "--trials", "2", *TINY) == EXIT_INCOMPAT
+    assert run_cli("train", "--out", "re", *TINY, "--resume", str(cut)) == EXIT_INCOMPAT
+
+
+def test_reports_carry_the_manifest_config_hash(outroot):
+    assert run_cli("train", "--out", "tr", "--seed", "1", *TINY) == EXIT_OK
+    ckpt = str(outroot / "tr" / "ckpt_final.tckpt")
+    assert run_cli("eval", "--out", "ev", "--checkpoint", ckpt, "--trials", "2", *TINY) == EXIT_OK
+    assert run_cli("sweep", "--out", "sw", "--checkpoint", ckpt, "--parameter", "mass",
+                   "--grid", "[1.0]", "--trials", "2", *TINY) == EXIT_OK
+
+    def manifest_hash(name):
+        return json.loads((outroot / name / "manifest.json").read_text())["config_hash"]
+
+    rep = json.loads((outroot / "ev" / "eval_report.json").read_text())
+    assert rep["config_hash"] == manifest_hash("ev")
+    pts = [json.loads(l) for l in (outroot / "sw" / "sweep_mass.jsonl").read_text().splitlines()]
+    assert [p["report"]["config_hash"] for p in pts] == [manifest_hash("sw")]
+
+
 def test_eval_missing_checkpoint(outroot):
     assert run_cli(
         "eval", "--out", "missing", "--checkpoint", str(outroot / "no.tckpt"), "--trials", "2", *TINY

@@ -124,3 +124,5 @@ def test_hash_changes_with_content():
     a = resolve("paper")
     b = resolve("paper", set_exprs=["run.seed=1"])
     assert config_hash(a) != config_hash(b)
+    # where the artifacts land is no part of the run's identity
+    assert config_hash(resolve("paper", set_exprs=["run.output_dir=elsewhere"])) == config_hash(a)

@@ -104,7 +104,7 @@ def test_orientation_noise_angle_std():
 def test_orientation_noise_keeps_keypoints_rigid():
     # noise perturbs the pose, not the keypoints: edge lengths are preserved
     spec = NoiseSpec(0.020, 0.0, -1.0, 1.0)
-    local = spatial.cube_local_keypoints(0.0325)
+    local = spatial.box_local_keypoints((0.0325,) * 3)
     q_true = spatial.quat_from_axis_angle([0.0, 1.0, 0.0], 0.7)
     key = rng.stream_key(12, np.arange(200), 0, rng.CH_OBS_NOISE)
     qn = domrand.apply_orientation_noise(np.tile(q_true, (200, 1)), spec, np.zeros((200, 3)), key)

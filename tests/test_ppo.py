@@ -391,6 +391,12 @@ def test_truncated_checkpoint_names_tensor_and_sizes(tmp_path):
     msg = str(err.value)
     assert str(path) in msg and repr(last["name"]) in msg
     assert str(last["offset"] + last["nbytes"]) in msg and str(payload) in msg
+    # cut inside the 16-byte header, then inside the JSON manifest
+    for cut, what in ((12, "header ends after 12 bytes"), (40, f"manifest holds 24 of its {mlen} bytes")):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ValueError) as err:
+            ppo_mod.read_checkpoint(str(path))
+        assert str(path) in str(err.value) and what in str(err.value)
 
 
 # ------------------------------------------------------------ nets

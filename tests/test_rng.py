@@ -58,12 +58,6 @@ def test_permutation_is_permutation():
     assert not np.array_equal(p, p2)
 
 
-def test_randint_bounds():
-    r = rng.randint(rng.stream_key(5, 6), 1000, 17)
-    assert r.min() >= 0 and r.max() < 17
-    assert len(np.unique(r)) == 17
-
-
 def test_channel_constants_unique():
     channels = [v for k, v in vars(rng).items() if k.startswith("CH_")]
     assert len(channels) == len(set(channels))

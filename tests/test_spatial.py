@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tricube import rng, spatial
-from tricube.spatial import KernelParams, Pose
+from tricube.spatial import KernelParams
 
 
 def random_unit_quats(n, seed=0):
@@ -16,7 +16,7 @@ def random_unit_quats(n, seed=0):
 
 
 def test_cube_corners_bit_pattern_order():
-    kps = spatial.cube_local_keypoints(0.5)
+    kps = spatial.box_local_keypoints((0.5,) * 3)
     assert kps.shape == (8, 3)
     assert np.array_equal(kps[0], [-0.5, -0.5, -0.5])
     assert np.array_equal(kps[7], [0.5, 0.5, 0.5])
@@ -27,39 +27,38 @@ def test_cube_corners_bit_pattern_order():
 
 
 def test_cube_corners_magnitude_and_centroid():
-    kps = spatial.cube_local_keypoints(0.0325)
+    kps = spatial.box_local_keypoints((0.0325,) * 3)
     assert np.all(np.abs(kps) == 0.0325)
     assert np.allclose(kps.mean(axis=0), 0.0, atol=1e-18)
 
 
 def test_cube_corners_rejects_nonpositive():
     with pytest.raises(ValueError):
-        spatial.cube_local_keypoints(0.0)
+        spatial.box_local_keypoints((0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
-        spatial.cube_local_keypoints(-1.0)
+        spatial.box_local_keypoints((-1.0, -1.0, -1.0))
 
 
 def test_transform_identity_and_translation():
-    local = spatial.cube_local_keypoints(0.0325)
-    ident = Pose.identity()
-    assert np.allclose(spatial.pose_to_keypoints(ident, local), local)
-    shifted = spatial.pose_to_keypoints(Pose([0.1, 0.0, 0.0], spatial.QUAT_IDENTITY), local)
+    local = spatial.box_local_keypoints((0.0325,) * 3)
+    assert np.allclose(spatial.transform_keypoints(np.zeros(3), spatial.QUAT_IDENTITY, local), local)
+    shifted = spatial.transform_keypoints(np.array([0.1, 0.0, 0.0]), spatial.QUAT_IDENTITY, local)
     assert np.allclose(shifted, local + [0.1, 0.0, 0.0])
 
 
 def test_transform_matches_matrix_oracle():
     # Independent oracle: explicit 3x3 rotation matrix for 90 deg about z.
-    local = spatial.cube_local_keypoints(0.0325)
+    local = spatial.box_local_keypoints((0.0325,) * 3)
     q = spatial.quat_from_axis_angle([0.0, 0.0, 1.0], math.pi / 2)
     t = np.array([0.01, -0.02, 0.3])
-    got = spatial.pose_to_keypoints(Pose(t, q), local)
+    got = spatial.transform_keypoints(t, q, local)
     rz = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     want = local @ rz.T + t
     assert np.allclose(got, want, atol=1e-12)
 
 
 def test_transform_random_matches_matrix_oracle():
-    local = spatial.cube_local_keypoints(0.0325)
+    local = spatial.box_local_keypoints((0.0325,) * 3)
     qs = random_unit_quats(200, seed=5)
     ts = rng.normal(rng.stream_key(5, np.arange(200), 1, 98), 3) * 0.1
     got = spatial.transform_keypoints(ts, qs, local)
@@ -71,7 +70,7 @@ def test_transform_random_matches_matrix_oracle():
 def test_rigidity_preserved():
     # All 12 cube edges stay length 2h after an arbitrary rigid transform.
     h = 0.0325
-    local = spatial.cube_local_keypoints(h)
+    local = spatial.box_local_keypoints((h,) * 3)
     q = random_unit_quats(50, seed=9)
     t = rng.normal(rng.stream_key(9, np.arange(50), 2, 98), 3)
     kps = spatial.transform_keypoints(t, q, local)
@@ -84,29 +83,30 @@ def test_rigidity_preserved():
 
 
 def test_inverse_pose_recovers_local():
-    local = spatial.cube_local_keypoints(0.0325)
+    local = spatial.box_local_keypoints((0.0325,) * 3)
     q = random_unit_quats(100, seed=3)
     t = rng.normal(rng.stream_key(3, np.arange(100), 3, 98), 3)
     kps = spatial.transform_keypoints(t, q, local)
-    inv = Pose(t, q).inverse()
-    back = spatial.quat_rotate(inv.rotation[:, None, :], kps) + inv.translation[:, None, :]
+    q_inv = spatial.quat_conj(q)
+    t_inv = -spatial.quat_rotate(q_inv, t)
+    back = spatial.quat_rotate(q_inv[:, None, :], kps) + t_inv[:, None, :]
     assert np.max(np.abs(back - local)) < 1e-9
 
 
 def test_flat_round_trip():
     kps = spatial.transform_keypoints(
-        np.array([0.1, 0.2, 0.3]), random_unit_quats(1)[0], spatial.cube_local_keypoints(0.0325)
+        np.array([0.1, 0.2, 0.3]), random_unit_quats(1)[0], spatial.box_local_keypoints((0.0325,) * 3)
     )
     flat = spatial.keypoints_to_flat(kps)
     assert flat.shape == (24,)
     assert np.array_equal(flat[:3], kps[0])
-    assert np.array_equal(spatial.flat_to_keypoints(flat), kps)
-    ident_flat = spatial.keypoints_to_flat(spatial.cube_local_keypoints(0.0325))
+    assert np.array_equal(flat.reshape(8, 3), kps)
+    ident_flat = spatial.keypoints_to_flat(spatial.box_local_keypoints((0.0325,) * 3))
     assert np.all(np.abs(ident_flat) == 0.0325)
 
 
 def test_double_cover_bit_identical():
-    local = spatial.cube_local_keypoints(0.0325)
+    local = spatial.box_local_keypoints((0.0325,) * 3)
     q = random_unit_quats(1000, seed=11)
     t = rng.normal(rng.stream_key(11, np.arange(1000), 4, 98), 3) * 0.2
     a = spatial.transform_keypoints(t, q, local)
@@ -115,14 +115,14 @@ def test_double_cover_bit_identical():
 
 
 def test_keypoint_distance_zero_iff_same_pose():
-    local = spatial.cube_local_keypoints(0.0325)
+    local = spatial.box_local_keypoints((0.0325,) * 3)
     q = random_unit_quats(100, seed=13)
     t = rng.normal(rng.stream_key(13, np.arange(100), 5, 98), 3) * 0.2
     kps = spatial.transform_keypoints(t, q, local)
     same = spatial.transform_keypoints(t, -q, local)
-    assert np.all(spatial.keypoint_l2_sum(kps, same) == 0.0)
+    assert np.all(np.linalg.norm(kps - same, axis=-1).sum(axis=-1) == 0.0)
     other = spatial.transform_keypoints(t + 1e-4, q, local)
-    assert np.all(spatial.keypoint_l2_sum(kps, other) > 0.0)
+    assert np.all(np.linalg.norm(kps - other, axis=-1).sum(axis=-1) > 0.0)
 
 
 # ---------------------------------------------------------------- kernel
