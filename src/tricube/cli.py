@@ -135,22 +135,29 @@ def build_agent_for(cfg: EngineConfig) -> PPOAgent:
     return PPOAgent(a_dim, c_dim, act_dim, cfg=cfg.ppo, seed=cfg.run.seed)
 
 
-def check_checkpoint(path: str, agent: PPOAgent) -> None:
+def check_checkpoint(path: str, agent: PPOAgent, task=None) -> None:
     """Fail unless ``path`` is a readable checkpoint of an agent shaped like
-    ``agent``: the same observation and action dims and layer sizes.  A
-    missing file is a configuration error, anything else an
-    incompatibility."""
+    ``agent``: the same observation and action dims and layer sizes.  With
+    ``task``, any env state the checkpoint carries must also match the
+    task's tensor shapes (so the same ``run.num_envs``).  A missing file is
+    a configuration error, anything else an incompatibility."""
     if not os.path.exists(path):
         raise ConfigError(f"checkpoint not found: {path}")
     try:
-        _, meta = read_checkpoint(path)
+        tensors, meta = read_checkpoint(path)
     except ValueError as err:
         raise IncompatibilityError(str(err)) from err
     diffs = [
         f"{k} {meta.get(k)} (configured {v})" for k, v in agent.shape().items() if meta.get(k) != v
     ]
+    if task is not None and any(k.startswith("env.") for k in tensors):
+        for name, arr in task.state_dict().items():
+            got = tensors.get(f"env.{name}")
+            if got is None or got.shape != arr.shape:
+                found = "missing" if got is None else f"shape {got.shape}"
+                diffs.append(f"env.{name} {found} (configured {arr.shape})")
     if diffs:
-        raise IncompatibilityError(f"{path} does not fit the configured agent: " + ", ".join(diffs))
+        raise IncompatibilityError(f"{path} does not fit the configuration: " + ", ".join(diffs))
 
 
 def load_agent_checkpoint(path: str, cfg: EngineConfig) -> tuple[PPOAgent, str]:
@@ -180,7 +187,7 @@ def cmd_train(args) -> int:
             checkpoint_interval=cfg.run.checkpoint_interval, seed=cfg.run.seed,
         )
         if args.resume:
-            check_checkpoint(args.resume, agent)
+            check_checkpoint(args.resume, agent, task)
             trainer.load_checkpoint(args.resume)
             print(f"resumed from {args.resume} at step {agent.global_step}")
 

@@ -171,16 +171,20 @@ def object_goal_reward(
     return spatial.logistic_kernel(pos_err, cfg.kernel_pos) + 1.0 / (3.0 * np.abs(ang) + 0.01)
 
 
+def goal_errors(obj_pos, obj_quat, goal_pos, goal_quat) -> tuple[np.ndarray, np.ndarray]:
+    """Per-env position error (m) and rotation error (rad) to the goal."""
+    return np.linalg.norm(obj_pos - goal_pos, axis=-1), spatial.rot_dist(obj_quat, goal_quat)
+
+
 def check_success(
-    obj_pos: np.ndarray,
-    obj_quat: np.ndarray,
-    goal_pos: np.ndarray,
-    goal_quat: np.ndarray,
-    pos_threshold: float,
-    rot_threshold: float,
+    obj_pos, obj_quat, goal_pos, goal_quat, pos_threshold: float, rot_threshold: float,
+    errors: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    pos_err = np.linalg.norm(obj_pos - goal_pos, axis=-1)
-    rot_err = spatial.rot_dist(obj_quat, goal_quat)
+    """The success test: both goal errors under their thresholds.  Callers
+    that hold ``goal_errors`` of these poses pass them as ``errors``."""
+    if errors is None:
+        errors = goal_errors(obj_pos, obj_quat, goal_pos, goal_quat)
+    pos_err, rot_err = errors
     return (pos_err < pos_threshold) & (rot_err < rot_threshold)
 
 
@@ -373,8 +377,8 @@ class CubeReposeTask:
         self.state = physics.step(self.state, torque_applied, self.params, self.pcfg)
         self.total_steps += n
         self.episode_step += 1
-        kin = physics.fingertip_kinematics(self.state.joint_pos, self.state.joint_vel, self.pcfg.hand)
-        self._kin = kin
+        kin = self._kin = physics.fingertip_kinematics(
+            self.state.joint_pos, self.state.joint_vel, self.pcfg.hand)
 
         reach_raw = fingertip_to_object(prev_tips, prev_obj_pos, kin.pos, self.state.obj_pos)
         reach = reach_raw if self.total_steps <= self.cfg.reach_cutoff_steps else np.zeros(n)
@@ -390,11 +394,10 @@ class CubeReposeTask:
         )
         self.episode_return += reward
 
-        pos_err = np.linalg.norm(self.state.obj_pos - self.goal_pos, axis=-1)
-        rot_err = spatial.rot_dist(self.state.obj_quat, self.goal_quat)
-        in_goal = (pos_err < self.cfg.success_pos_threshold) & (
-            rot_err < self.cfg.success_rot_threshold
-        )
+        poses = (self.state.obj_pos, self.state.obj_quat, self.goal_pos, self.goal_quat)
+        pos_err, rot_err = goal_errors(*poses)
+        in_goal = check_success(*poses, self.cfg.success_pos_threshold,
+                                self.cfg.success_rot_threshold, errors=(pos_err, rot_err))
         self.success_any |= in_goal
 
         fault = self.state.fault | action_fault
@@ -484,7 +487,8 @@ class CubeReposeTask:
                 actor_true,
                 self.state.obj_linvel,
                 self.state.obj_angvel,
-                np.concatenate([kin.pos, kin.quat], axis=-1).reshape(n, 21),
+                np.concatenate([kin.pos, physics.fingertip_quat(self.state.joint_pos)], axis=-1)
+                .reshape(n, 21),
                 np.concatenate([kin.linvel, kin.angvel], axis=-1).reshape(n, 18),
                 self.state.fingertip_wrench.reshape(n, 18),
                 self.state.joint_torque,

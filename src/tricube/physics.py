@@ -12,6 +12,15 @@ Everything is float64 and elementwise over the env axis, so stepping a
 batch is bit-identical to stepping each env alone.  The only randomness is
 the external-force schedule, which draws from counter-based streams keyed
 by (seed, env_id, step).
+
+Inside the step, vectors are per axis: x, y and z are separate (N, 3)
+arrays over fingertips, (N, 8) over box corners, or (N, 1) for the object,
+in place of stacked (N, 3, 3, 3) temporaries and 3-wide reductions.  This
+gives the stacked form's bits because every sum keeps numpy's order: a
+3-wide sum is ((0 + a0) + a1) + a2, numpy's reduction from +0.0 (an all
+-0.0 sum gives +0.0); the 8 box corners are added one after another, where
+``sum(axis=-1)`` would add them as a tree; and each accumulation into a zero
+total (forces, torques, wrenches) stays a ``0 + x`` or ``0 - x``.
 """
 
 from __future__ import annotations
@@ -241,58 +250,83 @@ def make_rest_state(n: int, cfg: PhysicsConfig, params: EnvParams | None = None)
     )
 
 
+# ------------------------------------------------------------------ per-axis
+# a vector is an (x, y, z) triple of arrays; a scalar 0.0 stands for zeros
+
+
+def _add(a, b) -> tuple:
+    return tuple(p + q for p, q in zip(a, b))
+
+
+def _sub(a, b) -> tuple:
+    return tuple(p - q for p, q in zip(a, b))
+
+
+def _cross(a, b) -> tuple:
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
+def _dot(a, b):
+    # numpy sums a 3-wide axis from +0.0, in order
+    return 0.0 + a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _norm(a):
+    # squares are never -0.0, so the +0.0 start drops out
+    return np.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
+
+
+def _rot(r, v) -> tuple:
+    """R @ v for a row-major 3x3 nested tuple ``r``."""
+    return tuple(row[0] * v[0] + row[1] * v[1] + row[2] * v[2] for row in r)
+
+
+def _rot_t(r, v) -> tuple:
+    """R^T @ v."""
+    return tuple(r[0][i] * v[0] + r[1][i] * v[1] + r[2][i] * v[2] for i in range(3))
+
+
+def _columns(a: np.ndarray) -> tuple:
+    return tuple(a[:, i : i + 1] for i in range(a.shape[1]))
+
+
+def _column_sum(a: np.ndarray) -> np.ndarray:
+    """Sum (N, 1) over the fingers or corners of an (N, k) array, one column
+    after another from +0.0: numpy's order for the middle axis of an
+    (N, k, 3) array.  ``a.sum(axis=1)`` would add 8 corners as a tree."""
+    total = 0.0
+    for col in _columns(a):
+        total = total + col
+    return total
+
+
 # ------------------------------------------------------------------ kinematics
 
 
 @dataclass
 class FingertipKin:
     """World-frame fingertip kinematics plus the joint frames needed for
-    contact Jacobians."""
+    contact Jacobians.  Vectors are per axis: (N, 3) arrays over the
+    fingers, except the constant mount and roll axis, (3,) per axis."""
 
-    pos: np.ndarray  # (N, 3, 3) tip sphere centers
-    quat: np.ndarray  # (N, 3, 4)
-    linvel: np.ndarray  # (N, 3, 3)
-    angvel: np.ndarray  # (N, 3, 3)
-    joint_axes: np.ndarray  # (N, 3, 3, 3) [finger, joint, xyz]
-    joint_origins: np.ndarray  # (N, 3, 3, 3)
+    tip: tuple  # tip sphere centers
+    tip_vel: tuple
+    tip_angvel: tuple
+    elbow: tuple  # origin of joint 2; joints 0 and 1 sit at the mount
+    flex_axis: tuple  # world axis of joints 1 and 2
+    mount: tuple
+    roll_axis: tuple  # world axis of joint 0
+
+    # stacked (N, 3, 3) arrays, [env, finger, xyz]
+    pos = property(lambda self: np.stack(self.tip, axis=-1))
+    linvel = property(lambda self: np.stack(self.tip_vel, axis=-1))
+    angvel = property(lambda self: np.stack(self.tip_angvel, axis=-1))
 
 
 def _mount_angles() -> np.ndarray:
     return np.arange(N_FINGERS) * (2.0 * np.pi / N_FINGERS)
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # explicit components: np.cross is needlessly general and slow at 3-wide
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    out[..., 0] = a1 * b2 - a2 * b1
-    out[..., 1] = a2 * b0 - a0 * b2
-    out[..., 2] = a0 * b1 - a1 * b0
-    return out
-
-
-def _matvec(r: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """R @ v for r (N, 3, 3) against v (N, ..., 3), broadcasting over the
-    middle axes."""
-    rr = r.reshape(r.shape[:1] + (1,) * (v.ndim - 2) + (3, 3))
-    out = np.empty(np.broadcast_shapes(rr.shape[:-1], v.shape))
-    for i in range(3):
-        out[..., i] = (
-            rr[..., i, 0] * v[..., 0] + rr[..., i, 1] * v[..., 1] + rr[..., i, 2] * v[..., 2]
-        )
-    return out
-
-
-def _matvec_t(r: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """R^T @ v with the same broadcasting as _matvec."""
-    rr = r.reshape(r.shape[:1] + (1,) * (v.ndim - 2) + (3, 3))
-    out = np.empty(np.broadcast_shapes(rr.shape[:-1], v.shape))
-    for i in range(3):
-        out[..., i] = (
-            rr[..., 0, i] * v[..., 0] + rr[..., 1, i] * v[..., 1] + rr[..., 2, i] * v[..., 2]
-        )
-    return out
 
 
 def fingertip_kinematics(
@@ -303,123 +337,116 @@ def fingertip_kinematics(
     Joint 0 rolls about the finger's inward horizontal axis; joints 1 and 2
     flex about the shared lateral axis, so their world axes coincide.
     """
-    n = joint_pos.shape[0]
     if joint_vel is None:
         joint_vel = np.zeros_like(joint_pos)
-    q = joint_pos.reshape(n, N_FINGERS, 3)
-    qd = joint_vel.reshape(n, N_FINGERS, 3)
+    q0, q1, q2 = (joint_pos[:, j::3] for j in range(3))  # (N, 3) over fingers
+    qd = [joint_vel[:, j::3] for j in range(3)]
     l1, l2 = hand.link1_len, hand.link2_len
 
     phis = _mount_angles()
-    mounts = np.stack(
-        [hand.mount_radius * np.cos(phis), hand.mount_radius * np.sin(phis),
-         np.full(N_FINGERS, hand.mount_height)],
-        axis=-1,
-    )  # (3, 3)
+    mount = (hand.mount_radius * np.cos(phis), hand.mount_radius * np.sin(phis),
+             np.full(N_FINGERS, hand.mount_height))
     # finger frame yaw: local +x points from the mount toward the center
     psis = phis + np.pi
     cpsi, spsi = np.cos(psis), np.sin(psis)
 
-    c0, s0 = np.cos(q[..., 0]), np.sin(q[..., 0])  # (N, 3)
-    s1, c1 = np.sin(q[..., 1]), np.cos(q[..., 1])
-    q12 = q[..., 1] + q[..., 2]
+    c0, s0 = np.cos(q0), np.sin(q0)
+    s1, c1 = np.sin(q1), np.cos(q1)
+    q12 = q1 + q2
     s12, c12 = np.sin(q12), np.cos(q12)
 
     # positions in the finger frame (x inward, y lateral, z up)
-    elbow_local = np.stack([-l1 * s1, s0 * (l1 * c1), -c0 * (l1 * c1)], axis=-1)
-    tip_rel = np.stack([-l2 * s12, s0 * (l2 * c12), -c0 * (l2 * c12)], axis=-1)
-    tip_local = elbow_local + tip_rel
+    elbow_local = (-l1 * s1, s0 * (l1 * c1), -c0 * (l1 * c1))
+    tip_local = _add(elbow_local, (-l2 * s12, s0 * (l2 * c12), -c0 * (l2 * c12)))
 
-    def to_world(v_local):  # rotate finger frame -> world by Rz(psi), add mount
-        x = cpsi * v_local[..., 0] - spsi * v_local[..., 1]
-        y = spsi * v_local[..., 0] + cpsi * v_local[..., 1]
-        return np.stack([x, y, v_local[..., 2]], axis=-1)
+    def to_world(v):  # rotate finger frame -> world by Rz(psi), add mount
+        return (cpsi * v[0] - spsi * v[1] + mount[0], spsi * v[0] + cpsi * v[1] + mount[1],
+                v[2] + mount[2])
 
-    tip_world = to_world(tip_local) + mounts
-    elbow_world = to_world(elbow_local) + mounts
-
-    # joint axes in world frame
-    ax0 = np.broadcast_to(np.stack([cpsi, spsi, np.zeros(N_FINGERS)], axis=-1), (n, N_FINGERS, 3))
-    ax12 = np.stack([-spsi * c0, cpsi * c0, s0], axis=-1)  # (N, 3, 3)
-    axes = np.stack([ax0, ax12, ax12], axis=2)  # (N, 3 fingers, 3 joints, 3)
-    origins = np.stack(
-        [np.broadcast_to(mounts, (n, N_FINGERS, 3)),
-         np.broadcast_to(mounts, (n, N_FINGERS, 3)),
-         elbow_world],
-        axis=2,
-    )
+    tip, elbow = to_world(tip_local), to_world(elbow_local)
+    roll, flex = (cpsi, spsi, 0.0), (-spsi * c0, cpsi * c0, s0)
 
     # velocities: v = sum_k qd_k * a_k x (tip - o_k), w = sum_k qd_k * a_k
-    rel = tip_world[:, :, None, :] - origins  # (N, 3, 3, 3)
-    linvel = np.sum(qd[..., None] * _cross(axes, rel), axis=2)
-    angvel = np.sum(qd[..., None] * axes, axis=2)
+    from_mount = _sub(tip, mount)
+    arms = (_cross(roll, from_mount), _cross(flex, from_mount), _cross(flex, _sub(tip, elbow)))
+    linvel = tuple(0.0 + qd[0] * arms[0][i] + qd[1] * arms[1][i] + qd[2] * arms[2][i]
+                   for i in range(3))
+    angvel = tuple(0.0 + qd[0] * roll[i] + qd[1] * flex[i] + qd[2] * flex[i] for i in range(3))
+    return FingertipKin(tip, linvel, angvel, elbow, flex, mount, roll)
 
-    # tip orientation: Rz(psi) * Rx(q0) * Ry(q1 + q2)
-    qz = np.zeros((n, N_FINGERS, 4))
-    qz[..., 2] = np.sin(psis / 2.0)
-    qz[..., 3] = np.cos(psis / 2.0)
-    qx = np.zeros((n, N_FINGERS, 4))
-    qx[..., 0] = np.sin(q[..., 0] / 2.0)
-    qx[..., 3] = np.cos(q[..., 0] / 2.0)
-    qy = np.zeros((n, N_FINGERS, 4))
-    qy[..., 1] = np.sin(q12 / 2.0)
-    qy[..., 3] = np.cos(q12 / 2.0)
-    quat = spatial.quat_mul(qz, spatial.quat_mul(qx, qy))
 
-    return FingertipKin(tip_world, quat, linvel, angvel, axes, origins)
+def fingertip_quat(joint_pos: np.ndarray) -> np.ndarray:
+    """Fingertip orientations (N, 3, 4), xyzw: Rz(psi) * Rx(q0) * Ry(q1 + q2)
+    per finger, psi being the finger frame's yaw."""
+    psis = _mount_angles() + np.pi
+    q0 = joint_pos[:, 0::3]
+    q12 = joint_pos[:, 1::3] + joint_pos[:, 2::3]
+    qz = (0.0, 0.0, np.sin(psis / 2.0), np.cos(psis / 2.0))
+    qx = (np.sin(q0 / 2.0), 0.0, 0.0, np.cos(q0 / 2.0))
+    qy = (0.0, np.sin(q12 / 2.0), 0.0, np.cos(q12 / 2.0))
+    return np.stack(spatial.quat_mul_parts(qz, spatial.quat_mul_parts(qx, qy)), axis=-1)
 
 
 # ------------------------------------------------------------------ contacts
 
 
-def _tanh_friction(vt: np.ndarray, fn: np.ndarray, mu, eps: float) -> np.ndarray:
-    """Regularized Coulomb friction force opposing tangential velocity.
+def _tanh_friction(vt: tuple, fn: np.ndarray, mu, eps: float) -> tuple:
+    """Regularized Coulomb friction force opposing tangential velocity
+    ``vt``; ``fn`` is the normal force magnitude."""
+    speed = _norm(vt)
+    moving = speed > 1e-12
+    scale = np.where(moving, np.tanh(speed / eps) / np.where(moving, speed, 1.0), 0.0)
+    s = -(mu * fn * scale)
+    return tuple(s * c for c in vt)
 
-    vt (..., 3), fn (...,) normal force magnitude; returns (..., 3).
-    """
-    speed = np.linalg.norm(vt, axis=-1)
-    scale = np.where(speed > 1e-12, np.tanh(speed / eps) / np.where(speed > 1e-12, speed, 1.0), 0.0)
-    return -(mu * fn * scale)[..., None] * vt
 
-
-def _point_in_box_normal(d_local: np.ndarray, h: np.ndarray):
+def _point_in_box_normal(d: tuple, h: tuple):
     """Closest surface point and outward normal for points near an AABB.
 
-    d_local (..., 3) point in box frame, h (..., 3) half extents.  Returns
-    (surface_point, normal, separation) where separation is the signed
-    distance from surface to the point (negative when inside).
+    ``d`` point in box frame, ``h`` half extents.  Returns (surface_point,
+    normal, separation) where separation is the signed distance from surface
+    to the point (negative when inside).
     """
-    clamped = np.clip(d_local, -h, h)
-    diff = d_local - clamped
-    dist = np.linalg.norm(diff, axis=-1)
+    clamped = tuple(np.clip(c, -e, e) for c, e in zip(d, h))
+    diff = _sub(d, clamped)
+    dist = _norm(diff)
     outside = dist > 1e-12
-    n_out = diff / np.where(outside, dist, 1.0)[..., None]
+    safe = np.where(outside, dist, 1.0)
 
-    # inside: push out along the axis with the least face distance
-    face_gap = h - np.abs(d_local)  # (..., 3) >= 0 when inside
-    k_min = np.argmin(face_gap, axis=-1)
-    sign = np.sign(np.take_along_axis(d_local, k_min[..., None], axis=-1))
+    # inside: push out along the axis with the least face distance, the
+    # first of equal ones as argmin picks
+    g0, g1, g2 = (e - np.abs(c) for c, e in zip(d, h))  # >= 0 when inside
+    pick0 = (g0 <= g1) & (g0 <= g2)
+    pick1 = ~pick0 & (g1 <= g2)
+    gap_min = np.where(pick0, g0, np.where(pick1, g1, g2))
+    sign = np.sign(np.where(pick0, d[0], np.where(pick1, d[1], d[2])))
     sign = np.where(sign == 0.0, 1.0, sign)
-    n_in = np.zeros_like(d_local)
-    np.put_along_axis(n_in, k_min[..., None], sign, axis=-1)
-    gap_min = np.take_along_axis(face_gap, k_min[..., None], axis=-1)[..., 0]
+    n_in = tuple(np.where(p, sign, 0.0) for p in (pick0, pick1, ~(pick0 | pick1)))
 
-    normal = np.where(outside[..., None], n_out, n_in)
-    surface = np.where(
-        outside[..., None],
-        clamped,
-        d_local + n_in * gap_min[..., None],
-    )
+    normal = tuple(np.where(outside, c / safe, i) for c, i in zip(diff, n_in))
+    surface = tuple(np.where(outside, cl, c + i * gap_min) for cl, c, i in zip(clamped, d, n_in))
     separation = np.where(outside, dist, -gap_min)
     return surface, normal, separation
 
 
-def step(
-    state: SimState,
-    torques: np.ndarray,
-    params: EnvParams,
-    cfg: PhysicsConfig,
-) -> SimState:
+def _joint_torques(kin: FingertipKin, point: tuple, force: tuple) -> np.ndarray:
+    """Torques (N, 9) on the finger joints of fingertip forces applied at
+    ``point``: a_k . ((point - o_k) x force) for each joint k."""
+    at_mount = _cross(_sub(point, kin.mount), force)
+    tau = (
+        _dot(kin.roll_axis, at_mount),
+        _dot(kin.flex_axis, at_mount),
+        _dot(kin.flex_axis, _cross(_sub(point, kin.elbow), force)),
+    )
+    return np.stack(tau, axis=-1).reshape(-1, N_JOINTS)
+
+
+def _limit_speed(v: tuple, v_max: float) -> tuple:
+    k = np.minimum(1.0, v_max / np.maximum(_norm(v), 1e-12))
+    return tuple(c * k for c in v)
+
+
+def step(state: SimState, torques: np.ndarray, params: EnvParams, cfg: PhysicsConfig) -> SimState:
     """Advance every env by one control step of ``cfg.dt`` seconds.
 
     ``torques`` (N, 9) must already be clamped to the actuator range (the
@@ -431,143 +458,116 @@ def step(
     torques = np.asarray(torques, dtype=np.float64)
 
     bad = ~np.isfinite(torques).all(axis=1)
-    bad |= ~np.isfinite(state.joint_pos).all(axis=1)
-    bad |= ~np.isfinite(state.joint_vel).all(axis=1)
-    bad |= ~np.isfinite(state.obj_pos).all(axis=1)
-    bad |= ~np.isfinite(state.obj_quat).all(axis=1)
-    bad |= ~np.isfinite(state.obj_linvel).all(axis=1)
-    bad |= ~np.isfinite(state.obj_angvel).all(axis=1)
+    for name in ("joint_pos", "joint_vel", "obj_pos", "obj_quat", "obj_linvel", "obj_angvel"):
+        bad |= ~np.isfinite(getattr(state, name)).all(axis=1)
     out = state.copy()
     if bad.any():
-        rest = make_rest_state(n, cfg, params)
-        out.set_rows(bad, rest)
-        out.fault[:] = False
-        out.fault[bad] = True
+        out.set_rows(bad, make_rest_state(n, cfg, params))
         torques = np.where(bad[:, None], 0.0, torques)
-    else:
-        out.fault[:] = False
+    out.fault[:] = bad
 
     hand = cfg.hand
     dt_sub = cfg.dt / cfg.n_substeps
-    tau_max = hand.max_torque
-    torques = np.clip(torques, -tau_max, tau_max)
+    torques = np.clip(torques, -hand.max_torque, hand.max_torque)
+    tip_r = hand.fingertip_radius
 
-    # mass-proportional contact constants keep the stiff-spring stability
-    # limit and the resting penetration independent of mass randomization
+    # per-env constants are (N, 1) columns, which broadcast against the
+    # (N, 3) fingers and the (N, 8) corners.  Mass-proportional contact
+    # constants keep the stiff-spring stability limit and the resting
+    # penetration independent of mass randomization
     scale_fac = params.mass_factor if cfg.contact.mass_scaled else np.ones(n)
-    k_obj = cfg.contact.stiffness * scale_fac
-    c_obj = cfg.contact.damping * scale_fac
-    k_hand = cfg.contact.stiffness
-    c_hand = cfg.contact.damping
+    k_obj = (cfg.contact.stiffness * scale_fac)[:, None]
+    c_obj = (cfg.contact.damping * scale_fac)[:, None]
     eps_v = cfg.contact.friction_smoothing_vel
-    mu_obj = cfg.object.friction * params.object_friction_factor
-    mu_table = cfg.contact.table_friction * params.table_friction_factor
+    mu_obj = (cfg.object.friction * params.object_friction_factor)[:, None]
+    mu_table = (cfg.contact.table_friction * params.table_friction_factor)[:, None]
 
-    m = object_mass(cfg, params)
-    inertia_b = object_inertia_body(cfg, params)
-    half = object_half_extents(cfg, params)
+    m = object_mass(cfg, params)[:, None]
+    inertia_b = _columns(object_inertia_body(cfg, params))
+    half = _columns(object_half_extents(cfg, params))
+    ext = _columns(params.ext_force)
     is_sphere = cfg.object.kind == "sphere"
-    radius_eff = cfg.object.radius * params.scale if is_sphere else None
-    corner_signs = spatial._CORNER_SIGNS  # (8, 3)
+    if is_sphere:
+        radius = (cfg.object.radius * params.scale)[:, None]
+    else:  # (N, 8) corner offsets in the body frame
+        corners_b = tuple(spatial._CORNER_SIGNS[:, i] * half[i] for i in range(3))
 
-    q = out.joint_pos
-    qd = out.joint_vel
-    x = out.obj_pos
-    quat = out.obj_quat
-    v = out.obj_linvel
-    w = out.obj_angvel
+    q, qd = out.joint_pos, out.joint_vel
+    x, quat, v, w = map(_columns, (out.obj_pos, out.obj_quat, out.obj_linvel, out.obj_angvel))
     inertia_j = np.tile(np.asarray(hand.joint_inertia), N_FINGERS)  # (9,)
 
     wrench_acc = np.zeros((n, N_FINGERS, 6))
 
+    def add_wrench(force, torque):
+        for i in range(3):
+            wrench_acc[..., i] += force[i]
+            wrench_acc[..., 3 + i] += torque[i]
+
     for _ in range(cfg.n_substeps):
         kin = fingertip_kinematics(q, qd, hand)
-        rot = spatial.quat_to_mat(quat)  # (N, 3, 3)
+        tips = kin.tip
+        rot = spatial.quat_to_mat_parts(quat)
 
-        obj_force = np.zeros((n, 3))
-        obj_torque = np.zeros((n, 3))
-        joint_tau_contact = np.zeros((n, N_JOINTS))
+        obj_force = obj_torque = (0.0, 0.0, 0.0)
+        joint_tau_contact = 0.0
 
         # ---- fingertip vs object
-        tips = kin.pos  # (N, 3, 3)
-        rel_tip = tips - x[:, None, :]
-        d_local = _matvec_t(rot, rel_tip)  # R^T (c - x)
+        d_local = _rot_t(rot, _sub(tips, x))  # R^T (c - x)
         if is_sphere:
-            dist = np.linalg.norm(d_local, axis=-1)
-            safe = np.where(dist > 1e-12, dist, 1.0)
-            n_local = np.where(
-                (dist > 1e-12)[..., None], d_local / safe[..., None], [0.0, 0.0, 1.0]
-            )
-            separation = dist - radius_eff[:, None]
-            surf_local = n_local * radius_eff[:, None, None]
+            dist = _norm(d_local)
+            near = dist > 1e-12
+            safe = np.where(near, dist, 1.0)
+            n_local = tuple(np.where(near, c / safe, e) for c, e in zip(d_local, (0.0, 0.0, 1.0)))
+            separation = dist - radius
+            surf_local = tuple(c * radius for c in n_local)
         else:
-            surf_local, n_local, separation = _point_in_box_normal(
-                d_local, half[:, None, :]
-            )
-        pen = hand.fingertip_radius - separation  # (N, 3)
+            surf_local, n_local, separation = _point_in_box_normal(d_local, half)
+        pen = tip_r - separation  # (N, 3)
         active = pen > 0.0
         if active.any():
-            normal = _matvec(rot, n_local)  # cube -> tip
-            p_c = _matvec(rot, surf_local) + x[:, None, :]
-            v_tip_c = kin.linvel + _cross(kin.angvel, p_c - tips)
-            v_obj_c = v[:, None, :] + _cross(w[:, None, :], p_c - x[:, None, :])
-            v_rel = v_tip_c - v_obj_c
-            v_n = np.sum(v_rel * normal, axis=-1)
-            fn = np.maximum(0.0, k_obj[:, None] * pen - c_obj[:, None] * v_n)
-            fn = np.where(active, fn, 0.0)
-            vt = v_rel - v_n[..., None] * normal
-            f_tip = fn[..., None] * normal + _tanh_friction(vt, fn, mu_obj[:, None], eps_v)
-            obj_force -= f_tip.sum(axis=1)
-            obj_torque -= _cross(p_c - x[:, None, :], f_tip).sum(axis=1)
+            normal = _rot(rot, n_local)  # cube -> tip
+            p_c = _add(_rot(rot, surf_local), x)
+            arm, lever = _sub(p_c, tips), _sub(p_c, x)
+            v_rel = _sub(_add(kin.tip_vel, _cross(kin.tip_angvel, arm)), _add(v, _cross(w, lever)))
+            v_n = _dot(v_rel, normal)
+            fn = np.where(active, np.maximum(0.0, k_obj * pen - c_obj * v_n), 0.0)
+            vt = tuple(c - v_n * nc for c, nc in zip(v_rel, normal))
+            f_tip = _add(tuple(fn * nc for nc in normal), _tanh_friction(vt, fn, mu_obj, eps_v))
+            obj_force = _sub(obj_force, map(_column_sum, f_tip))
+            obj_torque = _sub(obj_torque, map(_column_sum, _cross(lever, f_tip)))
             # map to finger joints through the contact-point Jacobian
-            rel_c = p_c[:, :, None, :] - kin.joint_origins  # (N, F, J, 3)
-            tau_fj = np.sum(kin.joint_axes * _cross(rel_c, f_tip[:, :, None, :]), axis=-1)
-            joint_tau_contact += tau_fj.reshape(n, N_JOINTS)
-            wrench_acc[..., 0:3] += f_tip
-            wrench_acc[..., 3:6] += _cross(p_c - tips, f_tip)
+            joint_tau_contact = joint_tau_contact + _joint_torques(kin, p_c, f_tip)
+            add_wrench(f_tip, _cross(arm, f_tip))
 
         # ---- fingertip vs table
-        pen_t = hand.fingertip_radius - tips[..., 2]
+        pen_t = tip_r - tips[2]
         active_t = pen_t > 0.0
         if active_t.any():
-            p_ct = tips.copy()
-            p_ct[..., 2] -= hand.fingertip_radius
-            v_tip_t = kin.linvel + _cross(kin.angvel, p_ct - tips)
-            fn_t = np.maximum(0.0, k_hand * pen_t - c_hand * v_tip_t[..., 2])
-            fn_t = np.where(active_t, fn_t, 0.0)
-            vt_t = v_tip_t.copy()
-            vt_t[..., 2] = 0.0
-            f_tab = np.zeros_like(tips)
-            f_tab[..., 2] = fn_t
-            f_tab += _tanh_friction(vt_t, fn_t, mu_table[:, None], eps_v)
-            rel_ct = p_ct[:, :, None, :] - kin.joint_origins
-            tau_t = np.sum(kin.joint_axes * _cross(rel_ct, f_tab[:, :, None, :]), axis=-1)
-            joint_tau_contact += tau_t.reshape(n, N_JOINTS)
-            wrench_acc[..., 0:3] += f_tab
-            wrench_acc[..., 3:6] += _cross(p_ct - tips, f_tab)
+            p_ct = (tips[0], tips[1], tips[2] - tip_r)
+            arm = _sub(p_ct, tips)
+            v_tip_t = _add(kin.tip_vel, _cross(kin.tip_angvel, arm))
+            fn_t = cfg.contact.stiffness * pen_t - cfg.contact.damping * v_tip_t[2]
+            fn_t = np.where(active_t, np.maximum(0.0, fn_t), 0.0)
+            fric = _tanh_friction((v_tip_t[0], v_tip_t[1], 0.0), fn_t, mu_table, eps_v)
+            f_tab = (0.0 + fric[0], 0.0 + fric[1], fn_t + fric[2])
+            joint_tau_contact = joint_tau_contact + _joint_torques(kin, p_ct, f_tab)
+            add_wrench(f_tab, _cross(arm, f_tab))
 
         # ---- object vs table
         if is_sphere:
-            pen_o = radius_eff - (x[..., 2])  # bottom point at z - r
-            pen_o = pen_o[:, None]
-            r_pts = np.zeros((n, 1, 3))
-            r_pts[:, 0, 2] = -radius_eff
+            pen_o = radius - x[2]  # bottom point at z - r
+            r_pts = (0.0, 0.0, -radius)
         else:
-            corners = _matvec(rot, corner_signs * half[:, None, :])
-            r_pts = corners  # relative to com
-            pen_o = -(x[:, None, 2] + corners[..., 2])
+            r_pts = _rot(rot, corners_b)  # relative to com
+            pen_o = -(x[2] + r_pts[2])
         active_o = pen_o > 0.0
         if active_o.any():
-            v_pt = v[:, None, :] + _cross(w[:, None, :], r_pts)
-            fn_o = np.maximum(0.0, k_obj[:, None] * pen_o - c_obj[:, None] * v_pt[..., 2])
-            fn_o = np.where(active_o, fn_o, 0.0)
-            vt_o = v_pt.copy()
-            vt_o[..., 2] = 0.0
-            f_o = np.zeros_like(r_pts)
-            f_o[..., 2] = fn_o
-            f_o += _tanh_friction(vt_o, fn_o, mu_table[:, None], eps_v)
-            obj_force += f_o.sum(axis=1)
-            obj_torque += _cross(r_pts, f_o).sum(axis=1)
+            v_pt = _add(v, _cross(w, r_pts))
+            fn_o = np.where(active_o, np.maximum(0.0, k_obj * pen_o - c_obj * v_pt[2]), 0.0)
+            fric = _tanh_friction((v_pt[0], v_pt[1], 0.0), fn_o, mu_table, eps_v)
+            f_o = (0.0 + fric[0], 0.0 + fric[1], fn_o + fric[2])
+            obj_force = _add(obj_force, map(_column_sum, f_o))
+            obj_torque = _add(obj_torque, map(_column_sum, _cross(r_pts, f_o)))
 
         # ---- integrate joints (diagonal inertia, semi-implicit Euler)
         tau = torques - hand.joint_damping * qd + joint_tau_contact
@@ -581,29 +581,25 @@ def step(
         qd = np.where(above & (qd > 0.0), 0.0, qd)
 
         # ---- integrate object
-        obj_force += params.ext_force
-        obj_force[:, 2] -= m * cfg.gravity
-        v = v + dt_sub * obj_force / m[:, None]
+        f0, f1, f2 = _add(obj_force, ext)
+        obj_force = (f0, f1, f2 - m * cfg.gravity)
+        v = tuple(c + dt_sub * f / m for c, f in zip(v, obj_force))
         # angular dynamics in the body frame, where the inertia is diagonal:
         # I_b dw_b = tau_b - w_b x (I_b w_b)
-        w_b = _matvec_t(rot, w)
-        tau_b = _matvec_t(rot, obj_torque)
-        dw_b = (tau_b - _cross(w_b, inertia_b * w_b)) / inertia_b
-        w = w + dt_sub * _matvec(rot, dw_b)
-        speed = np.linalg.norm(v, axis=-1, keepdims=True)
-        v = v * np.minimum(1.0, cfg.max_obj_linvel / np.maximum(speed, 1e-12))
-        wspeed = np.linalg.norm(w, axis=-1, keepdims=True)
-        w = w * np.minimum(1.0, cfg.max_obj_angvel / np.maximum(wspeed, 1e-12))
-        x = x + dt_sub * v
-        quat = spatial.quat_integrate(quat, w, dt_sub)
+        w_b = _rot_t(rot, w)
+        tau_b = _rot_t(rot, obj_torque)
+        gyro = _cross(w_b, tuple(i * c for i, c in zip(inertia_b, w_b)))
+        dw_b = tuple((t - g) / i for t, g, i in zip(tau_b, gyro, inertia_b))
+        w = tuple(c + dt_sub * d for c, d in zip(w, _rot(rot, dw_b)))
+        v = _limit_speed(v, cfg.max_obj_linvel)
+        w = _limit_speed(w, cfg.max_obj_angvel)
+        x = tuple(c + dt_sub * d for c, d in zip(x, v))
+        quat = spatial.quat_integrate_parts(quat, w, dt_sub)
 
-    out.joint_pos = q
-    out.joint_vel = qd
-    out.joint_torque = torques
-    out.obj_pos = x
-    out.obj_quat = quat
-    out.obj_linvel = v
-    out.obj_angvel = w
+    out.joint_pos, out.joint_vel, out.joint_torque = q, qd, torques
+    out.obj_pos, out.obj_quat, out.obj_linvel, out.obj_angvel = (
+        np.concatenate(c, axis=1) for c in (x, quat, v, w)
+    )
     out.fingertip_wrench = wrench_acc / cfg.n_substeps
     out.step_count = state.step_count + 1
     return out

@@ -505,7 +505,10 @@ def read_checkpoint(path: str) -> tuple[dict, dict]:
         if len(mbytes) < mlen:
             raise ValueError(f"{path}: truncated checkpoint: the manifest holds "
                              f"{len(mbytes)} of its {mlen} bytes")
-        manifest = json.loads(mbytes.decode("utf-8"))
+        try:
+            manifest = json.loads(mbytes.decode("utf-8"))
+        except ValueError as err:  # UnicodeDecodeError or JSONDecodeError
+            raise ValueError(f"{path}: unreadable checkpoint manifest: {err}") from err
         payload = f.read()
     if manifest.get("format_version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {manifest.get('format_version')}")

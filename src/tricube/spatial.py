@@ -17,6 +17,11 @@ Conventions used everywhere in this package:
 All functions are elementwise over leading batch dimensions, and the
 rotation formulas use only products of quaternion-component pairs, so
 outputs for ``q`` and ``-q`` are bit-identical, not merely close.
+
+The ``*_parts`` functions are the per-axis forms the physics step runs on:
+they take and return tuples of component arrays (``(x, y, z, w)`` or
+``(x, y, z)``) in place of a trailing axis.  The stacked functions are built
+on them, so both forms give the same bits.
 """
 
 from __future__ import annotations
@@ -48,12 +53,22 @@ class KernelParams:
             raise ValueError(f"kernel offset b must be >= 0, got {self.b}")
 
 
-def quat_normalize(q: np.ndarray) -> np.ndarray:
+def _parts(a) -> tuple:
+    """Component views of an array whose components lie on its last axis."""
+    return tuple(np.moveaxis(np.asarray(a), -1, 0))
+
+
+def quat_normalize_parts(q: tuple) -> tuple:
     """Scale to unit norm. Near-zero quaternions fall back to identity."""
-    q = np.asarray(q, dtype=np.float64)
-    n = np.sqrt(np.sum(q * q, axis=-1, keepdims=True))
-    out = np.where(n > 1e-12, q / np.where(n > 1e-12, n, 1.0), QUAT_IDENTITY)
-    return out
+    x, y, z, w = q
+    n = np.sqrt(x * x + y * y + z * z + w * w)
+    ok = n > 1e-12
+    safe = np.where(ok, n, 1.0)
+    return tuple(np.where(ok, c / safe, i) for c, i in zip(q, QUAT_IDENTITY))
+
+
+def quat_normalize(q: np.ndarray) -> np.ndarray:
+    return np.stack(quat_normalize_parts(_parts(np.asarray(q, dtype=np.float64))), axis=-1)
 
 
 def quat_conj(q: np.ndarray) -> np.ndarray:
@@ -61,19 +76,20 @@ def quat_conj(q: np.ndarray) -> np.ndarray:
     return np.concatenate([-q[..., :3], q[..., 3:4]], axis=-1)
 
 
-def quat_mul(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
+def quat_mul_parts(q1: tuple, q2: tuple) -> tuple:
     """Hamilton product q1 * q2 (apply q2's rotation first)."""
-    x1, y1, z1, w1 = (q1[..., i] for i in range(4))
-    x2, y2, z2, w2 = (q2[..., i] for i in range(4))
-    return np.stack(
-        [
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        ],
-        axis=-1,
+    x1, y1, z1, w1 = q1
+    x2, y2, z2, w2 = q2
+    return (
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
     )
+
+
+def quat_mul(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
+    return np.stack(quat_mul_parts(_parts(q1), _parts(q2)), axis=-1)
 
 
 def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -84,16 +100,23 @@ def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     return v + w * t + np.cross(qv, t)
 
 
-def quat_to_mat(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix (..., 3, 3) from quaternion."""
-    x, y, z, w = (q[..., i] for i in range(4))
+def quat_to_mat_parts(q: tuple) -> tuple:
+    """Rotation matrix as a row-major 3x3 nested tuple of components."""
+    x, y, z, w = q
     xx, yy, zz = x * x, y * y, z * z
     xy, xz, yz = x * y, x * z, y * z
     wx, wy, wz = w * x, w * y, w * z
-    row0 = np.stack([1 - 2 * (yy + zz), 2 * (xy - wz), 2 * (xz + wy)], axis=-1)
-    row1 = np.stack([2 * (xy + wz), 1 - 2 * (xx + zz), 2 * (yz - wx)], axis=-1)
-    row2 = np.stack([2 * (xz - wy), 2 * (yz + wx), 1 - 2 * (xx + yy)], axis=-1)
-    return np.stack([row0, row1, row2], axis=-2)
+    return (
+        (1 - 2 * (yy + zz), 2 * (xy - wz), 2 * (xz + wy)),
+        (2 * (xy + wz), 1 - 2 * (xx + zz), 2 * (yz - wx)),
+        (2 * (xz - wy), 2 * (yz + wx), 1 - 2 * (xx + yy)),
+    )
+
+
+def quat_to_mat(q: np.ndarray) -> np.ndarray:
+    """Rotation matrix (..., 3, 3) from quaternion."""
+    rows = quat_to_mat_parts(_parts(q))
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
 def quat_from_axis_angle(axis: np.ndarray, angle) -> np.ndarray:
@@ -106,23 +129,31 @@ def quat_from_axis_angle(axis: np.ndarray, angle) -> np.ndarray:
     return np.concatenate([u * np.sin(half), np.cos(half)], axis=-1)
 
 
-def quat_from_rotvec(rv: np.ndarray) -> np.ndarray:
+def quat_from_rotvec_parts(rv: tuple) -> tuple:
     """Exponential map: rotation vector (axis * angle) to quaternion.
 
     Uses the series for sin(t/2)/t near zero so the map is smooth there.
     """
-    rv = np.asarray(rv, dtype=np.float64)
-    angle = np.linalg.norm(rv, axis=-1, keepdims=True)
+    x, y, z = rv
+    angle = np.sqrt(x * x + y * y + z * z)
     half = 0.5 * angle
     small = angle < 1e-8
     k = np.where(small, 0.5 - angle * angle / 48.0, np.sin(half) / np.where(small, 1.0, angle))
-    return np.concatenate([rv * k, np.cos(half)], axis=-1)
+    return x * k, y * k, z * k, np.cos(half)
+
+
+def quat_from_rotvec(rv: np.ndarray) -> np.ndarray:
+    return np.stack(quat_from_rotvec_parts(_parts(np.asarray(rv, dtype=np.float64))), axis=-1)
+
+
+def quat_integrate_parts(q: tuple, omega: tuple, dt: float) -> tuple:
+    """Advance orientation by world-frame angular velocity over dt."""
+    dq = quat_from_rotvec_parts(tuple(c * dt for c in omega))
+    return quat_normalize_parts(quat_mul_parts(dq, q))
 
 
 def quat_integrate(q: np.ndarray, omega: np.ndarray, dt: float) -> np.ndarray:
-    """Advance orientation by world-frame angular velocity over dt."""
-    dq = quat_from_rotvec(omega * dt)
-    return quat_normalize(quat_mul(dq, q))
+    return np.stack(quat_integrate_parts(_parts(q), _parts(omega), dt), axis=-1)
 
 
 def quat_from_shoemake(u: np.ndarray) -> np.ndarray:

@@ -133,6 +133,12 @@ def test_resume_checkpoint_incompatibility(outroot, capsys):
                  "--set", "ppo.policy_hidden=[32]", "--resume", ckpt)
     assert rc == EXIT_INCOMPAT
     assert "policy_layer_sizes [75, 16, 9] (configured [75, 32, 9])" in capsys.readouterr().err
+    rc = run_cli("train", "--out", "more", "--seed", "1", *TINY,
+                 "--set", "run.num_envs=16", "--resume", ckpt)
+    assert rc == EXIT_INCOMPAT
+    err = capsys.readouterr().err
+    assert "env.state.joint_pos shape (8, 9) (configured (16, 9))" in err
+    assert "env.task.episode_step shape (8,) (configured (16,))" in err
 
 
 def test_unreadable_checkpoint_exits_incompatible(outroot):

@@ -22,7 +22,8 @@ def default_cfg(**kw):
 
 
 def chain_oracle(joint_pos, hand):
-    """Independent FK oracle: explicit 4x4 homogeneous matrix products."""
+    """Independent FK oracle: explicit 4x4 homogeneous matrix products.
+    Returns the (3, 4, 4) fingertip frames, one per finger."""
 
     def trans(v):
         t = np.eye(4)
@@ -53,7 +54,7 @@ def chain_oracle(joint_pos, hand):
             @ rot("y", q2)
             @ trans([0, 0, -hand.link2_len])
         )
-        tips.append(t[:3, 3])
+        tips.append(t)
     return np.array(tips)
 
 
@@ -85,8 +86,20 @@ def test_fk_matches_matrix_oracle():
     u = rng.uniform(rng.stream_key(0, np.arange(50), 0, 55), 9, low=-2.0, high=1.5)
     kin = physics.fingertip_kinematics(u, None, hand)
     for i in range(50):
-        want = chain_oracle(u[i], hand)
+        want = chain_oracle(u[i], hand)[:, :3, 3]
         assert np.max(np.abs(kin.pos[i] - want)) < 1e-9
+
+
+def test_fingertip_quat_matches_matrix_oracle():
+    # the rotation part of the oracle's frame, Rz(psi) Rx(q0) Ry(q1) Ry(q2)
+    hand = HandModel()
+    u = rng.uniform(rng.stream_key(0, np.arange(50), 0, 56), 9, low=-2.0, high=1.5)
+    quat = physics.fingertip_quat(u)
+    assert quat.shape == (50, 3, 4)
+    assert np.max(np.abs(np.linalg.norm(quat, axis=-1) - 1.0)) < 1e-12
+    for i in range(50):
+        want = chain_oracle(u[i], hand)[:, :3, :3]
+        assert np.max(np.abs(spatial.quat_to_mat(quat[i]) - want)) < 1e-12
 
 
 def test_fk_velocity_matches_finite_difference():
