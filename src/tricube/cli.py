@@ -13,17 +13,18 @@ checkpoint/config incompatibility or an unreadable checkpoint.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__, config as config_mod, harness, svgplot
 from .config import ConfigError, EngineConfig, config_hash, to_dict
-from .domrand import DRConfig
 from .env import actor_obs_dim, critic_obs_dim
 from .ppo import PPOAgent, read_checkpoint
 from .trainer import Trainer, make_task
@@ -53,22 +54,39 @@ class OutputDir:
 
     def __enter__(self):
         os.makedirs(self.path, exist_ok=True)
-        try:
-            fd = os.open(self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise RuntimeError(
-                f"output directory {self.path} is locked by another run "
-                f"(remove {self.lock_path} if that run is dead)"
-            )
+        for retry in (False, True):
+            try:
+                fd = os.open(self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                break
+            except FileExistsError:
+                if retry or not self._lock_is_stale():
+                    raise RuntimeError(
+                        f"output directory {self.path} is locked by another run "
+                        f"(remove {self.lock_path} if that run is dead)"
+                    ) from None
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(self.lock_path)
         with os.fdopen(fd, "w") as f:
             f.write(str(os.getpid()))
         return self
 
-    def __exit__(self, *exc):
+    def _lock_is_stale(self) -> bool:
+        """Whether the lock is gone or names a process that no longer runs.
+        A lock that holds no PID is kept."""
         try:
-            os.remove(self.lock_path)
-        except FileNotFoundError:
+            with open(self.lock_path) as f:
+                pid = int(f.read())
+            if pid > 0:
+                os.kill(pid, 0)  # signal 0 only checks that the process exists
+        except (FileNotFoundError, ProcessLookupError):
+            return True
+        except (ValueError, OverflowError, PermissionError):
             pass
+        return False
+
+    def __exit__(self, *exc):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(self.lock_path)
         return False
 
     def file(self, name: str) -> str:
@@ -90,6 +108,9 @@ class OutputDir:
             f.write(text)
         os.replace(tmp, path)
         return path
+
+    def write_jsonl(self, name: str, records) -> str:
+        return self.write_text(name, "".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
 
     def write_manifest(self, cfg: EngineConfig, command: str, **extra) -> str:
         manifest = {
@@ -113,6 +134,8 @@ def resolve_config(args) -> EngineConfig:
         cfg.run.seed = args.seed
     if args.out is not None:
         cfg.run.output_dir = args.out
+    if getattr(args, "trials", None) is not None:
+        cfg.harness.eval_trials = args.trials
     return cfg
 
 
@@ -135,12 +158,13 @@ def build_agent_for(cfg: EngineConfig) -> PPOAgent:
     return PPOAgent(a_dim, c_dim, act_dim, cfg=cfg.ppo, seed=cfg.run.seed)
 
 
-def check_checkpoint(path: str, agent: PPOAgent, task=None) -> None:
-    """Fail unless ``path`` is a readable checkpoint of an agent shaped like
-    ``agent``: the same observation and action dims and layer sizes.  With
-    ``task``, any env state the checkpoint carries must also match the
-    task's tensor shapes (so the same ``run.num_envs``).  A missing file is
-    a configuration error, anything else an incompatibility."""
+def check_checkpoint(path: str, agent: PPOAgent, task=None) -> dict:
+    """The tensors of ``path``, which must be a readable checkpoint of an
+    agent shaped like ``agent``: the same observation and action dims and
+    layer sizes.  With ``task``, any env state the checkpoint carries must
+    also match the task's tensor shapes (so the same ``run.num_envs``).  A
+    missing file is a configuration error, anything else an
+    incompatibility."""
     if not os.path.exists(path):
         raise ConfigError(f"checkpoint not found: {path}")
     try:
@@ -158,12 +182,24 @@ def check_checkpoint(path: str, agent: PPOAgent, task=None) -> None:
                 diffs.append(f"env.{name} {found} (configured {arr.shape})")
     if diffs:
         raise IncompatibilityError(f"{path} does not fit the configuration: " + ", ".join(diffs))
+    return tensors
 
 
 def load_agent_checkpoint(path: str, cfg: EngineConfig) -> tuple[PPOAgent, str]:
-    check_checkpoint(path, build_agent_for(cfg))
-    agent, _, _ = PPOAgent.from_checkpoint(path)
+    """The configured agent holding the checkpoint's tensors, and the
+    checkpoint file's hash."""
+    agent = build_agent_for(cfg)
+    agent.load_tensors(check_checkpoint(path, agent))
     return agent, harness.hash_file(path)
+
+
+def evaluate_checkpoint(path: str, cfg: EngineConfig) -> harness.EvalReport:
+    """``harness.evaluate`` of the checkpoint on ``cfg``'s task and physics."""
+    agent, ckpt_hash = load_agent_checkpoint(path, cfg)
+    return harness.evaluate(
+        agent, cfg.harness.eval_trials, cfg.harness.eval_seed, task=cfg.task, phys=cfg.physics,
+        checkpoint_hash=ckpt_hash, config_hash=config_hash(cfg),
+    )
 
 
 # ------------------------------------------------------------------ train
@@ -270,24 +306,20 @@ def run_benchmark(trainer: Trainer, iterations: int = 3) -> dict:
 def cmd_eval(args) -> int:
     cfg = resolve_config(args)
     with OutputDir(out_dir_for(cfg)) as out:
-        n = args.trials if args.trials is not None else cfg.harness.eval_trials
-        if n == 0:
+        if cfg.harness.eval_trials == 0:
             out.write_json(
                 "eval_report.json", {"n_trials": 0, "trials": [], "config_hash": config_hash(cfg)}
             )
             out.write_manifest(cfg, "eval", report=None)
             print("eval: 0 trials requested, wrote empty report")
             return EXIT_OK
-        agent, ckpt_hash = load_agent_checkpoint(args.checkpoint, cfg)
-        report = harness.evaluate(
-            agent, n, cfg.harness.eval_seed, task=cfg.task, phys=cfg.physics,
-            dr=DRConfig(enabled=False), checkpoint_hash=ckpt_hash, config_hash=config_hash(cfg),
-        )
+        report = evaluate_checkpoint(args.checkpoint, cfg)
         out.write_text("eval_report.json", report.to_json() + "\n")
-        out.write_manifest(cfg, "eval", checkpoint=args.checkpoint, checkpoint_hash=ckpt_hash)
+        out.write_manifest(cfg, "eval", checkpoint=args.checkpoint,
+                           checkpoint_hash=report.checkpoint_hash)
         print(
             f"eval: success {report.success_rate:.3f} "
-            f"[{report.ci_lo:.3f}, {report.ci_hi:.3f}] over {n} trials "
+            f"[{report.ci_lo:.3f}, {report.ci_hi:.3f}] over {report.n_trials} trials "
             f"(position {report.pos_success_rate:.3f}, orientation {report.rot_success_rate:.3f})"
         )
         return EXIT_OK
@@ -300,30 +332,14 @@ def cmd_sweep(args) -> int:
     cfg = resolve_config(args)
     with OutputDir(out_dir_for(cfg)) as out:
         agent, ckpt_hash = load_agent_checkpoint(args.checkpoint, cfg)
-        grid = (
-            json.loads(args.grid)
-            if args.grid
-            else list(
-                cfg.harness.sweep_scale_grid
-                if args.parameter == "scale"
-                else cfg.harness.sweep_mass_grid
-            )
-        )
+        grid = json.loads(args.grid) if args.grid else list(
+            getattr(cfg.harness, f"sweep_{args.parameter}_grid"))
         if not grid:
             raise ConfigError("sweep grid is empty")
-        n = args.trials if args.trials is not None else cfg.harness.eval_trials
-        points = harness.robustness_sweep(
-            agent, args.parameter, grid, n_trials=n, eval_seed=cfg.harness.eval_seed,
-            task=cfg.task, phys=cfg.physics, checkpoint_hash=ckpt_hash, config_hash=config_hash(cfg),
-        )
-        name = f"sweep_{args.parameter}.jsonl"
-        with open(out.file(name), "w") as f:
-            for pt in points:
-                f.write(json.dumps(
-                    {"parameter": pt["parameter"], "value": pt["value"],
-                     "report": json.loads(pt["report"].to_json())},
-                    sort_keys=True,
-                ) + "\n")
+        points = harness.robustness_sweep(agent, cfg, args.parameter, grid, ckpt_hash)
+        out.write_jsonl(f"sweep_{args.parameter}.jsonl", (
+            {"parameter": pt["parameter"], "value": pt["value"], "report": asdict(pt["report"])}
+            for pt in points))
         out.write_manifest(cfg, "sweep", parameter=args.parameter, grid=grid,
                            checkpoint_hash=ckpt_hash)
         for pt in points:
@@ -340,25 +356,15 @@ def cmd_ablate(args) -> int:
     cfg = resolve_config(args)
     with OutputDir(out_dir_for(cfg)) as out:
         results = harness.run_ablation(cfg)
+        out.write_jsonl("ablation.jsonl", (
+            {"variant": variant, "seed": seed, "error": arm.get("error"), "curve": arm["curve"],
+             "report": asdict(arm["report"]) if arm["report"] else None}
+            for variant, by_seed in results.items() for seed, arm in by_seed.items()))
         summary = {}
-        with open(out.file("ablation.jsonl"), "w") as f:
-            for variant, by_seed in results.items():
-                rates = []
-                for seed, arm in by_seed.items():
-                    rec = {
-                        "variant": variant,
-                        "seed": seed,
-                        "error": arm.get("error"),
-                        "report": json.loads(arm["report"].to_json()) if arm["report"] else None,
-                        "curve": arm["curve"],
-                    }
-                    f.write(json.dumps(rec, sort_keys=True) + "\n")
-                    if arm["report"]:
-                        rates.append(arm["report"].success_rate)
-                summary[variant] = {
-                    "mean_success": float(np.mean(rates)) if rates else None,
-                    "seeds": len(rates),
-                }
+        for variant, by_seed in results.items():
+            rates = [arm["report"].success_rate for arm in by_seed.values() if arm["report"]]
+            summary[variant] = {"mean_success": float(np.mean(rates)) if rates else None,
+                                "seeds": len(rates)}
         out.write_json("ablation_summary.json", summary)
         out.write_manifest(cfg, "ablate", summary=summary)
         for variant, row in summary.items():
@@ -372,13 +378,8 @@ def cmd_ablate(args) -> int:
 def cmd_heatmap(args) -> int:
     cfg = resolve_config(args)
     with OutputDir(out_dir_for(cfg)) as out:
-        agent, ckpt_hash = load_agent_checkpoint(args.checkpoint, cfg)
-        cfg_hash = config_hash(cfg)
-        n = args.trials if args.trials is not None else cfg.harness.eval_trials
-        report = harness.evaluate(
-            agent, n, cfg.harness.eval_seed, task=cfg.task, phys=cfg.physics,
-            dr=DRConfig(enabled=False), checkpoint_hash=ckpt_hash, config_hash=cfg_hash,
-        )
+        report = evaluate_checkpoint(args.checkpoint, cfg)
+        ckpt_hash = report.checkpoint_hash
         pos_ths = list(cfg.harness.heatmap_pos_thresholds)
         rot_ths_deg = list(cfg.harness.heatmap_rot_thresholds_deg)
         matrix = harness.threshold_heatmap(
@@ -388,9 +389,9 @@ def cmd_heatmap(args) -> int:
             "pos_thresholds_m": pos_ths,
             "rot_thresholds_deg": rot_ths_deg,
             "success_matrix": matrix.tolist(),
-            "n_trials": n,
+            "n_trials": report.n_trials,
             "checkpoint_hash": ckpt_hash,
-            "config_hash": cfg_hash,
+            "config_hash": report.config_hash,
             "eval_seed": cfg.harness.eval_seed,
         }
         out.write_json("threshold_heatmap.json", data)
@@ -409,16 +410,9 @@ def cmd_objects(args) -> int:
     with OutputDir(out_dir_for(cfg)) as out:
         agent, ckpt_hash = load_agent_checkpoint(args.checkpoint, cfg)
         names = json.loads(args.objects) if args.objects else list(cfg.harness.transfer_objects)
-        n = args.trials if args.trials is not None else cfg.harness.eval_trials
-        reports = harness.zero_shot_objects(
-            agent, names, n_trials=n, eval_seed=cfg.harness.eval_seed,
-            task=cfg.task, phys=cfg.physics, checkpoint_hash=ckpt_hash, config_hash=config_hash(cfg),
-        )
-        with open(out.file("objects.jsonl"), "w") as f:
-            for name, rep in reports.items():
-                f.write(json.dumps(
-                    {"object": name, "report": json.loads(rep.to_json())}, sort_keys=True
-                ) + "\n")
+        reports = harness.zero_shot_objects(agent, cfg, names, ckpt_hash)
+        out.write_jsonl("objects.jsonl", (
+            {"object": name, "report": asdict(rep)} for name, rep in reports.items()))
         out.write_manifest(cfg, "objects", checkpoint_hash=ckpt_hash)
         for name, rep in reports.items():
             print(f"{name:<22} success {rep.success_rate:.3f} [{rep.ci_lo:.3f}, {rep.ci_hi:.3f}]")

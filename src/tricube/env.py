@@ -61,7 +61,6 @@ class TaskConfig:
     camera_sign_flips: bool = True
     spawn_disc_radius: float = 0.03
     joint_reset_noise: float = 0.02
-    log_episodes: bool = True
     # observed/reward keypoints come from this box; None derives it from the
     # physics object.  Zero-shot transfer pins it to the training cube.
     keypoint_half_extents: tuple | None = None
@@ -176,16 +175,10 @@ def goal_errors(obj_pos, obj_quat, goal_pos, goal_quat) -> tuple[np.ndarray, np.
     return np.linalg.norm(obj_pos - goal_pos, axis=-1), spatial.rot_dist(obj_quat, goal_quat)
 
 
-def check_success(
-    obj_pos, obj_quat, goal_pos, goal_quat, pos_threshold: float, rot_threshold: float,
-    errors: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
-    """The success test: both goal errors under their thresholds.  Callers
-    that hold ``goal_errors`` of these poses pass them as ``errors``."""
-    if errors is None:
-        errors = goal_errors(obj_pos, obj_quat, goal_pos, goal_quat)
-    pos_err, rot_err = errors
-    return (pos_err < pos_threshold) & (rot_err < rot_threshold)
+def check_success(pos_err, rot_err, pos_threshold: float, rot_threshold: float) -> np.ndarray:
+    """The success test: both ``goal_errors`` under their thresholds.  The
+    thresholds are > 0, so a zero error passes its half of the test."""
+    return (np.asarray(pos_err) < pos_threshold) & (np.asarray(rot_err) < rot_threshold)
 
 
 def sample_goals(
@@ -242,12 +235,9 @@ class CubeReposeTask:
         self.actor_dim = actor_obs_dim(self.cfg.obs_variant)
         self.critic_dim = critic_obs_dim(self.cfg.obs_variant)
         # observations and reward always use the nominal-size corner points
-        if self.cfg.keypoint_half_extents is not None:
-            kp_half = np.asarray(self.cfg.keypoint_half_extents, dtype=np.float64)
-        elif self.pcfg.object.kind == "box":
-            kp_half = np.asarray(self.pcfg.object.half_extents)
-        else:
-            kp_half = np.full(3, self.pcfg.object.radius)
+        kp_half = self.cfg.keypoint_half_extents
+        if kp_half is None:
+            kp_half = self.pcfg.object.box_half_extents()
         self.local_keypoints = spatial.box_local_keypoints(kp_half)
 
         n = num_envs
@@ -394,15 +384,15 @@ class CubeReposeTask:
         )
         self.episode_return += reward
 
-        poses = (self.state.obj_pos, self.state.obj_quat, self.goal_pos, self.goal_quat)
-        pos_err, rot_err = goal_errors(*poses)
-        in_goal = check_success(*poses, self.cfg.success_pos_threshold,
-                                self.cfg.success_rot_threshold, errors=(pos_err, rot_err))
+        pos_err, rot_err = goal_errors(
+            self.state.obj_pos, self.state.obj_quat, self.goal_pos, self.goal_quat)
+        in_goal = check_success(pos_err, rot_err, self.cfg.success_pos_threshold,
+                                self.cfg.success_rot_threshold)
         self.success_any |= in_goal
 
         fault = self.state.fault | action_fault
         done = (self.episode_step >= self.cfg.episode_length) | fault
-        if done.any() and self.cfg.log_episodes:
+        if done.any():
             for i in np.nonzero(done)[0]:
                 self._episode_records.append(
                     {

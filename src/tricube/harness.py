@@ -6,9 +6,11 @@ Every evaluation runs N single-episode trials in a batch of N envs with a
 fixed evaluation seed.  Because resets and noise draw from counter-based
 streams keyed by (seed, env_id, episode), two policies evaluated with the
 same seed face identical goals, spawns, and randomizations: ablation arms
-are paired by construction.  Reports carry the config hash, checkpoint
-hash, seed, and trial count, and re-running a report spec reproduces it
-byte for byte.
+are paired by construction.  The protocols take the resolved
+``EngineConfig`` and read the trial count, evaluation seed, task and
+physics from it; every one runs with randomization off.  Reports carry the
+config hash, checkpoint hash, seed, and trial count, and re-running a
+report spec reproduces it byte for byte.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import config as config_mod
 from .domrand import DRConfig
-from .env import CubeReposeTask, TaskConfig
+from .env import CubeReposeTask, TaskConfig, check_success
 from .physics import ObjectParams, PhysicsConfig
 from .ppo import PPOAgent
 from .trainer import Trainer
@@ -31,8 +33,13 @@ from .trainer import Trainer
 # 80% two-sided confidence: Phi^-1(0.9)
 Z_80 = 1.2815515655446004
 
-OBS_VARIANTS = {"O-KP": "keypoints", "O-PQ": "pos_quat"}
-REWARD_VARIANTS = {"R-KP": "keypoints", "R-PQ": "pos_quat"}
+# the 2x2 ablation grid: variant name -> (observation, reward) encodings
+ABLATION_VARIANTS = {
+    "O-KP+R-KP": ("keypoints", "keypoints"),
+    "O-KP+R-PQ": ("keypoints", "pos_quat"),
+    "O-PQ+R-KP": ("pos_quat", "keypoints"),
+    "O-PQ+R-PQ": ("pos_quat", "pos_quat"),
+}
 
 # zero-shot transfer objects: primitive shapes, dimensions in meters
 TRANSFER_OBJECTS = {
@@ -47,12 +54,10 @@ TRANSFER_OBJECTS = {
 }
 
 
-def wilson_interval(successes: int, n: int, confidence: float = 0.8) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """80% Wilson score interval for a binomial proportion."""
     if n == 0:
         return (0.0, 1.0)
-    if abs(confidence - 0.8) > 1e-12:
-        raise ValueError("only the 80% interval is tabulated")
     z = Z_80
     p = successes / n
     denom = 1.0 + z * z / n
@@ -96,16 +101,13 @@ def hash_file(path: str) -> str:
 def success_breakdown(
     pos_err: np.ndarray, rot_err: np.ndarray, pos_threshold: float, rot_threshold: float
 ) -> tuple[float, float, float]:
-    """(combined, position-only, orientation-only) success rates."""
-    pos_ok = np.asarray(pos_err) < pos_threshold
-    rot_ok = np.asarray(rot_err) < rot_threshold
-    n = len(pos_ok)
-    if n == 0:
+    """(combined, position-only, orientation-only) success rates.  A
+    one-sided rate passes a zero error for the other half of the test."""
+    if len(pos_err) == 0:
         return 0.0, 0.0, 0.0
-    return (
-        float(np.mean(pos_ok & rot_ok)),
-        float(np.mean(pos_ok)),
-        float(np.mean(rot_ok)),
+    return tuple(
+        float(np.mean(check_success(p, r, pos_threshold, rot_threshold)))
+        for p, r in ((pos_err, rot_err), (pos_err, 0.0), (0.0, rot_err))
     )
 
 
@@ -120,11 +122,13 @@ def evaluate(
     config_hash: str = "",
 ) -> EvalReport:
     """Run one fixed-length episode in each of ``n_trials`` parallel envs and
-    score end-of-episode success.  The report carries the two hashes it is
-    handed: ``config.config_hash`` of the run's resolved config and the
-    checkpoint file's."""
+    score end-of-episode success, with randomization off unless ``dr`` is
+    given.  The report carries the two hashes it is handed:
+    ``config.config_hash`` of the run's resolved config and the checkpoint
+    file's."""
     tcfg = copy.deepcopy(task) if task else TaskConfig()
-    env = CubeReposeTask(n_trials, seed=eval_seed, task=tcfg, phys=phys, dr=dr)
+    env = CubeReposeTask(n_trials, seed=eval_seed, task=tcfg, phys=phys,
+                         dr=dr or DRConfig(enabled=False))
     obs = env.reset_all()
     for _ in range(tcfg.episode_length):
         act, _ = agent.act(obs["actor"], stochastic=False)
@@ -160,12 +164,6 @@ def evaluate(
 # ------------------------------------------------------------------ ablation
 
 
-# the 2x2 grid: variant name -> (observation, reward) encodings
-ABLATION_VARIANTS = {
-    f"{o}+{r}": (obs, rew) for o, obs in OBS_VARIANTS.items() for r, rew in REWARD_VARIANTS.items()
-}
-
-
 def run_ablation(cfg: config_mod.EngineConfig) -> dict:
     """Train each observation/reward variant for each of
     ``cfg.harness.ablation_seeds`` and evaluate with shared goals.  Every arm
@@ -190,10 +188,8 @@ def run_ablation(cfg: config_mod.EngineConfig) -> dict:
             except FloatingPointError as err:
                 results[variant][seed] = {"curve": [], "report": None, "error": str(err)}
                 continue
-            report = evaluate(
-                agent, h.eval_trials, h.eval_seed, task=tcfg, phys=cfg.physics,
-                dr=DRConfig(enabled=False), config_hash=cfg_hash,
-            )
+            report = evaluate(agent, h.eval_trials, h.eval_seed, task=tcfg, phys=cfg.physics,
+                              config_hash=cfg_hash)
             results[variant][seed] = {"curve": curve, "report": report}
     return results
 
@@ -202,17 +198,11 @@ def run_ablation(cfg: config_mod.EngineConfig) -> dict:
 
 
 def robustness_sweep(
-    agent: PPOAgent,
-    parameter: str,
-    grid: list,
-    n_trials: int = 1024,
-    eval_seed: int = 20_000,
-    task: TaskConfig | None = None,
-    phys: PhysicsConfig | None = None,
+    agent: PPOAgent, cfg: config_mod.EngineConfig, parameter: str, grid: list,
     checkpoint_hash: str = "",
-    config_hash: str = "",
 ) -> list[dict]:
-    """Success vs. one object parameter, all other randomization off.
+    """Success vs. one object parameter on ``cfg``'s task and physics, all
+    randomization off.
 
     ``parameter`` is "scale" or "mass"; each grid value pins the factor for
     every trial (the factor multiplies the nominal object).
@@ -221,19 +211,17 @@ def robustness_sweep(
         raise ValueError(f"sweep parameter must be 'scale' or 'mass', got {parameter!r}")
     if len(grid) == 0:
         raise ValueError("sweep grid is empty")
+    h, cfg_hash, nominal = cfg.harness, config_mod.config_hash(cfg), cfg.physics.object
     out = []
     for value in grid:
-        pcfg = copy.deepcopy(phys) if phys else PhysicsConfig()
         if parameter == "scale":
-            h = np.asarray(pcfg.object.half_extents) * value
-            pcfg.object.half_extents = tuple(float(x) for x in h)
-            pcfg.object.radius = float(pcfg.object.radius * value)
+            half = tuple(float(x) for x in np.asarray(nominal.half_extents) * value)
+            obj = replace(nominal, half_extents=half, radius=float(nominal.radius * value))
         else:
-            pcfg.object.mass = float(pcfg.object.mass * value)
+            obj = replace(nominal, mass=float(nominal.mass * value))
         report = evaluate(
-            agent, n_trials, eval_seed, task=task, phys=pcfg,
-            dr=DRConfig(enabled=False), checkpoint_hash=checkpoint_hash,
-            config_hash=config_hash,
+            agent, h.eval_trials, h.eval_seed, task=cfg.task, phys=replace(cfg.physics, object=obj),
+            checkpoint_hash=checkpoint_hash, config_hash=cfg_hash,
         )
         out.append({"parameter": parameter, "value": float(value), "report": report})
     return out
@@ -248,48 +236,33 @@ def threshold_heatmap(
     matrix = np.empty((len(pos_thresholds), len(rot_thresholds)))
     for i, pt in enumerate(pos_thresholds):
         for j, rt in enumerate(rot_thresholds):
-            matrix[i, j] = np.mean((pos_err < pt) & (rot_err < rt))
+            matrix[i, j] = np.mean(check_success(pos_err, rot_err, pt, rt))
     return matrix
 
 
 def zero_shot_objects(
-    agent: PPOAgent,
-    object_names: list[str],
-    n_trials: int = 1024,
-    eval_seed: int = 30_000,
-    task: TaskConfig | None = None,
-    phys: PhysicsConfig | None = None,
+    agent: PPOAgent, cfg: config_mod.EngineConfig, object_names: list[str],
     checkpoint_hash: str = "",
-    config_hash: str = "",
 ) -> dict[str, EvalReport]:
-    """Swap the simulated object, keep the cube-corner keypoint encoding and
-    the 10 Hz camera model, disable all other randomization, evaluate.
+    """Swap the simulated object of ``cfg``'s physics, keep the cube-corner
+    keypoint encoding and the 10 Hz camera model, disable all other
+    randomization, evaluate.
 
     The keypoints fed to the policy remain those of the nominal training
-    cube regardless of the object's true shape.
+    object's box regardless of the object's true shape.
     """
+    h, cfg_hash, nominal = cfg.harness, config_mod.config_hash(cfg), cfg.physics.object
+    kp_half = tuple(float(x) for x in nominal.box_half_extents())
+    tcfg = replace(cfg.task, keypoint_half_extents=kp_half)
     out = {}
     for name in object_names:
         if name not in TRANSFER_OBJECTS:
             raise ValueError(
                 f"unsupported object {name!r}; known: {sorted(TRANSFER_OBJECTS)}"
             )
-        pcfg = copy.deepcopy(phys) if phys else PhysicsConfig()
-        obj = TRANSFER_OBJECTS[name]
-        pcfg.object = ObjectParams(
-            kind=obj.kind, half_extents=obj.half_extents, radius=obj.radius,
-            mass=pcfg.object.mass, friction=pcfg.object.friction,
+        obj = replace(TRANSFER_OBJECTS[name], mass=nominal.mass, friction=nominal.friction)
+        out[name] = evaluate(
+            agent, h.eval_trials, h.eval_seed, task=tcfg, phys=replace(cfg.physics, object=obj),
+            checkpoint_hash=checkpoint_hash, config_hash=cfg_hash,
         )
-        tcfg = copy.deepcopy(task) if task else TaskConfig()
-        # the policy still sees the training cube's corner keypoints
-        nominal = phys.object if phys else PhysicsConfig().object
-        tcfg.keypoint_half_extents = (
-            tuple(nominal.half_extents) if nominal.kind == "box" else (nominal.radius,) * 3
-        )
-        report = evaluate(
-            agent, n_trials, eval_seed, task=tcfg, phys=pcfg,
-            dr=DRConfig(enabled=False), checkpoint_hash=checkpoint_hash,
-            config_hash=config_hash,
-        )
-        out[name] = report
     return out

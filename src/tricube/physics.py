@@ -81,6 +81,12 @@ class ObjectParams:
         if self.kind not in ("box", "sphere"):
             raise ValueError(f"unsupported object kind: {self.kind!r}")
 
+    def box_half_extents(self) -> np.ndarray:
+        """Half extents (3,) of the object's box: a sphere's is (r, r, r)."""
+        if self.kind == "sphere":
+            return np.full(3, self.radius)
+        return np.asarray(self.half_extents, dtype=np.float64)
+
 
 @dataclass
 class ContactParams:
@@ -185,13 +191,8 @@ class SimState:
 
 
 def object_half_extents(cfg: PhysicsConfig, params: EnvParams) -> np.ndarray:
-    """Effective per-env half extents (N, 3); spheres report their radius on
-    all three axes."""
-    if cfg.object.kind == "sphere":
-        h = np.full(3, cfg.object.radius)
-    else:
-        h = np.asarray(cfg.object.half_extents, dtype=np.float64)
-    return h * params.scale[:, None]
+    """Effective per-env half extents (N, 3) of the object's box."""
+    return cfg.object.box_half_extents() * params.scale[:, None]
 
 
 def object_mass(cfg: PhysicsConfig, params: EnvParams) -> np.ndarray:
@@ -221,11 +222,7 @@ def rest_height(cfg: PhysicsConfig, params: EnvParams) -> np.ndarray:
     m = object_mass(cfg, params)
     k = cfg.contact.stiffness * (params.mass_factor if cfg.contact.mass_scaled else 1.0)
     n_contacts = 1.0 if cfg.object.kind == "sphere" else 4.0
-    h = (
-        cfg.object.radius * params.scale
-        if cfg.object.kind == "sphere"
-        else np.asarray(cfg.object.half_extents)[2] * params.scale
-    )
+    h = cfg.object.box_half_extents()[2] * params.scale
     return h - m * cfg.gravity / (k * n_contacts)
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from tricube import domrand, env as env_mod, harness, physics, rng, spatial
-from tricube.config import resolve
+from tricube.config import EngineConfig, HarnessConfig, resolve
 from tricube.domrand import DRConfig
 from tricube.env import CubeReposeTask, TaskConfig, actor_layout, actor_obs_dim, critic_layout, critic_obs_dim
 from tricube.physics import EnvParams, HandModel, PhysicsConfig, make_rest_state
@@ -404,16 +404,15 @@ def test_acceptance_10_harness_invariants():
     )
     assert combined <= min(pos_rate, rot_rate)
 
-    sweep_a = harness.robustness_sweep(agent, "scale", [0.8, 1.0], n_trials=32,
-                                       eval_seed=6, task=tcfg)
-    sweep_b = harness.robustness_sweep(agent, "scale", [0.8, 1.0], n_trials=32,
-                                       eval_seed=6, task=tcfg)
+    def eval_config(seed):
+        return EngineConfig(task=tcfg, harness=HarnessConfig(eval_trials=32, eval_seed=seed))
+
+    sweep_a = harness.robustness_sweep(agent, eval_config(6), "scale", [0.8, 1.0])
+    sweep_b = harness.robustness_sweep(agent, eval_config(6), "scale", [0.8, 1.0])
     assert [p["report"].to_json() for p in sweep_a] == [p["report"].to_json() for p in sweep_b]
 
-    zs_a = harness.zero_shot_objects(agent, ["cube_6.5cm", "ball_r3.75cm"], n_trials=32,
-                                     eval_seed=7, task=tcfg)
-    zs_b = harness.zero_shot_objects(agent, ["cube_6.5cm", "ball_r3.75cm"], n_trials=32,
-                                     eval_seed=7, task=tcfg)
+    zs_a = harness.zero_shot_objects(agent, eval_config(7), ["cube_6.5cm", "ball_r3.75cm"])
+    zs_b = harness.zero_shot_objects(agent, eval_config(7), ["cube_6.5cm", "ball_r3.75cm"])
     assert {k: v.to_json() for k, v in zs_a.items()} == {k: v.to_json() for k, v in zs_b.items()}
     note(10, "heatmap monotone, combined <= min(position, orientation), "
              "sweep and transfer reports bit-reproducible")

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -83,8 +85,25 @@ def test_resume_equivalence(outroot):
 def test_lock_file_rejects_concurrent_runs(outroot):
     d = outroot / "locked"
     d.mkdir()
-    (d / ".lock").write_text("12345")
+    (d / ".lock").write_text(str(os.getpid()))
     assert run_cli("train", "--out", "locked", *TINY) == EXIT_RUNTIME
+
+
+def test_lock_of_a_dead_run_is_reclaimed(outroot):
+    child = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                           capture_output=True, text=True, check=True)
+    d = outroot / "stale"
+    d.mkdir()
+    (d / ".lock").write_text(child.stdout.strip())  # exited and reaped
+    assert run_cli("eval", "--out", "stale", "--checkpoint", "unused", "--trials", "0",
+                   *TINY) == EXIT_OK
+    assert json.loads((d / "eval_report.json").read_text())["n_trials"] == 0
+    assert not (d / ".lock").exists()
+    # a lock that holds no PID is never taken for stale
+    (d / ".lock").write_text("held")
+    assert run_cli("eval", "--out", "stale", "--checkpoint", "unused", "--trials", "0",
+                   *TINY) == EXIT_RUNTIME
+    assert (d / ".lock").read_text() == "held"
 
 
 def test_config_error_exit_code(outroot):
@@ -163,6 +182,49 @@ def test_reports_carry_the_manifest_config_hash(outroot):
     assert rep["config_hash"] == manifest_hash("ev")
     pts = [json.loads(l) for l in (outroot / "sw" / "sweep_mass.jsonl").read_text().splitlines()]
     assert [p["report"]["config_hash"] for p in pts] == [manifest_hash("sw")]
+
+
+def test_eval_reads_the_checkpoint_once_into_one_agent(outroot, monkeypatch):
+    from tricube import cli, ppo, trainer
+
+    assert run_cli("train", "--out", "tr", "--seed", "1", *TINY) == EXIT_OK
+    reads, agents = [], []
+    real_read, real_init = ppo.read_checkpoint, ppo.PPOAgent.__init__
+
+    def counting_read(path):
+        reads.append(path)
+        return real_read(path)
+
+    def counting_init(self, *args, **kw):
+        agents.append(self)
+        real_init(self, *args, **kw)
+
+    for mod in (cli, ppo, trainer):
+        monkeypatch.setattr(mod, "read_checkpoint", counting_read)
+    monkeypatch.setattr(ppo.PPOAgent, "__init__", counting_init)
+    ckpt = str(outroot / "tr" / "ckpt_final.tckpt")
+    assert run_cli("eval", "--out", "ev", "--checkpoint", ckpt, "--trials", "2", *TINY) == EXIT_OK
+    assert reads == [ckpt] and len(agents) == 1
+
+
+def test_reports_rerun_byte_equal_and_record_trials(outroot):
+    assert run_cli("train", "--out", "tr", "--seed", "1", *TINY) == EXIT_OK
+    ckpt = str(outroot / "tr" / "ckpt_final.tckpt")
+    runs = {
+        "sweep_scale.jsonl": ["sweep", "--parameter", "scale", "--grid", "[0.9,1.0]"],
+        "threshold_heatmap.json": ["heatmap"],
+        "objects.jsonl": ["objects", "--objects", '["cube_6.5cm","ball_r3.75cm"]'],
+    }
+    for name, (cmd, *extra) in runs.items():
+        for out in ("a", "b"):
+            assert run_cli(cmd, "--out", f"{cmd}_{out}", "--checkpoint", ckpt, *extra,
+                           "--trials", "3", *TINY) == EXIT_OK
+        report = (outroot / f"{cmd}_a" / name).read_bytes()
+        assert report == (outroot / f"{cmd}_b" / name).read_bytes()
+        # --trials is part of the resolved config, so of its hash
+        manifest = json.loads((outroot / f"{cmd}_a" / "manifest.json").read_text())
+        assert manifest["config"]["harness"]["eval_trials"] == 3
+        assert manifest["config_hash"].encode() in report
 
 
 def test_eval_missing_checkpoint(outroot):

@@ -207,17 +207,21 @@ def test_check_success_thresholds():
     qi = spatial.QUAT_IDENTITY
     args = dict(pos_threshold=0.02, rot_threshold=np.deg2rad(22.0))
     p0 = np.zeros((1, 3))
-    assert env_mod.check_success(p0, qi[None], p0, qi[None], **args)[0]
+
+    def check(p, q):
+        return env_mod.check_success(*env_mod.goal_errors(p, q, p0, qi[None]), **args)
+
+    assert check(p0, qi[None])[0]
     # inside both thresholds
     p = np.array([[0.019, 0.0, 0.0]])
     q = spatial.quat_from_axis_angle([0, 0, 1], 0.38)[None]
-    assert env_mod.check_success(p, q, p0, qi[None], **args)[0]
+    assert check(p, q)[0]
     # position out by 1 mm
     p = np.array([[0.021, 0.0, 0.0]])
-    assert not env_mod.check_success(p, qi[None], p0, qi[None], **args)[0]
+    assert not check(p, qi[None])[0]
     # rotation out
     q = spatial.quat_from_axis_angle([0, 0, 1], 0.39)[None]
-    assert not env_mod.check_success(p0, q, p0, qi[None], **args)[0]
+    assert not check(p0, q)[0]
 
 
 def test_success_monotone_in_thresholds():
@@ -226,9 +230,10 @@ def test_success_monotone_in_thresholds():
     p = rng.normal(rng.stream_key(12, np.arange(n), 0, 63), 3) * 0.02
     qi = np.tile(spatial.QUAT_IDENTITY, (n, 1))
     p0 = np.zeros((n, 3))
-    tight = env_mod.check_success(p, q, p0, qi, pos_threshold=0.02, rot_threshold=0.3839)
+    errors = env_mod.goal_errors(p, q, p0, qi)
+    tight = env_mod.check_success(*errors, pos_threshold=0.02, rot_threshold=0.3839)
     for pt, rt in [(0.03, 0.3839), (0.02, 0.6), (0.05, 1.0)]:
-        loose = env_mod.check_success(p, q, p0, qi, pos_threshold=pt, rot_threshold=rt)
+        loose = env_mod.check_success(*errors, pos_threshold=pt, rot_threshold=rt)
         assert np.all(loose[tight])  # no success flips to failure
 
 

@@ -34,6 +34,11 @@ def short_task(**kw):
     return TaskConfig(**kw)
 
 
+def eval_config(trials, seed, task=None):
+    return EngineConfig(task=task or TaskConfig(),
+                        harness=HarnessConfig(eval_trials=trials, eval_seed=seed))
+
+
 # ------------------------------------------------------------------ wilson
 
 
@@ -79,6 +84,12 @@ def test_success_breakdown_cases():
     combined, p, r = success_breakdown(pos, rot, 0.02, 0.38)
     assert (combined, p, r) == (0.0, 1.0, 0.0)
     assert success_breakdown(np.array([]), np.array([]), 0.02, 0.38) == (0.0, 0.0, 0.0)
+
+
+def test_success_breakdown_scores_nan_errors_as_failures():
+    pos = np.array([np.nan, 0.01, 0.01, np.nan])
+    rot = np.array([0.1, np.nan, 0.1, np.nan])
+    assert success_breakdown(pos, rot, 0.02, 0.38) == (0.25, 0.5, 0.5)
 
 
 def test_combined_never_exceeds_marginals():
@@ -156,20 +167,22 @@ def test_heatmap_monotone_and_matches_headline():
 
 def test_robustness_sweep_nominal_matches_direct_eval():
     agent = tiny_agent()
-    pts = robustness_sweep(agent, "scale", [1.0], n_trials=8, eval_seed=7, task=short_task())
-    direct = evaluate(agent, 8, eval_seed=7, task=short_task(), dr=DRConfig(enabled=False))
+    cfg = eval_config(8, 7, short_task())
+    pts = robustness_sweep(agent, cfg, "scale", [1.0])
+    direct = evaluate(agent, 8, eval_seed=7, task=short_task(), dr=DRConfig(enabled=False),
+                      config_hash=config.config_hash(cfg))
     assert pts[0]["report"].to_json() == direct.to_json()
 
 
 def test_robustness_sweep_reproducible_and_validated():
     agent = tiny_agent()
-    a = robustness_sweep(agent, "mass", [0.5, 2.0], n_trials=8, eval_seed=9, task=short_task())
-    b = robustness_sweep(agent, "mass", [0.5, 2.0], n_trials=8, eval_seed=9, task=short_task())
+    a = robustness_sweep(agent, eval_config(8, 9, short_task()), "mass", [0.5, 2.0])
+    b = robustness_sweep(agent, eval_config(8, 9, short_task()), "mass", [0.5, 2.0])
     assert [p["report"].to_json() for p in a] == [p["report"].to_json() for p in b]
     with pytest.raises(ValueError):
-        robustness_sweep(agent, "friction", [1.0], n_trials=4, eval_seed=9)
+        robustness_sweep(agent, eval_config(4, 9), "friction", [1.0])
     with pytest.raises(ValueError):
-        robustness_sweep(agent, "scale", [], n_trials=4, eval_seed=9)
+        robustness_sweep(agent, eval_config(4, 9), "scale", [])
 
 
 # ------------------------------------------------------------------ zero-shot
@@ -178,22 +191,23 @@ def test_robustness_sweep_reproducible_and_validated():
 def test_zero_shot_runs_and_rejects_unknown():
     agent = tiny_agent()
     reports = zero_shot_objects(
-        agent, ["cube_6.5cm", "ball_r3.75cm", "cuboid_2x8x2cm"],
-        n_trials=8, eval_seed=11, task=short_task(),
+        agent, eval_config(8, 11, short_task()), ["cube_6.5cm", "ball_r3.75cm", "cuboid_2x8x2cm"],
     )
     assert set(reports) == {"cube_6.5cm", "ball_r3.75cm", "cuboid_2x8x2cm"}
     for rep in reports.values():
         assert rep.n_trials == 8
     with pytest.raises(ValueError, match="unsupported object"):
-        zero_shot_objects(agent, ["ycb_mug"], n_trials=4, eval_seed=11)
+        zero_shot_objects(agent, eval_config(4, 11), ["ycb_mug"])
 
 
 def test_zero_shot_training_cube_equals_nominal_eval():
     agent = tiny_agent()
-    reports = zero_shot_objects(agent, ["cube_6.5cm"], n_trials=8, eval_seed=13, task=short_task())
+    cfg = eval_config(8, 13, short_task())
+    reports = zero_shot_objects(agent, cfg, ["cube_6.5cm"])
     tcfg = short_task()
     tcfg.keypoint_half_extents = (0.0325, 0.0325, 0.0325)
-    direct = evaluate(agent, 8, eval_seed=13, task=tcfg, dr=DRConfig(enabled=False))
+    direct = evaluate(agent, 8, eval_seed=13, task=tcfg, dr=DRConfig(enabled=False),
+                      config_hash=config.config_hash(cfg))
     assert reports["cube_6.5cm"].to_json() == direct.to_json()
 
 

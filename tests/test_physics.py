@@ -343,6 +343,22 @@ def test_object_params_validation():
         ObjectParams(kind="mesh")
 
 
+def test_object_box_half_extents():
+    # a sphere's box is (r, r, r) even when half_extents says otherwise; a
+    # box's is its half extents, and every size query scales that one box
+    sphere = ObjectParams(kind="sphere", radius=0.0375, half_extents=(0.01, 0.02, 0.03))
+    box = ObjectParams(kind="box", half_extents=(0.01, 0.04, 0.02), radius=0.5)
+    assert sphere.box_half_extents().tolist() == [0.0375] * 3
+    assert box.box_half_extents().tolist() == [0.01, 0.04, 0.02]
+    params = EnvParams.nominal(2)
+    params.scale[:] = [1.0, 1.3]
+    for obj in (sphere, box):
+        cfg = default_cfg(object=obj)
+        half = physics.object_half_extents(cfg, params)
+        assert np.array_equal(half, obj.box_half_extents() * params.scale[:, None])
+        assert np.all(physics.rest_height(cfg, params) < half[:, 2])
+
+
 # ------------------------------------------------------------ external force
 
 
