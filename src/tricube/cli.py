@@ -24,7 +24,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, config as config_mod, harness, svgplot
-from .config import ConfigError, EngineConfig, config_hash, to_dict
+from .config import ConfigError, EngineConfig, config_hash, run_identity, to_dict
 from .env import actor_obs_dim, critic_obs_dim
 from .ppo import PPOAgent, read_checkpoint
 from .trainer import Trainer, make_task
@@ -93,13 +93,7 @@ class OutputDir:
         return os.path.join(self.path, name)
 
     def write_json(self, name: str, data) -> str:
-        path = self.file(name)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump(data, f, sort_keys=True, indent=2)
-            f.write("\n")
-        os.replace(tmp, path)
-        return path
+        return self.write_text(name, json.dumps(data, sort_keys=True, indent=2) + "\n")
 
     def write_text(self, name: str, text: str) -> str:
         path = self.file(name)
@@ -127,16 +121,17 @@ class OutputDir:
         return self.write_json("manifest.json", manifest)
 
 
+# flags that override one config key each, applied after every --set
+FLAG_KEYS = {"seed": "run.seed", "out": "run.output_dir", "trials": "harness.eval_trials"}
+
+
 def resolve_config(args) -> EngineConfig:
     file_data = config_mod.load_file(args.config) if args.config else None
-    cfg = config_mod.resolve(args.profile, file_data, args.set or [])
-    if args.seed is not None:
-        cfg.run.seed = args.seed
-    if args.out is not None:
-        cfg.run.output_dir = args.out
-    if getattr(args, "trials", None) is not None:
-        cfg.harness.eval_trials = args.trials
-    return cfg
+    set_exprs = list(args.set or []) + [
+        f"{key}={json.dumps(getattr(args, flag))}"
+        for flag, key in FLAG_KEYS.items() if getattr(args, flag, None) is not None
+    ]
+    return config_mod.resolve(args.profile, file_data, set_exprs)
 
 
 def out_dir_for(cfg: EngineConfig) -> str:
@@ -158,38 +153,65 @@ def build_agent_for(cfg: EngineConfig) -> PPOAgent:
     return PPOAgent(a_dim, c_dim, act_dim, cfg=cfg.ppo, seed=cfg.run.seed)
 
 
-def check_checkpoint(path: str, agent: PPOAgent, task=None) -> dict:
-    """The tensors of ``path``, which must be a readable checkpoint of an
-    agent shaped like ``agent``: the same observation and action dims and
-    layer sizes.  With ``task``, any env state the checkpoint carries must
-    also match the task's tensor shapes (so the same ``run.num_envs``).  A
-    missing file is a configuration error, anything else an
-    incompatibility."""
+def resume_keys(key: str) -> bool:
+    """The config keys a resume must share with its checkpoint: all but where
+    the artifacts land, when the run stops, how often it checkpoints and the
+    evaluation protocols.  ``run.total_steps`` stays: it sets the lr
+    schedule."""
+    return not _under(key, ("run.output_dir", "run.stop_after_steps",
+                            "run.checkpoint_interval", "harness"))
+
+
+def agent_keys(key: str) -> bool:
+    """The config keys that define the agent a checkpoint command loads, so
+    sweeps over physics and task stay legal."""
+    return _under(key, ("run.task", "task.obs_variant", "ppo"))
+
+
+def _under(key: str, prefixes) -> bool:
+    return any(key == p or key.startswith(p + ".") for p in prefixes)
+
+
+def _leaves(tree: dict, prefix: str = "") -> dict:
+    """``{"a": {"b": 1}}`` -> ``{"a.b": 1}``."""
+    out = {}
+    for k, v in tree.items():
+        if isinstance(v, dict):
+            out.update(_leaves(v, f"{prefix}{k}."))
+        else:
+            out[f"{prefix}{k}"] = v
+    return out
+
+
+def check_checkpoint(path: str, cfg: EngineConfig, keys) -> tuple[dict, dict]:
+    """The tensors and manifest of ``path``, which must be a readable
+    checkpoint whose stored config equals ``run_identity(cfg)`` on every
+    key that ``keys`` selects.  A missing file is a configuration error,
+    anything else an incompatibility."""
     if not os.path.exists(path):
         raise ConfigError(f"checkpoint not found: {path}")
     try:
         tensors, meta = read_checkpoint(path)
     except ValueError as err:
         raise IncompatibilityError(str(err)) from err
+    if "config" not in meta:
+        raise IncompatibilityError(f"{path} records no config (not written by tricube train)")
+    stored, configured = _leaves(meta["config"]), _leaves(run_identity(cfg))
     diffs = [
-        f"{k} {meta.get(k)} (configured {v})" for k, v in agent.shape().items() if meta.get(k) != v
+        f"{k} {json.dumps(stored.get(k))} (configured {json.dumps(configured.get(k))})"
+        for k in sorted(stored.keys() | configured.keys())
+        if keys(k) and (k not in stored or k not in configured or stored[k] != configured[k])
     ]
-    if task is not None and any(k.startswith("env.") for k in tensors):
-        for name, arr in task.state_dict().items():
-            got = tensors.get(f"env.{name}")
-            if got is None or got.shape != arr.shape:
-                found = "missing" if got is None else f"shape {got.shape}"
-                diffs.append(f"env.{name} {found} (configured {arr.shape})")
     if diffs:
         raise IncompatibilityError(f"{path} does not fit the configuration: " + ", ".join(diffs))
-    return tensors
+    return tensors, meta
 
 
 def load_agent_checkpoint(path: str, cfg: EngineConfig) -> tuple[PPOAgent, str]:
     """The configured agent holding the checkpoint's tensors, and the
     checkpoint file's hash."""
     agent = build_agent_for(cfg)
-    agent.load_tensors(check_checkpoint(path, agent))
+    agent.load_tensors(check_checkpoint(path, cfg, agent_keys)[0])
     return agent, harness.hash_file(path)
 
 
@@ -211,7 +233,6 @@ def cmd_train(args) -> int:
         print(json.dumps(to_dict(cfg), sort_keys=True, indent=2))
         return EXIT_OK
     with OutputDir(out_dir_for(cfg)) as out:
-        out.write_json("config.json", to_dict(cfg))
         task = make_task(
             cfg.run.task, cfg.run.num_envs, cfg.run.seed,
             task=cfg.task, phys=cfg.physics, dr=cfg.dr, reach=cfg.reach,
@@ -220,12 +241,18 @@ def cmd_train(args) -> int:
         agent.dump_dir = out.path
         trainer = Trainer(
             task, agent, total_steps=cfg.run.total_steps, out_dir=out.path,
-            checkpoint_interval=cfg.run.checkpoint_interval, seed=cfg.run.seed,
+            checkpoint_interval=cfg.run.checkpoint_interval, seed=cfg.run.seed, config=cfg,
         )
         if args.resume:
-            check_checkpoint(args.resume, agent, task)
-            trainer.load_checkpoint(args.resume)
+            tensors, meta = check_checkpoint(args.resume, cfg, resume_keys)
+            if os.path.samefile(os.path.dirname(os.path.abspath(args.resume)), out.path):
+                try:
+                    trainer.truncate_logs(meta["log_lines"])
+                except ValueError as err:
+                    raise IncompatibilityError(str(err)) from err
+            trainer.load_checkpoint(tensors, meta)
             print(f"resumed from {args.resume} at step {agent.global_step}")
+        out.write_json("config.json", to_dict(cfg))
 
         if args.benchmark:
             stats = run_benchmark(trainer)

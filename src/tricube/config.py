@@ -48,6 +48,12 @@ class HarnessConfig:
         "cuboid_4x6.5x4cm",
     )
 
+    def __post_init__(self):
+        if self.eval_trials < 0:
+            raise ValueError("eval_trials must be non-negative")
+        if self.ablation_total_steps <= 0:
+            raise ValueError("ablation_total_steps must be positive")
+
 
 @dataclass
 class RunConfig:
@@ -233,11 +239,17 @@ def load_file(path: str) -> dict:
     return data
 
 
-def config_hash(cfg: EngineConfig) -> str:
-    """Digest of the canonical JSON, leaving out ``run.output_dir``: where the
-    artifacts land changes none of them, so two runs of one config in two
-    directories share an identity."""
+def run_identity(cfg: EngineConfig) -> dict:
+    """The resolved config as a plain dict, leaving out ``run.output_dir``:
+    where the artifacts land changes none of them, so two runs of one config
+    in two directories share an identity.  Checkpoints store it and
+    ``config_hash`` digests it."""
     data = to_dict(cfg)
     del data["run"]["output_dir"]
-    canon = json.dumps(data, sort_keys=True)
+    return data
+
+
+def config_hash(cfg: EngineConfig) -> str:
+    """Digest of the canonical JSON of ``run_identity(cfg)``."""
+    canon = json.dumps(run_identity(cfg), sort_keys=True)
     return hashlib.sha256(canon.encode()).hexdigest()[:16]

@@ -33,7 +33,7 @@ from .nets import MLP, Adam, RunningNorm
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 CHECKPOINT_MAGIC = b"TCUBCKPT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # 2: the manifest stores the run's config; version 1 files are refused
 
 
 @dataclass

@@ -10,7 +10,10 @@ metrics.
 Checkpoints embed the full training state: network and optimizer tensors,
 environment state arrays, and the integer counters that key every random
 stream.  Resuming from a checkpoint therefore continues the exact
-trajectory of the uninterrupted run.
+trajectory of the uninterrupted run.  Each checkpoint also records the
+run's identity (``config.run_identity`` and its hash), against which a
+resume is checked, and the line count of each log at that moment, to which
+a resume in the same directory cuts the logs back.
 """
 
 from __future__ import annotations
@@ -22,9 +25,12 @@ import time
 import numpy as np
 
 from . import rng
+from .config import EngineConfig, config_hash, run_identity
 from .env import CubeReposeTask
-from .ppo import PPOAgent, gae, lr_schedule, read_checkpoint
+from .ppo import PPOAgent, gae, lr_schedule
 from .reach import ReachTask
+
+LOGS = ("metrics.jsonl", "timing.jsonl", "episodes.jsonl")
 
 
 def make_task(name: str, num_envs: int, seed: int, task=None, phys=None, dr=None, reach=None):
@@ -44,6 +50,7 @@ class Trainer:
         out_dir: str | None = None,
         checkpoint_interval: int = 50,  # iterations
         seed: int = 0,
+        config: EngineConfig | None = None,  # the resolved config, stored in checkpoints
     ):
         cfg = agent.cfg
         if cfg.batch_size % task.num_envs != 0:
@@ -57,11 +64,15 @@ class Trainer:
         self.out_dir = out_dir
         self.checkpoint_interval = checkpoint_interval
         self.seed = seed
+        self.config = config
         self.obs = None
-        self._metrics_path = os.path.join(out_dir, "metrics.jsonl") if out_dir else None
-        self._timing_path = os.path.join(out_dir, "timing.jsonl") if out_dir else None
-        self._episodes_path = os.path.join(out_dir, "episodes.jsonl") if out_dir else None
+        self._logs = {name: os.path.join(out_dir, name) for name in LOGS} if out_dir else {}
         self.last_metrics: dict | None = None
+
+    def _append(self, name: str, records: list[dict]) -> None:
+        if name in self._logs and records:
+            with open(self._logs[name], "a") as f:
+                f.writelines(json.dumps(r, sort_keys=True) + "\n" for r in records)
 
     # ------------------------------------------------------------ rollouts
 
@@ -111,10 +122,7 @@ class Trainer:
         agent.global_step += h * n
 
         records = task.drain_episode_records()
-        if self._episodes_path and records:
-            with open(self._episodes_path, "a") as f:
-                for r in records:
-                    f.write(json.dumps(r, sort_keys=True) + "\n")
+        self._append("episodes.jsonl", records)
         stats = {
             "mean_reward": float(rewards.mean()),
             "episodes": len(records),
@@ -169,22 +177,12 @@ class Trainer:
             }
             out.append(record)
             self.last_metrics = record
-            if self._metrics_path:
-                with open(self._metrics_path, "a") as f:
-                    f.write(json.dumps(record, sort_keys=True) + "\n")
-            if self._timing_path:
-                with open(self._timing_path, "a") as f:
-                    f.write(
-                        json.dumps(
-                            {
-                                "iteration": self.agent.iteration,
-                                "seconds": elapsed,
-                                "env_steps_per_sec": self.agent.cfg.batch_size / elapsed,
-                            },
-                            sort_keys=True,
-                        )
-                        + "\n"
-                    )
+            self._append("metrics.jsonl", [record])
+            self._append("timing.jsonl", [{
+                "iteration": self.agent.iteration,
+                "seconds": elapsed,
+                "env_steps_per_sec": self.agent.cfg.batch_size / elapsed,
+            }])
             if (
                 self.out_dir
                 and self.checkpoint_interval > 0
@@ -199,14 +197,14 @@ class Trainer:
 
     def save_checkpoint(self, path: str) -> None:
         extra = {f"env.{k}": v for k, v in self.task.state_dict().items()}
-        self.agent.save(
-            path,
-            extra_tensors=extra,
-            extra_meta={"trainer": {"total_steps": self.total_steps, "horizon": self.horizon}},
-        )
+        meta = {"log_lines": {name: _count_lines(p) for name, p in self._logs.items()}}
+        if self.config is not None:
+            meta.update(config=run_identity(self.config), config_hash=config_hash(self.config))
+        self.agent.save(path, extra_tensors=extra, extra_meta=meta)
 
-    def load_checkpoint(self, path: str) -> None:
-        tensors, meta = read_checkpoint(path)
+    def load_checkpoint(self, tensors: dict, meta: dict) -> None:
+        """Continue from the tensors and manifest ``ppo.read_checkpoint``
+        returned."""
         self.agent.load_tensors(tensors)
         self.agent.iteration = meta["iteration"]
         self.agent.global_step = meta["global_step"]
@@ -214,3 +212,24 @@ class Trainer:
         if env_state:
             self.task.load_state_dict(env_state)
             self.obs = self.task._observations()
+
+    def truncate_logs(self, log_lines: dict) -> None:
+        """Cut each log back to the line count a checkpoint recorded, so a
+        resume in the same directory continues after the checkpoint's last
+        record.  A log shorter than its count raises ``ValueError``."""
+        for name, path in self._logs.items():
+            keep, have = log_lines[name], _count_lines(path)
+            if have < keep:
+                raise ValueError(f"{path} holds {have} lines; the checkpoint recorded {keep}")
+            if os.path.exists(path):
+                with open(path, "rb+") as f:
+                    for _ in range(keep):
+                        f.readline()
+                    f.truncate(f.tell())
+
+
+def _count_lines(path: str) -> int:
+    if not os.path.exists(path):
+        return 0
+    with open(path, "rb") as f:
+        return sum(chunk.count(b"\n") for chunk in iter(lambda: f.read(1 << 20), b""))

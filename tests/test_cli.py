@@ -31,6 +31,23 @@ def run_cli(*args) -> int:
     return main(list(args))
 
 
+def count_checkpoint_reads(monkeypatch) -> list:
+    """Wrap ``read_checkpoint`` wherever a module binds it; the returned
+    list collects the path of every read."""
+    from tricube import cli, ppo, trainer
+
+    reads, real_read = [], ppo.read_checkpoint
+
+    def counting_read(path):
+        reads.append(path)
+        return real_read(path)
+
+    for mod in (cli, ppo, trainer):
+        if hasattr(mod, "read_checkpoint"):
+            monkeypatch.setattr(mod, "read_checkpoint", counting_read)
+    return reads
+
+
 def test_dry_run_prints_config(outroot, capsys):
     assert run_cli("train", "--profile", "paper", "--dry-run") == EXIT_OK
     out = capsys.readouterr().out
@@ -80,6 +97,32 @@ def test_resume_equivalence(outroot):
         outroot / "part2" / "metrics.jsonl"
     ).read_text()
     assert merged == (outroot / "full" / "metrics.jsonl").read_text()
+
+
+def test_same_directory_resume_is_byte_equal_to_an_uninterrupted_run(outroot):
+    every = ["--seed", "8", *TINY, "--set", "run.checkpoint_interval=1"]
+    assert run_cli("train", "--out", "full", *every) == EXIT_OK
+    assert run_cli("train", "--out", "again", *every) == EXIT_OK
+    # train to iteration 2 and stop, then resume from iteration 1 in the same
+    # directory: the logs drop the record of iteration 2 before it is rewritten
+    assert run_cli("train", "--out", "crash", *every, "--set", "run.stop_after_steps=256") == EXIT_OK
+    assert len((outroot / "crash" / "metrics.jsonl").read_text().splitlines()) == 2
+    assert run_cli("train", "--out", "crash", *every,
+                   "--resume", str(outroot / "crash" / "ckpt_000001.tckpt")) == EXIT_OK
+    for name in ("metrics.jsonl", "episodes.jsonl", "ckpt_final.tckpt"):
+        assert (outroot / "crash" / name).read_bytes() == (outroot / "full" / name).read_bytes(), name
+    assert len((outroot / "crash" / "timing.jsonl").read_text().splitlines()) == 3
+    assert (outroot / "again" / "ckpt_final.tckpt").read_bytes() == (
+        outroot / "full" / "ckpt_final.tckpt").read_bytes()
+
+
+def test_same_directory_resume_refuses_a_log_shorter_than_recorded(outroot, capsys):
+    assert run_cli("train", "--out", "tr", "--seed", "8", *TINY) == EXIT_OK
+    metrics = outroot / "tr" / "metrics.jsonl"
+    metrics.write_text(metrics.read_text().splitlines(keepends=True)[0])
+    assert run_cli("train", "--out", "tr", "--seed", "8", *TINY,
+                   "--resume", str(outroot / "tr" / "ckpt_final.tckpt")) == EXIT_INCOMPAT
+    assert "holds 1 lines; the checkpoint recorded 3" in capsys.readouterr().err
 
 
 def test_lock_file_rejects_concurrent_runs(outroot):
@@ -146,18 +189,64 @@ def test_resume_checkpoint_incompatibility(outroot, capsys):
     rc = run_cli("train", "--out", "pq", "--seed", "1", *TINY,
                  "--set", "task.obs_variant=pos_quat", "--resume", ckpt)
     assert rc == EXIT_INCOMPAT
-    err = capsys.readouterr().err
-    assert "actor_obs_dim 75 (configured 41)" in err
+    assert 'task.obs_variant "keypoints" (configured "pos_quat")' in capsys.readouterr().err
     rc = run_cli("train", "--out", "wide", "--seed", "1", *TINY,
                  "--set", "ppo.policy_hidden=[32]", "--resume", ckpt)
     assert rc == EXIT_INCOMPAT
-    assert "policy_layer_sizes [75, 16, 9] (configured [75, 32, 9])" in capsys.readouterr().err
+    assert "ppo.policy_hidden [16] (configured [32])" in capsys.readouterr().err
     rc = run_cli("train", "--out", "more", "--seed", "1", *TINY,
                  "--set", "run.num_envs=16", "--resume", ckpt)
     assert rc == EXIT_INCOMPAT
-    err = capsys.readouterr().err
-    assert "env.state.joint_pos shape (8, 9) (configured (16, 9))" in err
-    assert "env.task.episode_step shape (8,) (configured (16,))" in err
+    assert "run.num_envs 8 (configured 16)" in capsys.readouterr().err
+
+
+def test_resume_refuses_another_seed_or_task_config(outroot, capsys):
+    assert run_cli("train", "--out", "kp", "--seed", "1", *TINY) == EXIT_OK
+    ckpt = str(outroot / "kp" / "ckpt_final.tckpt")
+    before = {p.name: p.read_bytes() for p in (outroot / "kp").iterdir()}
+    assert run_cli("train", "--out", "kp", "--seed", "2", *TINY, "--resume", ckpt) == EXIT_INCOMPAT
+    assert "run.seed 1 (configured 2)" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in (outroot / "kp").iterdir()} == before  # untouched
+    assert run_cli("train", "--out", "ep", "--seed", "1", *TINY,
+                   "--set", "task.episode_length=20", "--resume", ckpt) == EXIT_INCOMPAT
+    assert "task.episode_length 10 (configured 20)" in capsys.readouterr().err
+    # how often the run checkpoints and the evaluation protocols may change
+    assert run_cli("train", "--out", "ok", "--seed", "1", *TINY, "--set", "run.checkpoint_interval=5",
+                   "--set", "harness.eval_trials=7", "--resume", ckpt) == EXIT_OK
+
+
+def test_eval_refuses_another_ppo_config(outroot, capsys):
+    assert run_cli("train", "--out", "tr", "--seed", "1", *TINY) == EXIT_OK
+    ckpt = str(outroot / "tr" / "ckpt_final.tckpt")
+    assert run_cli("eval", "--out", "ev", "--checkpoint", ckpt, "--trials", "2", *TINY,
+                   "--set", "ppo.normalize_obs=false") == EXIT_INCOMPAT
+    assert "ppo.normalize_obs true (configured false)" in capsys.readouterr().err
+    # physics and task settings are what sweeps vary: still legal
+    assert run_cli("eval", "--out", "ev2", "--checkpoint", ckpt, "--trials", "2", *TINY,
+                   "--set", "task.episode_length=12", "--seed", "4") == EXIT_OK
+
+
+def test_negative_trials_is_a_config_error(outroot):
+    assert run_cli("eval", "--out", "ev", "--checkpoint", "unused", "--trials", "-1", *TINY) == EXIT_CONFIG
+    assert run_cli("ablate", "--out", "ab", *TINY, "--set", "harness.ablation_total_steps=0") == EXIT_CONFIG
+
+
+def test_checkpoints_without_a_stored_config_are_refused(outroot, monkeypatch, capsys):
+    from tricube import ppo
+
+    version = ppo.CHECKPOINT_VERSION
+    monkeypatch.setattr(ppo, "CHECKPOINT_VERSION", 1)
+    assert run_cli("train", "--out", "v1", "--seed", "1", *TINY) == EXIT_OK
+    monkeypatch.setattr(ppo, "CHECKPOINT_VERSION", version)
+    v1 = str(outroot / "v1" / "ckpt_final.tckpt")
+    assert run_cli("eval", "--out", "ev", "--checkpoint", v1, "--trials", "2", *TINY) == EXIT_INCOMPAT
+    assert "unsupported checkpoint version 1" in capsys.readouterr().err
+    assert run_cli("train", "--out", "re", "--seed", "1", *TINY, "--resume", v1) == EXIT_INCOMPAT
+    # a bare agent checkpoint carries no config
+    bare = str(outroot / "bare.tckpt")
+    ppo.PPOAgent(75, 147, 9, cfg=ppo.PPOConfig(), seed=0).save(bare)
+    assert run_cli("eval", "--out", "ev2", "--checkpoint", bare, "--trials", "2", *TINY) == EXIT_INCOMPAT
+    assert "records no config" in capsys.readouterr().err
 
 
 def test_unreadable_checkpoint_exits_incompatible(outroot):
@@ -185,26 +274,29 @@ def test_reports_carry_the_manifest_config_hash(outroot):
 
 
 def test_eval_reads_the_checkpoint_once_into_one_agent(outroot, monkeypatch):
-    from tricube import cli, ppo, trainer
+    from tricube import ppo
 
     assert run_cli("train", "--out", "tr", "--seed", "1", *TINY) == EXIT_OK
-    reads, agents = [], []
-    real_read, real_init = ppo.read_checkpoint, ppo.PPOAgent.__init__
-
-    def counting_read(path):
-        reads.append(path)
-        return real_read(path)
+    agents, real_init = [], ppo.PPOAgent.__init__
 
     def counting_init(self, *args, **kw):
         agents.append(self)
         real_init(self, *args, **kw)
 
-    for mod in (cli, ppo, trainer):
-        monkeypatch.setattr(mod, "read_checkpoint", counting_read)
+    reads = count_checkpoint_reads(monkeypatch)
     monkeypatch.setattr(ppo.PPOAgent, "__init__", counting_init)
     ckpt = str(outroot / "tr" / "ckpt_final.tckpt")
     assert run_cli("eval", "--out", "ev", "--checkpoint", ckpt, "--trials", "2", *TINY) == EXIT_OK
     assert reads == [ckpt] and len(agents) == 1
+
+
+def test_resume_reads_the_checkpoint_once(outroot, monkeypatch):
+    assert run_cli("train", "--out", "tr", "--seed", "1", *TINY,
+                   "--set", "run.stop_after_steps=128") == EXIT_OK
+    reads = count_checkpoint_reads(monkeypatch)
+    ckpt = str(outroot / "tr" / "ckpt_final.tckpt")
+    assert run_cli("train", "--out", "re", "--seed", "1", *TINY, "--resume", ckpt) == EXIT_OK
+    assert reads == [ckpt]
 
 
 def test_reports_rerun_byte_equal_and_record_trials(outroot):

@@ -5,7 +5,7 @@ import pytest
 
 from tricube.domrand import DRConfig
 from tricube.env import TaskConfig
-from tricube.ppo import PPOAgent, PPOConfig
+from tricube.ppo import PPOAgent, PPOConfig, read_checkpoint
 from tricube.reach import ReachConfig, ReachTask
 from tricube.trainer import Trainer, make_task
 
@@ -72,7 +72,7 @@ def test_resume_matches_uninterrupted(tmp_path):
     part1.save_checkpoint(ckpt)
 
     part2 = tiny_cube_trainer(seed=5, total=768)
-    part2.load_checkpoint(ckpt)
+    part2.load_checkpoint(*read_checkpoint(ckpt))
     part2_records = part2.train()
 
     merged = part1_records + part2_records
