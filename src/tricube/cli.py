@@ -25,9 +25,8 @@ import numpy as np
 
 from . import __version__, config as config_mod, harness, svgplot
 from .config import ConfigError, EngineConfig, config_hash, run_identity, to_dict
-from .env import actor_obs_dim, critic_obs_dim
 from .ppo import PPOAgent, read_checkpoint
-from .trainer import Trainer, make_task
+from .trainer import LOGS, build_agent_for, build_trainer
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -121,15 +120,18 @@ class OutputDir:
         return self.write_json("manifest.json", manifest)
 
 
-# flags that override one config key each, applied after every --set
-FLAG_KEYS = {"seed": "run.seed", "out": "run.output_dir", "trials": "harness.eval_trials"}
+# flags that override one config key each, applied after every --set; the
+# JSON flags pass their text as written
+FLAG_KEYS = {"seed": "run.seed", "out": "run.output_dir", "trials": "harness.eval_trials",
+             "grid": "harness.sweep_{parameter}_grid", "objects": "harness.transfer_objects"}
+JSON_FLAGS = ("grid", "objects")
 
 
 def resolve_config(args) -> EngineConfig:
     file_data = config_mod.load_file(args.config) if args.config else None
     set_exprs = list(args.set or []) + [
-        f"{key}={json.dumps(getattr(args, flag))}"
-        for flag, key in FLAG_KEYS.items() if getattr(args, flag, None) is not None
+        f"{key.format_map(vars(args))}={value if flag in JSON_FLAGS else json.dumps(value)}"
+        for flag, key in FLAG_KEYS.items() if (value := getattr(args, flag, None)) is not None
     ]
     return config_mod.resolve(args.profile, file_data, set_exprs)
 
@@ -140,17 +142,11 @@ def out_dir_for(cfg: EngineConfig) -> str:
     return path if os.path.isabs(path) else os.path.join(root, path)
 
 
-def build_agent_for(cfg: EngineConfig) -> PPOAgent:
-    if cfg.run.task == "reach":
-        from .reach import ReachTask
-
-        probe = ReachTask(1, seed=0, cfg=cfg.reach)
-        a_dim, c_dim, act_dim = probe.actor_dim, probe.critic_dim, probe.action_dim
-    else:
-        a_dim = actor_obs_dim(cfg.task.obs_variant)
-        c_dim = critic_obs_dim(cfg.task.obs_variant)
-        act_dim = 9
-    return PPOAgent(a_dim, c_dim, act_dim, cfg=cfg.ppo, seed=cfg.run.seed)
+def require_cube_task(cfg: EngineConfig) -> None:
+    """The evaluation protocols run the cube task only."""
+    if cfg.run.task != "cube_repose":
+        raise ConfigError(f"run.task is {cfg.run.task!r}; the evaluation protocols need "
+                          "'cube_repose'")
 
 
 def resume_keys(key: str) -> bool:
@@ -210,6 +206,7 @@ def check_checkpoint(path: str, cfg: EngineConfig, keys) -> tuple[dict, dict]:
 def load_agent_checkpoint(path: str, cfg: EngineConfig) -> tuple[PPOAgent, str]:
     """The configured agent holding the checkpoint's tensors, and the
     checkpoint file's hash."""
+    require_cube_task(cfg)
     agent = build_agent_for(cfg)
     agent.load_tensors(check_checkpoint(path, cfg, agent_keys)[0])
     return agent, harness.hash_file(path)
@@ -233,38 +230,23 @@ def cmd_train(args) -> int:
         print(json.dumps(to_dict(cfg), sort_keys=True, indent=2))
         return EXIT_OK
     with OutputDir(out_dir_for(cfg)) as out:
-        task = make_task(
-            cfg.run.task, cfg.run.num_envs, cfg.run.seed,
-            task=cfg.task, phys=cfg.physics, dr=cfg.dr, reach=cfg.reach,
-        )
-        agent = build_agent_for(cfg)
-        agent.dump_dir = out.path
-        trainer = Trainer(
-            task, agent, total_steps=cfg.run.total_steps, out_dir=out.path,
-            checkpoint_interval=cfg.run.checkpoint_interval, seed=cfg.run.seed, config=cfg,
-        )
+        tensors, meta = check_checkpoint(args.resume, cfg, resume_keys) if args.resume else ({}, {})
+        same_dir = bool(args.resume) and os.path.samefile(
+            os.path.dirname(os.path.abspath(args.resume)), out.path)
+        if not same_dir and any(os.path.getsize(p) for p in map(out.file, LOGS)
+                                if os.path.exists(p)):
+            raise ConfigError(f"{out.path} already holds a run: resume it from one of its "
+                              "checkpoints or train into another directory")
+        trainer = build_trainer(cfg, out.path)
         if args.resume:
-            tensors, meta = check_checkpoint(args.resume, cfg, resume_keys)
-            if os.path.samefile(os.path.dirname(os.path.abspath(args.resume)), out.path):
+            if same_dir:
                 try:
                     trainer.truncate_logs(meta["log_lines"])
                 except ValueError as err:
                     raise IncompatibilityError(str(err)) from err
             trainer.load_checkpoint(tensors, meta)
-            print(f"resumed from {args.resume} at step {agent.global_step}")
+            print(f"resumed from {args.resume} at step {trainer.agent.global_step}")
         out.write_json("config.json", to_dict(cfg))
-
-        if args.benchmark:
-            stats = run_benchmark(trainer)
-            print(
-                f"benchmark: {stats['num_envs']} envs x {stats['steps']} steps -> "
-                f"{stats['env_steps_per_sec']:,.0f} env-steps/sec "
-                f"(collection {stats['collect_env_steps_per_sec']:,.0f}, physics-only "
-                f"{stats['physics_env_steps_per_sec']:,.0f})"
-            )
-            print("reference point, original GPU-resident system: >50,000 samples/sec")
-            out.write_manifest(cfg, "train --benchmark", throughput=stats)
-            return EXIT_OK
 
         records = trainer.train(stop_after_steps=cfg.run.stop_after_steps)
         final = records[-1] if records else (trainer.last_metrics or {})
@@ -278,7 +260,7 @@ def cmd_train(args) -> int:
         )
         if final:
             print(
-                f"trained to step {agent.global_step}: "
+                f"trained to step {trainer.agent.global_step}: "
                 f"mean reward {final.get('mean_reward'):.4f}, "
                 f"success rate {final.get('success_rate')}"
             )
@@ -290,41 +272,6 @@ def _mean_timing(path: str):
         return None
     vals = [json.loads(line)["env_steps_per_sec"] for line in open(path)]
     return float(np.mean(vals)) if vals else None
-
-
-def run_benchmark(trainer: Trainer, iterations: int = 3) -> dict:
-    """Aggregate env-steps/sec of the full collection loop and physics alone."""
-    task, agent = trainer.task, trainer.agent
-    trainer.obs = task.reset_all()
-    t0 = time.perf_counter()
-    for _ in range(iterations):
-        trainer.collect_rollout()
-    collect_sec = time.perf_counter() - t0
-    steps = iterations * trainer.horizon * task.num_envs
-
-    phys_rate = None
-    if hasattr(task, "pcfg"):
-        from . import physics
-
-        torques = np.zeros((task.num_envs, 9))
-        state = task.state
-        t0 = time.perf_counter()
-        for _ in range(trainer.horizon * iterations):
-            state = physics.step(state, torques, task.params, task.pcfg)
-        phys_rate = steps / (time.perf_counter() - t0)
-
-    # one update so the figure includes optimization cost
-    t0 = time.perf_counter()
-    batch, _ = trainer.collect_rollout()
-    agent.update(batch, lr=1e-6)
-    full_sec = time.perf_counter() - t0
-    return {
-        "num_envs": task.num_envs,
-        "steps": steps,
-        "collect_env_steps_per_sec": steps / collect_sec,
-        "env_steps_per_sec": trainer.horizon * task.num_envs / full_sec,
-        "physics_env_steps_per_sec": phys_rate,
-    }
 
 
 # ------------------------------------------------------------------ eval
@@ -359,10 +306,7 @@ def cmd_sweep(args) -> int:
     cfg = resolve_config(args)
     with OutputDir(out_dir_for(cfg)) as out:
         agent, ckpt_hash = load_agent_checkpoint(args.checkpoint, cfg)
-        grid = json.loads(args.grid) if args.grid else list(
-            getattr(cfg.harness, f"sweep_{args.parameter}_grid"))
-        if not grid:
-            raise ConfigError("sweep grid is empty")
+        grid = list(getattr(cfg.harness, f"sweep_{args.parameter}_grid"))
         points = harness.robustness_sweep(agent, cfg, args.parameter, grid, ckpt_hash)
         out.write_jsonl(f"sweep_{args.parameter}.jsonl", (
             {"parameter": pt["parameter"], "value": pt["value"], "report": asdict(pt["report"])}
@@ -381,6 +325,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = resolve_config(args)
+    require_cube_task(cfg)
     with OutputDir(out_dir_for(cfg)) as out:
         results = harness.run_ablation(cfg)
         out.write_jsonl("ablation.jsonl", (
@@ -436,8 +381,8 @@ def cmd_objects(args) -> int:
     cfg = resolve_config(args)
     with OutputDir(out_dir_for(cfg)) as out:
         agent, ckpt_hash = load_agent_checkpoint(args.checkpoint, cfg)
-        names = json.loads(args.objects) if args.objects else list(cfg.harness.transfer_objects)
-        reports = harness.zero_shot_objects(agent, cfg, names, ckpt_hash)
+        reports = harness.zero_shot_objects(agent, cfg, list(cfg.harness.transfer_objects),
+                                            ckpt_hash)
         out.write_jsonl("objects.jsonl", (
             {"object": name, "report": asdict(rep)} for name, rep in reports.items()))
         out.write_manifest(cfg, "objects", checkpoint_hash=ckpt_hash)
@@ -551,7 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(t)
     t.add_argument("--dry-run", action="store_true", help="validate and print the resolved config")
     t.add_argument("--resume", help="checkpoint to resume from")
-    t.add_argument("--benchmark", action="store_true", help="measure env-steps/sec and exit")
     t.set_defaults(fn=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint")
@@ -564,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(s)
     s.add_argument("--checkpoint", required=True)
     s.add_argument("--parameter", choices=["scale", "mass"], required=True)
-    s.add_argument("--grid", help="JSON list of factors (default from config)")
+    s.add_argument("--grid", help="JSON list of factors; overrides harness.sweep_<parameter>_grid")
     s.add_argument("--trials", type=int)
     s.set_defaults(fn=cmd_sweep)
 
@@ -581,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     o = sub.add_parser("objects", help="zero-shot transfer to other object shapes")
     common(o)
     o.add_argument("--checkpoint", required=True)
-    o.add_argument("--objects", help="JSON list of object names (default from config)")
+    o.add_argument("--objects", help="JSON list of object names; overrides harness.transfer_objects")
     o.add_argument("--trials", type=int)
     o.set_defaults(fn=cmd_objects)
 

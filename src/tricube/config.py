@@ -18,13 +18,26 @@ from dataclasses import dataclass, field
 
 from .domrand import DRConfig
 from .env import TaskConfig
-from .physics import PhysicsConfig
+from .physics import ObjectParams, PhysicsConfig
 from .ppo import PPOConfig
 from .reach import ReachConfig
 
 
 class ConfigError(ValueError):
     pass
+
+
+# zero-shot transfer objects: primitive shapes, dimensions in meters
+TRANSFER_OBJECTS = {
+    "cube_6.5cm": ObjectParams(kind="box", half_extents=(0.0325, 0.0325, 0.0325)),
+    "ball_r3.75cm": ObjectParams(kind="sphere", radius=0.0375),
+    "cuboid_2x8x2cm": ObjectParams(kind="box", half_extents=(0.01, 0.04, 0.01)),
+    "cuboid_2x8x4cm": ObjectParams(kind="box", half_extents=(0.01, 0.04, 0.02)),
+    "cuboid_4x8x4cm": ObjectParams(kind="box", half_extents=(0.02, 0.04, 0.02)),
+    "cuboid_2x6.5x2cm": ObjectParams(kind="box", half_extents=(0.01, 0.0325, 0.01)),
+    "cuboid_2x6.5x4cm": ObjectParams(kind="box", half_extents=(0.01, 0.0325, 0.02)),
+    "cuboid_4x6.5x4cm": ObjectParams(kind="box", half_extents=(0.02, 0.0325, 0.02)),
+}
 
 
 @dataclass
@@ -37,22 +50,22 @@ class HarnessConfig:
     sweep_mass_grid: tuple = (0.25, 0.5, 0.7, 1.0, 1.3, 2.0, 3.0, 4.0)
     heatmap_pos_thresholds: tuple = (0.01, 0.02, 0.03, 0.05)
     heatmap_rot_thresholds_deg: tuple = (11.0, 22.0, 33.0, 45.0)
-    transfer_objects: tuple = (
-        "cube_6.5cm",
-        "ball_r3.75cm",
-        "cuboid_2x8x2cm",
-        "cuboid_2x8x4cm",
-        "cuboid_4x8x4cm",
-        "cuboid_2x6.5x2cm",
-        "cuboid_2x6.5x4cm",
-        "cuboid_4x6.5x4cm",
-    )
+    transfer_objects: tuple = tuple(TRANSFER_OBJECTS)
 
     def __post_init__(self):
         if self.eval_trials < 0:
             raise ValueError("eval_trials must be non-negative")
         if self.ablation_total_steps <= 0:
             raise ValueError("ablation_total_steps must be positive")
+        for name in ("sweep_scale_grid", "sweep_mass_grid"):
+            grid = getattr(self, name)
+            if not grid or not all(isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0
+                                   for v in grid):
+                raise ValueError(f"{name} must be a non-empty list of positive numbers")
+        unknown = [n for n in self.transfer_objects
+                   if not isinstance(n, str) or n not in TRANSFER_OBJECTS]
+        if unknown:
+            raise ValueError(f"unknown transfer_objects {unknown}; known: {sorted(TRANSFER_OBJECTS)}")
 
 
 @dataclass

@@ -24,11 +24,12 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import config as config_mod
+from .config import TRANSFER_OBJECTS
 from .domrand import DRConfig
 from .env import CubeReposeTask, TaskConfig, check_success
-from .physics import ObjectParams, PhysicsConfig
+from .physics import PhysicsConfig
 from .ppo import PPOAgent
-from .trainer import Trainer
+from .trainer import build_trainer
 
 # 80% two-sided confidence: Phi^-1(0.9)
 Z_80 = 1.2815515655446004
@@ -40,19 +41,6 @@ ABLATION_VARIANTS = {
     "O-PQ+R-KP": ("pos_quat", "keypoints"),
     "O-PQ+R-PQ": ("pos_quat", "pos_quat"),
 }
-
-# zero-shot transfer objects: primitive shapes, dimensions in meters
-TRANSFER_OBJECTS = {
-    "cube_6.5cm": ObjectParams(kind="box", half_extents=(0.0325, 0.0325, 0.0325)),
-    "ball_r3.75cm": ObjectParams(kind="sphere", radius=0.0375),
-    "cuboid_2x8x2cm": ObjectParams(kind="box", half_extents=(0.01, 0.04, 0.01)),
-    "cuboid_2x8x4cm": ObjectParams(kind="box", half_extents=(0.01, 0.04, 0.02)),
-    "cuboid_4x8x4cm": ObjectParams(kind="box", half_extents=(0.02, 0.04, 0.02)),
-    "cuboid_2x6.5x2cm": ObjectParams(kind="box", half_extents=(0.01, 0.0325, 0.01)),
-    "cuboid_2x6.5x4cm": ObjectParams(kind="box", half_extents=(0.01, 0.0325, 0.02)),
-    "cuboid_4x6.5x4cm": ObjectParams(kind="box", half_extents=(0.02, 0.0325, 0.02)),
-}
-
 
 def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     """80% Wilson score interval for a binomial proportion."""
@@ -180,15 +168,14 @@ def run_ablation(cfg: config_mod.EngineConfig) -> dict:
         results[variant] = {}
         tcfg = replace(cfg.task, obs_variant=obs, reward_variant=rew)
         for seed in h.ablation_seeds:
-            task = CubeReposeTask(cfg.run.num_envs, seed=seed, task=tcfg, phys=cfg.physics, dr=cfg.dr)
-            agent = PPOAgent(task.actor_dim, task.critic_dim, task.action_dim, cfg=cfg.ppo, seed=seed)
-            trainer = Trainer(task, agent, total_steps=h.ablation_total_steps, seed=seed)
+            trainer = build_trainer(replace(cfg, task=tcfg, run=replace(
+                cfg.run, seed=seed, total_steps=h.ablation_total_steps)))
             try:
                 curve = trainer.train()
             except FloatingPointError as err:
                 results[variant][seed] = {"curve": [], "report": None, "error": str(err)}
                 continue
-            report = evaluate(agent, h.eval_trials, h.eval_seed, task=tcfg, phys=cfg.physics,
+            report = evaluate(trainer.agent, h.eval_trials, h.eval_seed, task=tcfg, phys=cfg.physics,
                               config_hash=cfg_hash)
             results[variant][seed] = {"curve": curve, "report": report}
     return results

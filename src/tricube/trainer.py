@@ -41,6 +41,29 @@ def make_task(name: str, num_envs: int, seed: int, task=None, phys=None, dr=None
     raise ValueError(f"unknown task {name!r}")
 
 
+def _task_for(cfg: EngineConfig, num_envs: int):
+    return make_task(cfg.run.task, num_envs, cfg.run.seed, task=cfg.task, phys=cfg.physics,
+                     dr=cfg.dr, reach=cfg.reach)
+
+
+def build_agent_for(cfg: EngineConfig) -> PPOAgent:
+    """The configured agent, sized by a one-env task of the config."""
+    probe = _task_for(cfg, 1)
+    return PPOAgent(probe.actor_dim, probe.critic_dim, probe.action_dim, cfg=cfg.ppo,
+                    seed=cfg.run.seed)
+
+
+def build_trainer(cfg: EngineConfig, out_dir: str | None = None) -> Trainer:
+    """The run ``cfg`` describes: its task, its agent and their trainer,
+    logging and checkpointing into ``out_dir`` when one is given."""
+    agent = build_agent_for(cfg)
+    agent.dump_dir = out_dir
+    return Trainer(
+        _task_for(cfg, cfg.run.num_envs), agent, total_steps=cfg.run.total_steps, out_dir=out_dir,
+        checkpoint_interval=cfg.run.checkpoint_interval, seed=cfg.run.seed, config=cfg,
+    )
+
+
 class Trainer:
     def __init__(
         self,

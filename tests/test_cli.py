@@ -125,6 +125,27 @@ def test_same_directory_resume_refuses_a_log_shorter_than_recorded(outroot, caps
     assert "holds 1 lines; the checkpoint recorded 3" in capsys.readouterr().err
 
 
+def test_fresh_train_into_a_directory_holding_a_run_is_refused(outroot, capsys):
+    assert run_cli("train", "--out", "a", "--seed", "1", *TINY) == EXIT_OK
+    before = {p.name: p.read_bytes() for p in (outroot / "a").iterdir()}
+    assert run_cli("train", "--out", "a", "--seed", "1", *TINY) == EXIT_CONFIG
+    assert f"{outroot / 'a'} already holds a run" in capsys.readouterr().err
+    # so is a resume from a checkpoint of another directory
+    assert run_cli("train", "--out", "b", "--seed", "1", *TINY,
+                   "--set", "run.stop_after_steps=128") == EXIT_OK
+    assert run_cli("train", "--out", "a", "--seed", "1", *TINY,
+                   "--resume", str(outroot / "b" / "ckpt_final.tckpt")) == EXIT_CONFIG
+    assert {p.name: p.read_bytes() for p in (outroot / "a").iterdir()} == before
+    # one non-empty log is a run; nothing is written, not even config.json
+    logs = outroot / "logs"
+    logs.mkdir()
+    (logs / "episodes.jsonl").write_text("{}\n")
+    assert run_cli("train", "--out", "logs", *TINY) == EXIT_CONFIG
+    assert [p.name for p in logs.iterdir()] == ["episodes.jsonl"]
+    (logs / "episodes.jsonl").write_text("")
+    assert run_cli("train", "--out", "logs", *TINY) == EXIT_OK
+
+
 def test_lock_file_rejects_concurrent_runs(outroot):
     d = outroot / "locked"
     d.mkdir()
@@ -319,6 +340,37 @@ def test_reports_rerun_byte_equal_and_record_trials(outroot):
         assert manifest["config_hash"].encode() in report
 
 
+def test_protocols_refuse_the_reach_task(outroot, capsys):
+    reach = ["--profile", "smoke", "--set", "run.num_envs=8", "--set", "ppo.batch_size=128",
+             "--set", "ppo.minibatch_size=64", "--set", "run.total_steps=128"]
+    assert run_cli("train", "--out", "r", *reach) == EXIT_OK
+    ckpt = str(outroot / "r" / "ckpt_final.tckpt")
+    for cmd, *extra in (["eval"], ["sweep", "--parameter", "mass"], ["heatmap"], ["objects"]):
+        assert run_cli(cmd, "--out", cmd, "--checkpoint", ckpt, "--trials", "2", *extra,
+                       *reach) == EXIT_CONFIG
+        assert "run.task is 'reach'" in capsys.readouterr().err
+    assert run_cli("ablate", "--out", "ab", *reach) == EXIT_CONFIG
+    assert "run.task is 'reach'" in capsys.readouterr().err
+
+
+def test_grid_and_objects_are_checked_config_overrides(outroot, capsys):
+    assert run_cli("train", "--out", "tr", "--seed", "1", *TINY) == EXIT_OK
+    ckpt = str(outroot / "tr" / "ckpt_final.tckpt")
+    for cmd, *flag in (["sweep", "--parameter", "mass", "--grid", "[0.5"],
+                       ["sweep", "--parameter", "mass", "--grid", "0.5"],
+                       ["sweep", "--parameter", "mass", "--grid", '["a"]'],
+                       ["sweep", "--parameter", "scale", "--grid", "[0]"],
+                       ["objects", "--objects", '["teapot"]'],
+                       ["objects", "--objects", "[[1]]"]):
+        assert run_cli(cmd, "--out", "bad", "--checkpoint", ckpt, *flag, *TINY) == EXIT_CONFIG, flag
+    assert "teapot" in capsys.readouterr().err
+    assert not (outroot / "bad").exists()
+    assert run_cli("sweep", "--out", "sw", "--checkpoint", ckpt, "--parameter", "mass",
+                   "--grid", "[0.5,2]", "--trials", "2", *TINY) == EXIT_OK
+    manifest = json.loads((outroot / "sw" / "manifest.json").read_text())
+    assert manifest["config"]["harness"]["sweep_mass_grid"] == [0.5, 2] == manifest["grid"]
+
+
 def test_eval_missing_checkpoint(outroot):
     assert run_cli(
         "eval", "--out", "missing", "--checkpoint", str(outroot / "no.tckpt"), "--trials", "2", *TINY
@@ -375,13 +427,3 @@ def test_sweep_heatmap_objects_plot_round_trip(outroot):
 def test_plot_missing_input(outroot):
     assert run_cli("plot", "--out", "plx", "--metrics", str(outroot / "none.jsonl")) == EXIT_CONFIG
     assert run_cli("plot", "--out", "ply") == EXIT_CONFIG  # nothing to do
-
-
-def test_benchmark_mode(outroot, capsys):
-    rc = run_cli("train", "--out", "bench", "--benchmark", *TINY)
-    assert rc == EXIT_OK
-    out = capsys.readouterr().out
-    assert "env-steps/sec" in out
-    assert "50,000" in out
-    manifest = json.loads((outroot / "bench" / "manifest.json").read_text())
-    assert manifest["throughput"]["env_steps_per_sec"] > 0

@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from tricube.domrand import DRConfig
+from tricube.config import EngineConfig, RunConfig
 from tricube.env import TaskConfig
 from tricube.ppo import PPOAgent, PPOConfig, read_checkpoint
 from tricube.reach import ReachConfig, ReachTask
-from tricube.trainer import Trainer, make_task
+from tricube.trainer import Trainer, build_trainer
 
 
 def tiny_cfg(**kw):
@@ -21,12 +21,9 @@ def tiny_cfg(**kw):
 
 
 def tiny_cube_trainer(seed=0, out_dir=None, total=512, num_envs=8):
-    task = make_task(
-        "cube_repose", num_envs, seed,
-        task=TaskConfig(episode_length=12), dr=DRConfig(enabled=True),
-    )
-    agent = PPOAgent(task.actor_dim, task.critic_dim, task.action_dim, tiny_cfg(), seed=seed)
-    return Trainer(task, agent, total_steps=total, out_dir=out_dir, checkpoint_interval=0, seed=seed)
+    run = RunConfig(seed=seed, num_envs=num_envs, total_steps=total, checkpoint_interval=0)
+    return build_trainer(EngineConfig(task=TaskConfig(episode_length=12), ppo=tiny_cfg(), run=run),
+                         out_dir)
 
 
 def test_rollout_shapes_and_gae_plumbing():
