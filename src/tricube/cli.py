@@ -1,10 +1,11 @@
 """Command-line entry point.
 
-Subcommands: train, eval, sweep, ablate, heatmap, objects, plot.  All of
-them resolve configuration the same way (profile, optional JSON config
-file, repeated ``--set section.key=value`` overrides), write only inside
-their output directory, hold a lock file there for the duration, and leave
-exactly one ``manifest.json`` describing the run.
+Subcommands: train, eval, sweep, ablate, heatmap, objects, plot.  ``main``
+runs each one the same way: resolve the config (profile, optional JSON
+config file, repeated ``--set section.key=value`` overrides); run the
+command's check, which only reads, so a refused run writes nothing; take
+the output directory and its lock file; run the command's body, which
+writes only inside that directory; write exactly one ``manifest.json``.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime fault, 4
 checkpoint/config incompatibility or an unreadable checkpoint.
@@ -136,12 +137,6 @@ def resolve_config(args) -> EngineConfig:
     return config_mod.resolve(args.profile, file_data, set_exprs)
 
 
-def out_dir_for(cfg: EngineConfig) -> str:
-    root = os.environ.get("TRICUBE_OUT", ".")
-    path = cfg.run.output_dir
-    return path if os.path.isabs(path) else os.path.join(root, path)
-
-
 def require_cube_task(cfg: EngineConfig) -> None:
     """The evaluation protocols run the cube task only."""
     if cfg.run.task != "cube_repose":
@@ -212,59 +207,81 @@ def load_agent_checkpoint(path: str, cfg: EngineConfig) -> tuple[PPOAgent, str]:
     return agent, harness.hash_file(path)
 
 
-def evaluate_checkpoint(path: str, cfg: EngineConfig) -> harness.EvalReport:
-    """``harness.evaluate`` of the checkpoint on ``cfg``'s task and physics."""
-    agent, ckpt_hash = load_agent_checkpoint(path, cfg)
+# ------------------------------------------------------------------ checks
+# A check reads the command's inputs before its output directory exists and
+# returns what the command's body needs; a checkpoint it read goes under
+# these keys, which the manifest records.
+
+READ_KEYS = ("checkpoint", "checkpoint_hash")
+
+
+def check_train(args, cfg: EngineConfig) -> dict:
+    """A resume reads its checkpoint, which must fit the config on every
+    resume key."""
+    if not args.resume:
+        return {}
+    tensors, meta = check_checkpoint(args.resume, cfg, resume_keys)
+    return {"checkpoint": args.resume, "checkpoint_hash": harness.hash_file(args.resume),
+            "tensors": tensors, "meta": meta}
+
+
+def check_cube_task(args, cfg: EngineConfig) -> dict:
+    require_cube_task(cfg)
+    return {}
+
+
+def read_agent(args, cfg: EngineConfig) -> dict:
+    """The one read of a checkpoint command's checkpoint, into its agent."""
+    agent, ckpt_hash = load_agent_checkpoint(args.checkpoint, cfg)
+    return {"agent": agent, "checkpoint": args.checkpoint, "checkpoint_hash": ckpt_hash}
+
+
+def evaluate_agent(cfg: EngineConfig, read: dict) -> harness.EvalReport:
+    """``harness.evaluate`` of the checkpoint's agent on ``cfg``'s task and physics."""
     return harness.evaluate(
-        agent, cfg.harness.eval_trials, cfg.harness.eval_seed, task=cfg.task, phys=cfg.physics,
-        checkpoint_hash=ckpt_hash, config_hash=config_hash(cfg),
+        read["agent"], cfg.harness.eval_trials, cfg.harness.eval_seed, task=cfg.task,
+        phys=cfg.physics, checkpoint_hash=read["checkpoint_hash"], config_hash=config_hash(cfg),
     )
 
 
 # ------------------------------------------------------------------ train
+# Each command body takes (args, cfg, out, read), writes only through
+# ``out`` and returns the command's own manifest entries.
 
 
-def cmd_train(args) -> int:
-    cfg = resolve_config(args)
-    if args.dry_run:
-        print(json.dumps(to_dict(cfg), sort_keys=True, indent=2))
-        return EXIT_OK
-    with OutputDir(out_dir_for(cfg)) as out:
-        tensors, meta = check_checkpoint(args.resume, cfg, resume_keys) if args.resume else ({}, {})
-        same_dir = bool(args.resume) and os.path.samefile(
-            os.path.dirname(os.path.abspath(args.resume)), out.path)
-        if not same_dir and any(os.path.getsize(p) for p in map(out.file, LOGS)
-                                if os.path.exists(p)):
-            raise ConfigError(f"{out.path} already holds a run: resume it from one of its "
-                              "checkpoints or train into another directory")
-        trainer = build_trainer(cfg, out.path)
-        if args.resume:
-            if same_dir:
-                try:
-                    trainer.truncate_logs(meta["log_lines"])
-                except ValueError as err:
-                    raise IncompatibilityError(str(err)) from err
-            trainer.load_checkpoint(tensors, meta)
-            print(f"resumed from {args.resume} at step {trainer.agent.global_step}")
-        out.write_json("config.json", to_dict(cfg))
+def cmd_train(args, cfg: EngineConfig, out: OutputDir, read: dict) -> dict:
+    # the logs are checked under the directory's lock, where no other run
+    # writes them; a directory that holds a run existed before this one
+    same_dir = bool(args.resume) and os.path.samefile(
+        os.path.dirname(os.path.abspath(args.resume)), out.path)
+    if not same_dir and any(os.path.getsize(p) for p in map(out.file, LOGS)
+                            if os.path.exists(p)):
+        raise ConfigError(f"{out.path} already holds a run: resume it from one of its "
+                          "checkpoints or train into another directory")
+    trainer = build_trainer(cfg, out.path)
+    if args.resume:
+        if same_dir:
+            try:
+                trainer.truncate_logs(read["meta"]["log_lines"])
+            except ValueError as err:
+                raise IncompatibilityError(str(err)) from err
+        trainer.load_checkpoint(read["tensors"], read["meta"])
+        print(f"resumed from {args.resume} at step {trainer.agent.global_step}")
+    out.write_json("config.json", to_dict(cfg))
 
-        records = trainer.train(stop_after_steps=cfg.run.stop_after_steps)
-        final = records[-1] if records else (trainer.last_metrics or {})
-        out.write_manifest(
-            cfg, "train",
-            final_metrics=final,
-            throughput={"env_steps_per_sec": _mean_timing(out.file("timing.jsonl"))},
-            checkpoints=sorted(
-                f for f in os.listdir(out.path) if f.endswith(".tckpt")
-            ),
+    records = trainer.train(stop_after_steps=cfg.run.stop_after_steps)
+    final = records[-1] if records else (trainer.last_metrics or {})
+    if final:
+        print(
+            f"trained to step {trainer.agent.global_step}: "
+            f"mean reward {final.get('mean_reward'):.4f}, "
+            f"success rate {final.get('success_rate')}"
         )
-        if final:
-            print(
-                f"trained to step {trainer.agent.global_step}: "
-                f"mean reward {final.get('mean_reward'):.4f}, "
-                f"success rate {final.get('success_rate')}"
-            )
-        return EXIT_OK
+    return {
+        "final_metrics": final,
+        "throughput": {"env_steps_per_sec": _mean_timing(out.file("timing.jsonl"))},
+        "checkpoints": sorted(f for f in os.listdir(out.path) if f.endswith(".tckpt")),
+    }
 
 
 def _mean_timing(path: str):
@@ -277,201 +294,166 @@ def _mean_timing(path: str):
 # ------------------------------------------------------------------ eval
 
 
-def cmd_eval(args) -> int:
-    cfg = resolve_config(args)
-    with OutputDir(out_dir_for(cfg)) as out:
-        if cfg.harness.eval_trials == 0:
-            out.write_json(
-                "eval_report.json", {"n_trials": 0, "trials": [], "config_hash": config_hash(cfg)}
-            )
-            out.write_manifest(cfg, "eval", report=None)
-            print("eval: 0 trials requested, wrote empty report")
-            return EXIT_OK
-        report = evaluate_checkpoint(args.checkpoint, cfg)
-        out.write_text("eval_report.json", report.to_json() + "\n")
-        out.write_manifest(cfg, "eval", checkpoint=args.checkpoint,
-                           checkpoint_hash=report.checkpoint_hash)
-        print(
-            f"eval: success {report.success_rate:.3f} "
-            f"[{report.ci_lo:.3f}, {report.ci_hi:.3f}] over {report.n_trials} trials "
-            f"(position {report.pos_success_rate:.3f}, orientation {report.rot_success_rate:.3f})"
-        )
-        return EXIT_OK
+def cmd_eval(args, cfg: EngineConfig, out: OutputDir, read: dict) -> dict:
+    report = evaluate_agent(cfg, read)
+    out.write_text("eval_report.json", report.to_json() + "\n")
+    print(
+        f"eval: success {report.success_rate:.3f} "
+        f"[{report.ci_lo:.3f}, {report.ci_hi:.3f}] over {report.n_trials} trials "
+        f"(position {report.pos_success_rate:.3f}, orientation {report.rot_success_rate:.3f})"
+    )
+    return {}
 
 
 # ------------------------------------------------------------------ sweep
 
 
-def cmd_sweep(args) -> int:
-    cfg = resolve_config(args)
-    with OutputDir(out_dir_for(cfg)) as out:
-        agent, ckpt_hash = load_agent_checkpoint(args.checkpoint, cfg)
-        grid = list(getattr(cfg.harness, f"sweep_{args.parameter}_grid"))
-        points = harness.robustness_sweep(agent, cfg, args.parameter, grid, ckpt_hash)
-        out.write_jsonl(f"sweep_{args.parameter}.jsonl", (
-            {"parameter": pt["parameter"], "value": pt["value"], "report": asdict(pt["report"])}
-            for pt in points))
-        out.write_manifest(cfg, "sweep", parameter=args.parameter, grid=grid,
-                           checkpoint_hash=ckpt_hash)
-        for pt in points:
-            r = pt["report"]
-            print(f"{args.parameter}={pt['value']:<6g} success {r.success_rate:.3f} "
-                  f"[{r.ci_lo:.3f}, {r.ci_hi:.3f}]")
-        return EXIT_OK
+def cmd_sweep(args, cfg: EngineConfig, out: OutputDir, read: dict) -> dict:
+    grid = list(getattr(cfg.harness, f"sweep_{args.parameter}_grid"))
+    points = harness.robustness_sweep(read["agent"], cfg, args.parameter, grid,
+                                      read["checkpoint_hash"])
+    out.write_jsonl(f"sweep_{args.parameter}.jsonl", (
+        {"parameter": pt["parameter"], "value": pt["value"], "report": asdict(pt["report"])}
+        for pt in points))
+    for pt in points:
+        r = pt["report"]
+        print(f"{args.parameter}={pt['value']:<6g} success {r.success_rate:.3f} "
+              f"[{r.ci_lo:.3f}, {r.ci_hi:.3f}]")
+    return {"parameter": args.parameter, "grid": grid}
 
 
 # ------------------------------------------------------------------ ablate
 
 
-def cmd_ablate(args) -> int:
-    cfg = resolve_config(args)
-    require_cube_task(cfg)
-    with OutputDir(out_dir_for(cfg)) as out:
-        results = harness.run_ablation(cfg)
-        out.write_jsonl("ablation.jsonl", (
-            {"variant": variant, "seed": seed, "error": arm.get("error"), "curve": arm["curve"],
-             "report": asdict(arm["report"]) if arm["report"] else None}
-            for variant, by_seed in results.items() for seed, arm in by_seed.items()))
-        summary = {}
-        for variant, by_seed in results.items():
-            rates = [arm["report"].success_rate for arm in by_seed.values() if arm["report"]]
-            summary[variant] = {"mean_success": float(np.mean(rates)) if rates else None,
-                                "seeds": len(rates)}
-        out.write_json("ablation_summary.json", summary)
-        out.write_manifest(cfg, "ablate", summary=summary)
-        for variant, row in summary.items():
-            print(f"{variant}: mean success {row['mean_success']}")
-        return EXIT_OK
+def cmd_ablate(args, cfg: EngineConfig, out: OutputDir, read: dict) -> dict:
+    results = harness.run_ablation(cfg)
+    out.write_jsonl("ablation.jsonl", (
+        {"variant": variant, "seed": seed, "error": arm.get("error"), "curve": arm["curve"],
+         "report": asdict(arm["report"]) if arm["report"] else None}
+        for variant, by_seed in results.items() for seed, arm in by_seed.items()))
+    summary = {}
+    for variant, by_seed in results.items():
+        rates = [arm["report"].success_rate for arm in by_seed.values() if arm["report"]]
+        summary[variant] = {"mean_success": float(np.mean(rates)) if rates else None,
+                            "seeds": len(rates)}
+    out.write_json("ablation_summary.json", summary)
+    for variant, row in summary.items():
+        print(f"{variant}: mean success {row['mean_success']}")
+    return {"summary": summary}
 
 
 # ------------------------------------------------------------------ heatmap
 
 
-def cmd_heatmap(args) -> int:
-    cfg = resolve_config(args)
-    with OutputDir(out_dir_for(cfg)) as out:
-        report = evaluate_checkpoint(args.checkpoint, cfg)
-        ckpt_hash = report.checkpoint_hash
-        pos_ths = list(cfg.harness.heatmap_pos_thresholds)
-        rot_ths_deg = list(cfg.harness.heatmap_rot_thresholds_deg)
-        matrix = harness.threshold_heatmap(
-            report, pos_ths, [np.deg2rad(d) for d in rot_ths_deg]
-        )
-        data = {
-            "pos_thresholds_m": pos_ths,
-            "rot_thresholds_deg": rot_ths_deg,
-            "success_matrix": matrix.tolist(),
-            "n_trials": report.n_trials,
-            "checkpoint_hash": ckpt_hash,
-            "config_hash": report.config_hash,
-            "eval_seed": cfg.harness.eval_seed,
-        }
-        out.write_json("threshold_heatmap.json", data)
-        out.write_manifest(cfg, "heatmap", checkpoint_hash=ckpt_hash)
-        print("success matrix (rows: position thresholds, cols: orientation):")
-        for pt, row in zip(pos_ths, matrix):
-            print(f"  {pt:>5g} m: " + "  ".join(f"{v:.3f}" for v in row))
-        return EXIT_OK
+def cmd_heatmap(args, cfg: EngineConfig, out: OutputDir, read: dict) -> dict:
+    report = evaluate_agent(cfg, read)
+    pos_ths = list(cfg.harness.heatmap_pos_thresholds)
+    rot_ths_deg = list(cfg.harness.heatmap_rot_thresholds_deg)
+    matrix = harness.threshold_heatmap(
+        report, pos_ths, [np.deg2rad(d) for d in rot_ths_deg]
+    )
+    data = {
+        "pos_thresholds_m": pos_ths,
+        "rot_thresholds_deg": rot_ths_deg,
+        "success_matrix": matrix.tolist(),
+        "n_trials": report.n_trials,
+        "checkpoint_hash": report.checkpoint_hash,
+        "config_hash": report.config_hash,
+        "eval_seed": cfg.harness.eval_seed,
+    }
+    out.write_json("threshold_heatmap.json", data)
+    print("success matrix (rows: position thresholds, cols: orientation):")
+    for pt, row in zip(pos_ths, matrix):
+        print(f"  {pt:>5g} m: " + "  ".join(f"{v:.3f}" for v in row))
+    return {}
 
 
 # ------------------------------------------------------------------ objects
 
 
-def cmd_objects(args) -> int:
-    cfg = resolve_config(args)
-    with OutputDir(out_dir_for(cfg)) as out:
-        agent, ckpt_hash = load_agent_checkpoint(args.checkpoint, cfg)
-        reports = harness.zero_shot_objects(agent, cfg, list(cfg.harness.transfer_objects),
-                                            ckpt_hash)
-        out.write_jsonl("objects.jsonl", (
-            {"object": name, "report": asdict(rep)} for name, rep in reports.items()))
-        out.write_manifest(cfg, "objects", checkpoint_hash=ckpt_hash)
-        for name, rep in reports.items():
-            print(f"{name:<22} success {rep.success_rate:.3f} [{rep.ci_lo:.3f}, {rep.ci_hi:.3f}]")
-        return EXIT_OK
+def cmd_objects(args, cfg: EngineConfig, out: OutputDir, read: dict) -> dict:
+    reports = harness.zero_shot_objects(read["agent"], cfg, list(cfg.harness.transfer_objects),
+                                        read["checkpoint_hash"])
+    out.write_jsonl("objects.jsonl", (
+        {"object": name, "report": asdict(rep)} for name, rep in reports.items()))
+    for name, rep in reports.items():
+        print(f"{name:<22} success {rep.success_rate:.3f} [{rep.ci_lo:.3f}, {rep.ci_hi:.3f}]")
+    return {}
 
 
 # ------------------------------------------------------------------ plot
 
 
-def cmd_plot(args) -> int:
-    cfg = resolve_config(args)
-    with OutputDir(out_dir_for(cfg)) as out:
-        wrote = []
-        if args.metrics:
-            series_steps, series_wall = [], []
-            for path in args.metrics:
-                if not os.path.exists(path):
-                    raise ConfigError(f"metrics file not found: {path}")
-                recs = [json.loads(line) for line in open(path)]
-                recs = [r for r in recs if r.get("success_rate") is not None]
-                if not recs:
-                    raise ConfigError(f"{path}: no iterations with completed episodes")
-                label = os.path.basename(os.path.dirname(path)) or path
-                xs = [r["global_step"] for r in recs]
-                ys = [r["success_rate"] for r in recs]
-                series_steps.append((label, xs, ys))
-                timing = os.path.join(os.path.dirname(path), "timing.jsonl")
-                if os.path.exists(timing):
-                    secs = {json.loads(l)["iteration"]: json.loads(l)["seconds"] for l in open(timing)}
-                    cum, acc = {}, 0.0
-                    for it in sorted(secs):
-                        acc += secs[it]
-                        cum[it] = acc
-                    series_wall.append(
-                        (label, [cum.get(r["iteration"], 0.0) for r in recs], ys)
-                    )
-            wrote.append(out.write_text(
-                "success_vs_steps.svg",
-                svgplot.line_chart(series_steps, title="training success",
-                                   xlabel="env steps", ylabel="success rate"),
-            ))
-            if series_wall:
-                wrote.append(out.write_text(
-                    "success_vs_wallclock.svg",
-                    svgplot.line_chart(series_wall, title="training success",
-                                       xlabel="wallclock (s)", ylabel="success rate"),
-                ))
-        if args.sweep_file:
-            if not os.path.exists(args.sweep_file):
-                raise ConfigError(f"sweep file not found: {args.sweep_file}")
-            pts = [json.loads(line) for line in open(args.sweep_file)]
-            if not pts:
-                raise ConfigError(f"{args.sweep_file}: empty sweep file")
-            param = pts[0]["parameter"]
-            xs = [p["value"] for p in pts]
-            ys = [p["report"]["success_rate"] for p in pts]
-            lo = [p["report"]["ci_lo"] for p in pts]
-            hi = [p["report"]["ci_hi"] for p in pts]
-            wrote.append(out.write_text(
-                f"sweep_{param}.svg",
-                svgplot.line_chart(
-                    [(param, xs, ys, (lo, hi))],
-                    title=f"robustness to object {param}",
-                    xlabel=f"object {param} factor", ylabel="success rate",
-                ),
-            ))
-        if args.heatmap_file:
-            if not os.path.exists(args.heatmap_file):
-                raise ConfigError(f"heatmap file not found: {args.heatmap_file}")
-            data = json.load(open(args.heatmap_file))
-            wrote.append(out.write_text(
-                "threshold_heatmap.svg",
-                svgplot.heatmap(
-                    np.array(data["success_matrix"]),
-                    x_labels=[f"{d:g}°" for d in data["rot_thresholds_deg"]],
-                    y_labels=[f"{p:g} m" for p in data["pos_thresholds_m"]],
-                    title="success vs thresholds",
-                    xlabel="orientation threshold",
-                    ylabel="position threshold",
-                ),
-            ))
-        if not wrote:
-            raise ConfigError("plot: nothing to do (pass --metrics, --sweep-file, or --heatmap-file)")
-        out.write_manifest(cfg, "plot", figures=[os.path.basename(w) for w in wrote])
-        for w in wrote:
-            print(f"wrote {w}")
-        return EXIT_OK
+def plot_figures(args, cfg: EngineConfig) -> dict:
+    """The figures to draw, by file name, from the input files on the
+    command line; a missing or empty input is a configuration error."""
+    figures = {}
+    if args.metrics:
+        series_steps, series_wall = [], []
+        for metrics in args.metrics:
+            if not os.path.exists(metrics):
+                raise ConfigError(f"metrics file not found: {metrics}")
+            recs = [json.loads(line) for line in open(metrics)]
+            recs = [r for r in recs if r.get("success_rate") is not None]
+            if not recs:
+                raise ConfigError(f"{metrics}: no iterations with completed episodes")
+            label = os.path.basename(os.path.dirname(metrics)) or metrics
+            xs = [r["global_step"] for r in recs]
+            ys = [r["success_rate"] for r in recs]
+            series_steps.append((label, xs, ys))
+            timing = os.path.join(os.path.dirname(metrics), "timing.jsonl")
+            if os.path.exists(timing):
+                secs = {json.loads(l)["iteration"]: json.loads(l)["seconds"] for l in open(timing)}
+                cum, acc = {}, 0.0
+                for it in sorted(secs):
+                    acc += secs[it]
+                    cum[it] = acc
+                series_wall.append(
+                    (label, [cum.get(r["iteration"], 0.0) for r in recs], ys)
+                )
+        figures["success_vs_steps.svg"] = svgplot.line_chart(
+            series_steps, title="training success", xlabel="env steps", ylabel="success rate")
+        if series_wall:
+            figures["success_vs_wallclock.svg"] = svgplot.line_chart(
+                series_wall, title="training success", xlabel="wallclock (s)",
+                ylabel="success rate")
+    if args.sweep_file:
+        if not os.path.exists(args.sweep_file):
+            raise ConfigError(f"sweep file not found: {args.sweep_file}")
+        pts = [json.loads(line) for line in open(args.sweep_file)]
+        if not pts:
+            raise ConfigError(f"{args.sweep_file}: empty sweep file")
+        param = pts[0]["parameter"]
+        xs = [p["value"] for p in pts]
+        ys = [p["report"]["success_rate"] for p in pts]
+        lo = [p["report"]["ci_lo"] for p in pts]
+        hi = [p["report"]["ci_hi"] for p in pts]
+        figures[f"sweep_{param}.svg"] = svgplot.line_chart(
+            [(param, xs, ys, (lo, hi))],
+            title=f"robustness to object {param}",
+            xlabel=f"object {param} factor", ylabel="success rate",
+        )
+    if args.heatmap_file:
+        if not os.path.exists(args.heatmap_file):
+            raise ConfigError(f"heatmap file not found: {args.heatmap_file}")
+        data = json.load(open(args.heatmap_file))
+        figures["threshold_heatmap.svg"] = svgplot.heatmap(
+            np.array(data["success_matrix"]),
+            x_labels=[f"{d:g}°" for d in data["rot_thresholds_deg"]],
+            y_labels=[f"{p:g} m" for p in data["pos_thresholds_m"]],
+            title="success vs thresholds",
+            xlabel="orientation threshold",
+            ylabel="position threshold",
+        )
+    if not figures:
+        raise ConfigError("plot: nothing to do (pass --metrics, --sweep-file, or --heatmap-file)")
+    return {"figures": figures}
+
+
+def cmd_plot(args, cfg: EngineConfig, out: OutputDir, read: dict) -> dict:
+    for name, svg in read["figures"].items():
+        print(f"wrote {out.write_text(name, svg)}")
+    return {"figures": list(read["figures"])}
 
 
 # ------------------------------------------------------------------ parser
@@ -484,57 +466,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def command(name, fn, check, help):
+        sp = sub.add_parser(name, help=help)
         sp.add_argument("--profile", default="paper", help="config profile (default: paper)")
         sp.add_argument("--config", help="JSON config file merged over the profile")
         sp.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override one config key, e.g. --set run.num_envs=256")
         sp.add_argument("--seed", type=int, help="override run.seed")
         sp.add_argument("--out", help="override run.output_dir")
+        sp.set_defaults(fn=fn, check=check)
+        if check is read_agent:  # the checkpoint commands
+            sp.add_argument("--checkpoint", required=True)
+            sp.add_argument("--trials", type=int, help="number of evaluation episodes")
+        return sp
 
-    t = sub.add_parser("train", help="train a policy")
-    common(t)
+    t = command("train", cmd_train, check_train, "train a policy")
     t.add_argument("--dry-run", action="store_true", help="validate and print the resolved config")
     t.add_argument("--resume", help="checkpoint to resume from")
-    t.set_defaults(fn=cmd_train)
 
-    e = sub.add_parser("eval", help="evaluate a checkpoint")
-    common(e)
-    e.add_argument("--checkpoint", required=True)
-    e.add_argument("--trials", type=int, help="number of evaluation episodes")
-    e.set_defaults(fn=cmd_eval)
+    command("eval", cmd_eval, read_agent, "evaluate a checkpoint")
 
-    s = sub.add_parser("sweep", help="robustness sweep over object scale or mass")
-    common(s)
-    s.add_argument("--checkpoint", required=True)
+    s = command("sweep", cmd_sweep, read_agent, "robustness sweep over object scale or mass")
     s.add_argument("--parameter", choices=["scale", "mass"], required=True)
     s.add_argument("--grid", help="JSON list of factors; overrides harness.sweep_<parameter>_grid")
-    s.add_argument("--trials", type=int)
-    s.set_defaults(fn=cmd_sweep)
 
-    a = sub.add_parser("ablate", help="train and evaluate the 2x2 pose-encoding grid")
-    common(a)
-    a.set_defaults(fn=cmd_ablate)
+    command("ablate", cmd_ablate, check_cube_task, "train and evaluate the 2x2 pose-encoding grid")
 
-    h = sub.add_parser("heatmap", help="success across threshold grids")
-    common(h)
-    h.add_argument("--checkpoint", required=True)
-    h.add_argument("--trials", type=int)
-    h.set_defaults(fn=cmd_heatmap)
+    command("heatmap", cmd_heatmap, read_agent, "success across threshold grids")
 
-    o = sub.add_parser("objects", help="zero-shot transfer to other object shapes")
-    common(o)
-    o.add_argument("--checkpoint", required=True)
+    o = command("objects", cmd_objects, read_agent, "zero-shot transfer to other object shapes")
     o.add_argument("--objects", help="JSON list of object names; overrides harness.transfer_objects")
-    o.add_argument("--trials", type=int)
-    o.set_defaults(fn=cmd_objects)
 
-    pl = sub.add_parser("plot", help="render SVG figures from report files")
-    common(pl)
+    pl = command("plot", cmd_plot, plot_figures, "render SVG figures from report files")
     pl.add_argument("--metrics", nargs="*", help="metrics.jsonl files (training curves)")
     pl.add_argument("--sweep-file", help="sweep_*.jsonl from the sweep command")
     pl.add_argument("--heatmap-file", help="threshold_heatmap.json from the heatmap command")
-    pl.set_defaults(fn=cmd_plot)
 
     return p
 
@@ -542,7 +508,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        cfg = resolve_config(args)
+        if getattr(args, "dry_run", False):
+            print(json.dumps(to_dict(cfg), sort_keys=True, indent=2))
+            return EXIT_OK
+        read = args.check(args, cfg)
+        # a relative run.output_dir lands under TRICUBE_OUT, an absolute one stays
+        path = os.path.join(os.environ.get("TRICUBE_OUT", "."), cfg.run.output_dir)
+        with OutputDir(path) as out:
+            extra = args.fn(args, cfg, out, read)
+            out.write_manifest(cfg, args.command, **extra,
+                               **{k: read[k] for k in READ_KEYS if k in read})
+        return EXIT_OK
     except (ConfigError, FileNotFoundError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

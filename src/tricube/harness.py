@@ -66,16 +66,13 @@ class EvalReport:
     success_any_rate: float
     final_pos_err: list = field(default_factory=list)  # meters, per trial
     final_rot_err: list = field(default_factory=list)  # radians, per trial
+    fault: list = field(default_factory=list)  # per trial: ended by an env fault
     seed: int = 0
     config_hash: str = ""
     checkpoint_hash: str = ""
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        return cls(**json.loads(text))
 
 
 def hash_file(path: str) -> str:
@@ -86,15 +83,21 @@ def hash_file(path: str) -> str:
     return h.hexdigest()[:16]
 
 
+def success_rate(passed, fault=False) -> float:
+    """The share of trials that passed and did not fault; 0.0 for no trials."""
+    passed = np.asarray(passed, dtype=bool) & ~np.asarray(fault, dtype=bool)
+    return float(np.mean(passed)) if passed.size else 0.0
+
+
 def success_breakdown(
-    pos_err: np.ndarray, rot_err: np.ndarray, pos_threshold: float, rot_threshold: float
+    pos_err: np.ndarray, rot_err: np.ndarray, pos_threshold: float, rot_threshold: float,
+    fault=False,
 ) -> tuple[float, float, float]:
     """(combined, position-only, orientation-only) success rates.  A
-    one-sided rate passes a zero error for the other half of the test."""
-    if len(pos_err) == 0:
-        return 0.0, 0.0, 0.0
+    one-sided rate passes a zero error for the other half of the test; a
+    faulted trial fails all three."""
     return tuple(
-        float(np.mean(check_success(p, r, pos_threshold, rot_threshold)))
+        success_rate(check_success(p, r, pos_threshold, rot_threshold), fault)
         for p, r in ((pos_err, rot_err), (pos_err, 0.0), (0.0, rot_err))
     )
 
@@ -111,9 +114,10 @@ def evaluate(
 ) -> EvalReport:
     """Run one fixed-length episode in each of ``n_trials`` parallel envs and
     score end-of-episode success, with randomization off unless ``dr`` is
-    given.  The report carries the two hashes it is handed:
-    ``config.config_hash`` of the run's resolved config and the checkpoint
-    file's."""
+    given.  A trial that ends in an env fault is a failure in every rate.
+    No trials give rates and a mean return of 0.0.  The report carries the
+    two hashes it is handed: ``config.config_hash`` of the run's resolved
+    config and the checkpoint file's."""
     tcfg = copy.deepcopy(task) if task else TaskConfig()
     env = CubeReposeTask(n_trials, seed=eval_seed, task=tcfg, phys=phys,
                          dr=dr or DRConfig(enabled=False))
@@ -127,8 +131,9 @@ def evaluate(
         raise RuntimeError(f"expected {n_trials} episode records, got {len(records)}")
     pos_err = np.array([r["final_pos_err"] for r in records])
     rot_err = np.array([r["final_rot_err"] for r in records])
+    fault = np.array([r["fault"] for r in records], dtype=bool)
     combined, pos_rate, rot_rate = success_breakdown(
-        pos_err, rot_err, tcfg.success_pos_threshold, tcfg.success_rot_threshold
+        pos_err, rot_err, tcfg.success_pos_threshold, tcfg.success_rot_threshold, fault
     )
     k = int(round(combined * n_trials))
     lo, hi = wilson_interval(k, n_trials)
@@ -137,12 +142,13 @@ def evaluate(
         ci_lo=lo,
         ci_hi=hi,
         n_trials=n_trials,
-        mean_return=float(np.mean([r["return"] for r in records])),
+        mean_return=float(np.mean([r["return"] for r in records])) if records else 0.0,
         pos_success_rate=pos_rate,
         rot_success_rate=rot_rate,
-        success_any_rate=float(np.mean([r["success_any"] for r in records])),
+        success_any_rate=success_rate([r["success_any"] for r in records], fault),
         final_pos_err=[float(x) for x in pos_err],
         final_rot_err=[float(x) for x in rot_err],
+        fault=[bool(x) for x in fault],
         seed=eval_seed,
         config_hash=config_hash,
         checkpoint_hash=checkpoint_hash,
@@ -217,13 +223,14 @@ def robustness_sweep(
 def threshold_heatmap(
     report: EvalReport, pos_thresholds: list, rot_thresholds: list
 ) -> np.ndarray:
-    """Success matrix (len(pos) x len(rot)) re-scoring the same trials."""
+    """Success matrix (len(pos) x len(rot)) re-scoring the same trials as
+    ``evaluate`` scores them."""
     pos_err = np.asarray(report.final_pos_err)
     rot_err = np.asarray(report.final_rot_err)
     matrix = np.empty((len(pos_thresholds), len(rot_thresholds)))
     for i, pt in enumerate(pos_thresholds):
         for j, rt in enumerate(rot_thresholds):
-            matrix[i, j] = np.mean(check_success(pos_err, rot_err, pt, rt))
+            matrix[i, j] = success_rate(check_success(pos_err, rot_err, pt, rt), report.fault)
     return matrix
 
 

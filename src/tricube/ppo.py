@@ -139,9 +139,13 @@ class GaussianPolicy:
     def std(self) -> np.ndarray:
         return np.exp(np.clip(self.log_std, self.cfg.log_std_min, self.cfg.log_std_max))
 
+    def log_sigma(self) -> np.ndarray:
+        """The clipped log-std in float64, as the losses use it."""
+        return np.clip(self.log_std.astype(np.float64), self.cfg.log_std_min, self.cfg.log_std_max)
+
     def log_prob(self, resid: np.ndarray) -> np.ndarray:
         """Diagonal-Gaussian log density of the float64 ``actions - mean``."""
-        log_sigma = np.clip(self.log_std.astype(np.float64), self.cfg.log_std_min, self.cfg.log_std_max)
+        log_sigma = self.log_sigma()
         sigma = np.exp(log_sigma)
         z = resid / sigma
         return -0.5 * np.sum(z * z, axis=-1) - np.sum(log_sigma) - 0.5 * self.action_dim * LOG_2PI
@@ -169,8 +173,7 @@ class GaussianPolicy:
         return action, self.log_prob(np.asarray(action, dtype=np.float64) - mean)
 
     def entropy(self) -> float:
-        log_sigma = np.clip(self.log_std.astype(np.float64), self.cfg.log_std_min, self.cfg.log_std_max)
-        return float(np.sum(log_sigma) + 0.5 * self.action_dim * (1.0 + LOG_2PI))
+        return float(np.sum(self.log_sigma()) + 0.5 * self.action_dim * (1.0 + LOG_2PI))
 
 
 class ValueNet:
@@ -283,10 +286,7 @@ class PPOAgent:
             dratio = np.where(use_unclipped, -adv / b, 0.0)
             dlogp = dratio * ratio  # (B,)
 
-        log_sigma = np.clip(
-            self.policy.log_std.astype(np.float64), cfg.log_std_min, cfg.log_std_max
-        )
-        sigma = np.exp(log_sigma)
+        sigma = np.exp(self.policy.log_sigma())
         diff = resid / sigma**2
         dmean = dlogp[:, None] * diff
         dlogstd = np.sum(dlogp[:, None] * (diff * resid - 1.0), axis=0)

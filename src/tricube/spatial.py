@@ -113,12 +113,6 @@ def quat_to_mat_parts(q: tuple) -> tuple:
     )
 
 
-def quat_to_mat(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix (..., 3, 3) from quaternion."""
-    rows = quat_to_mat_parts(_parts(q))
-    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
-
-
 def quat_from_axis_angle(axis: np.ndarray, angle) -> np.ndarray:
     """Unit quaternion for rotation of ``angle`` radians about ``axis``."""
     axis = np.asarray(axis, dtype=np.float64)
@@ -150,10 +144,6 @@ def quat_integrate_parts(q: tuple, omega: tuple, dt: float) -> tuple:
     """Advance orientation by world-frame angular velocity over dt."""
     dq = quat_from_rotvec_parts(tuple(c * dt for c in omega))
     return quat_normalize_parts(quat_mul_parts(dq, q))
-
-
-def quat_integrate(q: np.ndarray, omega: np.ndarray, dt: float) -> np.ndarray:
-    return np.stack(quat_integrate_parts(_parts(q), _parts(omega), dt), axis=-1)
 
 
 def quat_from_shoemake(u: np.ndarray) -> np.ndarray:

@@ -239,14 +239,16 @@ class Trainer:
     def truncate_logs(self, log_lines: dict) -> None:
         """Cut each log back to the line count a checkpoint recorded, so a
         resume in the same directory continues after the checkpoint's last
-        record.  A log shorter than its count raises ``ValueError``."""
+        record.  A log shorter than its count raises ``ValueError`` before
+        any log is cut."""
         for name, path in self._logs.items():
             keep, have = log_lines[name], _count_lines(path)
             if have < keep:
                 raise ValueError(f"{path} holds {have} lines; the checkpoint recorded {keep}")
+        for name, path in self._logs.items():
             if os.path.exists(path):
                 with open(path, "rb+") as f:
-                    for _ in range(keep):
+                    for _ in range(log_lines[name]):
                         f.readline()
                     f.truncate(f.tell())
 

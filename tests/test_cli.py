@@ -154,18 +154,20 @@ def test_lock_file_rejects_concurrent_runs(outroot):
 
 
 def test_lock_of_a_dead_run_is_reclaimed(outroot):
+    assert run_cli("train", "--out", "tr", "--seed", "1", *TINY) == EXIT_OK
+    ckpt = str(outroot / "tr" / "ckpt_final.tckpt")
     child = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
                            capture_output=True, text=True, check=True)
     d = outroot / "stale"
     d.mkdir()
     (d / ".lock").write_text(child.stdout.strip())  # exited and reaped
-    assert run_cli("eval", "--out", "stale", "--checkpoint", "unused", "--trials", "0",
+    assert run_cli("eval", "--out", "stale", "--checkpoint", ckpt, "--trials", "0",
                    *TINY) == EXIT_OK
     assert json.loads((d / "eval_report.json").read_text())["n_trials"] == 0
     assert not (d / ".lock").exists()
     # a lock that holds no PID is never taken for stale
     (d / ".lock").write_text("held")
-    assert run_cli("eval", "--out", "stale", "--checkpoint", "unused", "--trials", "0",
+    assert run_cli("eval", "--out", "stale", "--checkpoint", ckpt, "--trials", "0",
                    *TINY) == EXIT_RUNTIME
     assert (d / ".lock").read_text() == "held"
 
@@ -427,3 +429,78 @@ def test_sweep_heatmap_objects_plot_round_trip(outroot):
 def test_plot_missing_input(outroot):
     assert run_cli("plot", "--out", "plx", "--metrics", str(outroot / "none.jsonl")) == EXIT_CONFIG
     assert run_cli("plot", "--out", "ply") == EXIT_CONFIG  # nothing to do
+
+
+# one argument list per command; {ckpt} and {metrics} name a trained run's files
+EVERY_COMMAND = {
+    "train": ["train"],
+    "train --resume": ["train", "--resume", "{ckpt}"],
+    "eval": ["eval", "--checkpoint", "{ckpt}"],
+    "sweep": ["sweep", "--checkpoint", "{ckpt}", "--parameter", "mass", "--grid", "[1.0]"],
+    "ablate": ["ablate", "--set", "harness.ablation_total_steps=128",
+               "--set", "harness.ablation_seeds=[0]"],
+    "heatmap": ["heatmap", "--checkpoint", "{ckpt}"],
+    "objects": ["objects", "--checkpoint", "{ckpt}", "--objects", '["cube_6.5cm"]'],
+    "plot": ["plot", "--metrics", "{metrics}"],
+}
+
+
+@pytest.mark.parametrize("name", EVERY_COMMAND)
+def test_every_command_writes_one_manifest_naming_the_checkpoint_it_read(outroot, monkeypatch, name):
+    from tricube import cli, harness
+
+    assert run_cli("train", "--out", "tr", "--seed", "1", *TINY,
+                   "--set", "run.stop_after_steps=128") == EXIT_OK
+    ckpt = str(outroot / "tr" / "ckpt_final.tckpt")
+    manifests, real_write = [], cli.OutputDir.write_manifest
+
+    def counting_write(self, *args, **kw):
+        manifests.append(self.path)
+        return real_write(self, *args, **kw)
+
+    monkeypatch.setattr(cli.OutputDir, "write_manifest", counting_write)
+    argv = [a.format(ckpt=ckpt, metrics=outroot / "tr" / "metrics.jsonl")
+            for a in EVERY_COMMAND[name]]
+    assert run_cli(*argv, "--out", "run", "--seed", "1", "--set", "harness.eval_trials=2",
+                   *TINY) == EXIT_OK
+    assert manifests == [str(outroot / "run")]
+    assert not (outroot / "run" / ".lock").exists()
+    manifest = json.loads((outroot / "run" / "manifest.json").read_text())
+    assert manifest["command"] == argv[0] and manifest["config_hash"]
+    if "{ckpt}" in EVERY_COMMAND[name]:
+        assert manifest["checkpoint"] == ckpt
+        assert manifest["checkpoint_hash"] == harness.hash_file(ckpt)
+    else:
+        assert "checkpoint" not in manifest and "checkpoint_hash" not in manifest
+
+
+def test_a_refused_run_leaves_no_output_directory(outroot, capsys):
+    assert run_cli("train", "--out", "tr", "--seed", "1", *TINY,
+                   "--set", "run.stop_after_steps=128") == EXIT_OK
+    ckpt = str(outroot / "tr" / "ckpt_final.tckpt")
+    assert run_cli("eval", "--out", "missing", "--checkpoint", str(outroot / "no.tckpt"),
+                   *TINY) == EXIT_CONFIG
+    assert run_cli("eval", "--out", "mismatch", "--checkpoint", ckpt, *TINY,
+                   "--set", "task.obs_variant=pos_quat") == EXIT_INCOMPAT
+    assert run_cli("train", "--out", "resumed", "--seed", "2", *TINY, "--resume", ckpt) == EXIT_INCOMPAT
+    assert "run.seed 1 (configured 2)" in capsys.readouterr().err
+    assert sorted(p.name for p in outroot.iterdir()) == ["tr"]
+
+
+def test_zero_trials_still_check_the_checkpoint_and_write_no_nan(outroot):
+    assert run_cli("train", "--out", "tr", "--seed", "1", *TINY) == EXIT_OK
+    ckpt = str(outroot / "tr" / "ckpt_final.tckpt")
+    reach = ["--profile", "smoke", "--set", "run.num_envs=8", "--set", "ppo.batch_size=128",
+             "--set", "ppo.minibatch_size=64", "--set", "run.total_steps=128"]
+    assert run_cli("train", "--out", "r", *reach) == EXIT_OK
+    for cmd, *extra in (["eval"], ["sweep", "--parameter", "mass"], ["heatmap"], ["objects"]):
+        zero = [cmd, "--trials", "0", *extra]
+        assert run_cli(*zero, "--out", "x", "--checkpoint", str(outroot / "no.tckpt"), *TINY) == EXIT_CONFIG
+        assert run_cli(*zero, "--out", "x", "--checkpoint", ckpt, *TINY,
+                       "--set", "task.obs_variant=pos_quat") == EXIT_INCOMPAT
+        assert run_cli(*zero, "--out", "x", "--checkpoint", str(outroot / "r" / "ckpt_final.tckpt"),
+                       *reach) == EXIT_CONFIG
+        assert not (outroot / "x").exists()
+        assert run_cli(*zero, "--out", cmd, "--checkpoint", ckpt, *TINY) == EXIT_OK
+        for f in (outroot / cmd).iterdir():
+            assert "NaN" not in f.read_text(), f.name

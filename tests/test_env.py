@@ -12,6 +12,12 @@ def make_task(n=8, seed=0, dr_enabled=False, **task_kw):
     return CubeReposeTask(n, seed=seed, task=TaskConfig(**task_kw), dr=dr)
 
 
+def rot_mat(q):
+    """Rotation matrices (..., 3, 3) from ``spatial.quat_to_mat_parts``."""
+    rows = spatial.quat_to_mat_parts(tuple(np.moveaxis(q, -1, 0)))
+    return np.moveaxis(np.array(rows), (0, 1), (-2, -1))
+
+
 # ------------------------------------------------------------ obs contract
 
 
@@ -339,7 +345,7 @@ def test_spawn_has_no_penetration():
         t._reset_envs(np.ones(n, dtype=bool))
         kin = physics.fingertip_kinematics(t.state.joint_pos, None, t.pcfg.hand)
         half = physics.object_half_extents(t.pcfg, t.params)
-        rot = spatial.quat_to_mat(t.state.obj_quat)
+        rot = rot_mat(t.state.obj_quat)
         rel = kin.pos - t.state.obj_pos[:, None, :]
         # box-frame clamp distance oracle
         local = np.einsum("nji,nfj->nfi", rot, rel)

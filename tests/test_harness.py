@@ -115,7 +115,41 @@ def test_evaluate_report_shape_and_reproducibility():
     rep3 = evaluate(agent, 16, eval_seed=43, task=short_task(), dr=DRConfig(enabled=False))
     assert rep3.to_json() != rep1.to_json()
     # round trip through json
-    assert EvalReport.from_json(rep1.to_json()).to_json() == rep1.to_json()
+    assert EvalReport(**json.loads(rep1.to_json())).to_json() == rep1.to_json()
+
+
+class NaNOnLastStep:
+    """A deterministic policy that holds still and emits NaN actions on the
+    last step of the episode."""
+
+    def __init__(self, steps):
+        self.steps, self.calls = steps, 0
+
+    def act(self, obs, stochastic=False):
+        self.calls += 1
+        act = np.zeros((len(obs), 9))
+        return (np.full_like(act, np.nan) if self.calls == self.steps else act), None
+
+
+def test_faulted_trials_are_scored_as_failures():
+    # thresholds every pose meets: only the fault can fail a trial
+    task = short_task(episode_length=5, success_pos_threshold=10.0, success_rot_threshold=4.0)
+    rep = evaluate(NaNOnLastStep(5), 4, eval_seed=0, task=task)
+    assert (rep.success_rate, rep.pos_success_rate, rep.rot_success_rate,
+            rep.success_any_rate) == (0.0, 0.0, 0.0, 0.0)
+    assert rep.fault == [True] * 4
+    assert threshold_heatmap(rep, [10.0], [4.0]).tolist() == [[0.0]]
+    held = evaluate(NaNOnLastStep(6), 4, eval_seed=0, task=task)
+    assert held.fault == [False] * 4 and held.success_rate == 1.0
+
+
+def test_zero_trials_give_a_well_formed_report():
+    rep = evaluate(tiny_agent(), 0, eval_seed=0, task=short_task())
+    assert rep.n_trials == 0 and rep.final_pos_err == rep.fault == []
+    assert rep.mean_return == rep.success_rate == rep.success_any_rate == 0.0
+    assert (rep.ci_lo, rep.ci_hi) == (0.0, 1.0)
+    assert threshold_heatmap(rep, [0.01, 0.02], [0.2]).tolist() == [[0.0], [0.0]]
+    assert "NaN" not in rep.to_json()
 
 
 def test_evaluation_is_paired_across_policies():
@@ -141,6 +175,7 @@ def synthetic_report(n=400, seed=0):
         pos_success_rate=0.0, rot_success_rate=0.0, success_any_rate=0.0,
         final_pos_err=list(rng.uniform(0, 0.06, n)),
         final_rot_err=list(rng.uniform(0, 0.9, n)),
+        fault=[False] * n,
     )
 
 
