@@ -270,7 +270,7 @@ def cmd_train(args, cfg: EngineConfig, out: OutputDir, read: dict) -> dict:
     out.write_json("config.json", to_dict(cfg))
 
     records = trainer.train(stop_after_steps=cfg.run.stop_after_steps)
-    final = records[-1] if records else (trainer.last_metrics or {})
+    final = records[-1] if records else {}
     if final:
         print(
             f"trained to step {trainer.agent.global_step}: "
@@ -287,7 +287,8 @@ def cmd_train(args, cfg: EngineConfig, out: OutputDir, read: dict) -> dict:
 def _mean_timing(path: str):
     if not os.path.exists(path):
         return None
-    vals = [json.loads(line)["env_steps_per_sec"] for line in open(path)]
+    with open(path) as f:
+        vals = [json.loads(line)["env_steps_per_sec"] for line in f]
     return float(np.mean(vals)) if vals else None
 
 
@@ -393,7 +394,8 @@ def plot_figures(args, cfg: EngineConfig) -> dict:
         for metrics in args.metrics:
             if not os.path.exists(metrics):
                 raise ConfigError(f"metrics file not found: {metrics}")
-            recs = [json.loads(line) for line in open(metrics)]
+            with open(metrics) as f:
+                recs = [json.loads(line) for line in f]
             recs = [r for r in recs if r.get("success_rate") is not None]
             if not recs:
                 raise ConfigError(f"{metrics}: no iterations with completed episodes")
@@ -403,7 +405,8 @@ def plot_figures(args, cfg: EngineConfig) -> dict:
             series_steps.append((label, xs, ys))
             timing = os.path.join(os.path.dirname(metrics), "timing.jsonl")
             if os.path.exists(timing):
-                secs = {json.loads(l)["iteration"]: json.loads(l)["seconds"] for l in open(timing)}
+                with open(timing) as f:
+                    secs = {r["iteration"]: r["seconds"] for r in map(json.loads, f)}
                 cum, acc = {}, 0.0
                 for it in sorted(secs):
                     acc += secs[it]
@@ -420,7 +423,8 @@ def plot_figures(args, cfg: EngineConfig) -> dict:
     if args.sweep_file:
         if not os.path.exists(args.sweep_file):
             raise ConfigError(f"sweep file not found: {args.sweep_file}")
-        pts = [json.loads(line) for line in open(args.sweep_file)]
+        with open(args.sweep_file) as f:
+            pts = [json.loads(line) for line in f]
         if not pts:
             raise ConfigError(f"{args.sweep_file}: empty sweep file")
         param = pts[0]["parameter"]
@@ -436,7 +440,8 @@ def plot_figures(args, cfg: EngineConfig) -> dict:
     if args.heatmap_file:
         if not os.path.exists(args.heatmap_file):
             raise ConfigError(f"heatmap file not found: {args.heatmap_file}")
-        data = json.load(open(args.heatmap_file))
+        with open(args.heatmap_file) as f:
+            data = json.load(f)
         figures["threshold_heatmap.svg"] = svgplot.heatmap(
             np.array(data["success_matrix"]),
             x_labels=[f"{d:g}°" for d in data["rot_thresholds_deg"]],

@@ -202,7 +202,76 @@ def sample_goals(
     return pos, quat
 
 
-class CubeReposeTask:
+class EpisodicTask:
+    """The episode bookkeeping every vectorized task shares: per-env step,
+    episode and return counters, the aggregate step count, end-of-episode
+    records with auto-reset, and the checkpoint arrays ``STATE_FIELDS``
+    (plus ``total_steps``) under ``STATE_PREFIX``.
+
+    A task defines ``_begin_episodes(ids, ep)``, the draws that start
+    episode ``ep`` of envs ``ids``, and ``_observations()``.
+    """
+
+    STATE_PREFIX = "task"
+    STATE_FIELDS: tuple = ()
+
+    def __init__(self, num_envs: int, seed: int):
+        self.num_envs = num_envs
+        self.seed = seed
+        self.episode_step = np.zeros(num_envs, dtype=np.int64)
+        self.episode_idx = np.full(num_envs, -1, dtype=np.int64)
+        self.episode_return = np.zeros(num_envs)
+        self.total_steps = 0  # aggregate env steps
+        self._episode_records: list[dict] = []
+        self._env_ids = np.arange(num_envs)
+
+    def _reset_envs(self, mask: np.ndarray) -> None:
+        ids = np.nonzero(mask)[0]
+        if len(ids) == 0:
+            return
+        self.episode_idx[ids] += 1
+        self.episode_step[ids] = 0
+        self.episode_return[ids] = 0.0
+        self._begin_episodes(ids, self.episode_idx[ids])
+
+    def _count_step(self, reward: np.ndarray) -> None:
+        self.total_steps += self.num_envs
+        self.episode_step += 1
+        self.episode_return += reward
+
+    def _end_episodes(self, done: np.ndarray, **columns: np.ndarray) -> None:
+        """Record the episode of each ``done`` env, then start its next one.
+        A record holds ``episode``, ``env_id`` and ``return``, plus the
+        task's per-env end ``columns``."""
+        for i in np.nonzero(done)[0]:
+            record = {"episode": int(self.episode_idx[i]), "env_id": int(i),
+                      "return": float(self.episode_return[i])}
+            record.update((name, col[i].item()) for name, col in columns.items())
+            self._episode_records.append(record)
+        self._reset_envs(done)
+
+    def drain_episode_records(self) -> list[dict]:
+        out = self._episode_records
+        self._episode_records = []
+        return out
+
+    def state_dict(self) -> dict:
+        p = self.STATE_PREFIX
+        arrays = {f"{p}.{name}": getattr(self, name).copy() for name in self.STATE_FIELDS}
+        arrays[f"{p}.total_steps"] = np.array([self.total_steps], dtype=np.int64)
+        return arrays
+
+    def load_state_dict(self, arrays: dict) -> dict:
+        """Restore the arrays ``state_dict`` returned; returns the
+        observations of the restored state."""
+        p = self.STATE_PREFIX
+        for name in self.STATE_FIELDS:
+            getattr(self, name)[:] = arrays[f"{p}.{name}"]
+        self.total_steps = int(arrays[f"{p}.total_steps"][0])
+        return self._observations()
+
+
+class CubeReposeTask(EpisodicTask):
     """Vectorized environment batch with auto-reset.
 
     All randomness is drawn from counter-based streams keyed by the run
@@ -226,8 +295,7 @@ class CubeReposeTask:
         phys: PhysicsConfig | None = None,
         dr: DRConfig | None = None,
     ):
-        self.num_envs = num_envs
-        self.seed = seed
+        super().__init__(num_envs, seed)
         self.cfg = task or TaskConfig()
         self.pcfg = phys or PhysicsConfig()
         self.dr = dr or DRConfig()
@@ -245,18 +313,12 @@ class CubeReposeTask:
         self.state = physics.make_rest_state(n, self.pcfg, self.params)
         self.goal_pos = np.zeros((n, 3))
         self.goal_quat = np.tile(spatial.QUAT_IDENTITY, (n, 1))
-        self.episode_step = np.zeros(n, dtype=np.int64)
-        self.episode_idx = np.full(n, -1, dtype=np.int64)
         self.last_action_torque = np.zeros((n, N_JOINTS))
         self.held_cube_pos = np.zeros((n, 3))
         self.held_cube_quat = np.tile(spatial.QUAT_IDENTITY, (n, 1))
         self.filtered_cube_quat = np.tile(spatial.QUAT_IDENTITY, (n, 1))
-        self.episode_return = np.zeros(n)
         self.success_any = np.zeros(n, dtype=bool)
         self.goal_block = np.zeros((n, pose_block_width(self.cfg.obs_variant)))
-        self.total_steps = 0  # aggregate env steps, drives the reach curriculum
-        self._episode_records: list[dict] = []
-        self._env_ids = np.arange(n)
         self._kin = None  # fingertip kinematics cache for the current state
 
     # ------------------------------------------------------------- resets
@@ -265,13 +327,7 @@ class CubeReposeTask:
         self._reset_envs(np.ones(self.num_envs, dtype=bool))
         return self._observations()
 
-    def _reset_envs(self, mask: np.ndarray) -> None:
-        ids = np.nonzero(mask)[0]
-        if len(ids) == 0:
-            return
-        self.episode_idx[ids] += 1
-        ep = self.episode_idx[ids]
-
+    def _begin_episodes(self, ids: np.ndarray, ep: np.ndarray) -> None:
         new_params = domrand.sample_episode_randomization(self.seed, ids, ep, self.dr)
         for name in vars(self.params):
             getattr(self.params, name)[ids] = getattr(new_params, name)
@@ -302,9 +358,7 @@ class CubeReposeTask:
         self.goal_quat[ids] = gq
         self.goal_block[ids] = self._pose_blocks(gp, gq)
 
-        self.episode_step[ids] = 0
         self.last_action_torque[ids] = 0.0
-        self.episode_return[ids] = 0.0
         self.success_any[ids] = False
         self._kin = None
         self._refresh_camera(ids)
@@ -365,13 +419,12 @@ class CubeReposeTask:
                 )
 
         self.state = physics.step(self.state, torque_applied, self.params, self.pcfg)
-        self.total_steps += n
-        self.episode_step += 1
         kin = self._kin = physics.fingertip_kinematics(
             self.state.joint_pos, self.state.joint_vel, self.pcfg.hand)
 
         reach_raw = fingertip_to_object(prev_tips, prev_obj_pos, kin.pos, self.state.obj_pos)
-        reach = reach_raw if self.total_steps <= self.cfg.reach_cutoff_steps else np.zeros(n)
+        # the cutoff counts this step's env steps
+        reach = reach_raw if self.total_steps + n <= self.cfg.reach_cutoff_steps else np.zeros(n)
         vel_pen = np.sum(kin.linvel**2, axis=(-1, -2))
         goal_rew = object_goal_reward(
             self.state.obj_pos, self.state.obj_quat, self.goal_pos, self.goal_quat,
@@ -382,7 +435,7 @@ class CubeReposeTask:
             + self.cfg.w_fingertip_vel * vel_pen
             + self.cfg.w_object_goal * goal_rew
         )
-        self.episode_return += reward
+        self._count_step(reward)
 
         pos_err, rot_err = goal_errors(
             self.state.obj_pos, self.state.obj_quat, self.goal_pos, self.goal_quat)
@@ -392,33 +445,17 @@ class CubeReposeTask:
 
         fault = self.state.fault | action_fault
         done = (self.episode_step >= self.cfg.episode_length) | fault
-        if done.any():
-            for i in np.nonzero(done)[0]:
-                self._episode_records.append(
-                    {
-                        "episode": int(self.episode_idx[i]),
-                        "env_id": int(i),
-                        "success": bool(in_goal[i] and not fault[i]),
-                        "success_any": bool(self.success_any[i]),
-                        "final_pos_err": float(pos_err[i]),
-                        "final_rot_err": float(rot_err[i]),
-                        "return": float(self.episode_return[i]),
-                        "fault": bool(fault[i]),
-                    }
-                )
+        self._end_episodes(
+            done, success=in_goal & ~fault, success_any=self.success_any,
+            final_pos_err=pos_err, final_rot_err=rot_err, fault=fault,
+        )
         info = {
             "reward_components": {
                 "fingertip_to_object": reach,
                 "fingertip_velocity_penalty": vel_pen,
                 "object_goal_reward": goal_rew,
             },
-            "success_now": in_goal,
-            "pos_err": pos_err,
-            "rot_err": rot_err,
         }
-
-        if done.any():
-            self._reset_envs(done)
         live_refresh = (~done) & (self.episode_step % self.cfg.camera_repeat == 0)
         if live_refresh.any():
             self._refresh_camera(np.nonzero(live_refresh)[0])
@@ -489,26 +526,18 @@ class CubeReposeTask:
 
     # ------------------------------------------------------------- plumbing
 
-    def drain_episode_records(self) -> list[dict]:
-        out = self._episode_records
-        self._episode_records = []
-        return out
-
     def state_dict(self) -> dict:
+        """Physics state and params as ``state.*`` and ``params.*``, then the
+        task arrays."""
         arrays = {}
         for prefix, obj in (("state", self.state), ("params", self.params)):
             for name, arr in vars(obj).items():
                 arrays[f"{prefix}.{name}"] = arr.copy()
-        for name in self.STATE_FIELDS:
-            arrays[f"task.{name}"] = getattr(self, name).copy()
-        arrays["task.total_steps"] = np.array([self.total_steps], dtype=np.int64)
-        return arrays
+        return {**arrays, **super().state_dict()}
 
-    def load_state_dict(self, arrays: dict) -> None:
+    def load_state_dict(self, arrays: dict) -> dict:
         for prefix, obj in (("state", self.state), ("params", self.params)):
             for name in vars(obj):
                 getattr(obj, name)[:] = arrays[f"{prefix}.{name}"]
-        for name in self.STATE_FIELDS:
-            getattr(self, name)[:] = arrays[f"task.{name}"]
-        self.total_steps = int(arrays["task.total_steps"][0])
         self._kin = None
+        return super().load_state_dict(arrays)

@@ -114,7 +114,9 @@ def evaluate(
 ) -> EvalReport:
     """Run one fixed-length episode in each of ``n_trials`` parallel envs and
     score end-of-episode success, with randomization off unless ``dr`` is
-    given.  A trial that ends in an env fault is a failure in every rate.
+    given.  Each trial is its env's first episode; a trial that ends in an
+    env fault is a failure in every rate, and the episodes its reset starts
+    are not scored.
     No trials give rates and a mean return of 0.0.  The report carries the
     two hashes it is handed: ``config.config_hash`` of the run's resolved
     config and the checkpoint file's."""
@@ -125,7 +127,7 @@ def evaluate(
     for _ in range(tcfg.episode_length):
         act, _ = agent.act(obs["actor"], stochastic=False)
         obs, _, done, _ = env.step(act)
-    records = env.drain_episode_records()
+    records = [r for r in env.drain_episode_records() if r["episode"] == 0]
     records.sort(key=lambda r: r["env_id"])
     if len(records) != n_trials:
         raise RuntimeError(f"expected {n_trials} episode records, got {len(records)}")

@@ -197,7 +197,6 @@ class UpdateStats:
     kl: float
     clip_fraction: float
     entropy: float
-    grad_steps: int
 
 
 class PPOAgent:
@@ -332,7 +331,7 @@ class PPOAgent:
             self.norm_value.update(returns[:, None])
             returns = self.norm_value.normalize(returns[:, None])[:, 0]
 
-        stats = {"policy_loss": 0.0, "value_loss": 0.0, "kl": 0.0, "clip_fraction": 0.0, "entropy": 0.0}
+        sums: dict[str, float] = {}  # UpdateStats field -> sum over minibatch steps
         steps = 0
         for epoch in range(cfg.epochs):
             perm = rng.permutation(
@@ -360,20 +359,10 @@ class PPOAgent:
                 self.opt_policy.step(self.policy.parameters(), p_grads, lr)
                 self.opt_value.step(self.value.parameters(), v_grads, lr)
                 steps += 1
-                stats["policy_loss"] += p_loss
-                stats["value_loss"] += v_loss
-                stats["kl"] += p_stats["kl"]
-                stats["clip_fraction"] += p_stats["clip_fraction"]
-                stats["entropy"] += p_stats["entropy"]
+                for name, value in {"policy_loss": p_loss, "value_loss": v_loss, **p_stats}.items():
+                    sums[name] = sums.get(name, 0.0) + value
         self.iteration += 1
-        return UpdateStats(
-            policy_loss=stats["policy_loss"] / steps,
-            value_loss=stats["value_loss"] / steps,
-            kl=stats["kl"] / steps,
-            clip_fraction=stats["clip_fraction"] / steps,
-            entropy=stats["entropy"] / steps,
-            grad_steps=steps,
-        )
+        return UpdateStats(**{name: total / steps for name, total in sums.items()})
 
     # ----------------------------------------------------------- checkpoints
 

@@ -4,8 +4,8 @@ Minimal torque-controlled arm with no contacts: two links in a plane, a
 per-episode target point, reward = logistic kernel of tip-to-target
 distance.  The best achievable per-step reward is K(0) = 1/(b+2), so the
 oracle episode return is ``episode_length / (b + 2)``; training sanity
-checks compare mean return against that bound.  Shares the vectorized env
-interface (and counter-based determinism) with the cube task.
+checks compare mean return against that bound.  Shares the episode core
+(``env.EpisodicTask``) and counter-based determinism with the cube task.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
+from .env import EpisodicTask
 from .spatial import KernelParams, logistic_kernel
 
 
@@ -38,18 +39,18 @@ class ReachConfig:
         return self.episode_length / (self.kernel.b + 2.0)
 
 
-class ReachTask:
+class ReachTask(EpisodicTask):
     """Vectorized 2-DoF reach with auto-reset.  Observation (12): joint
     angles as cos/sin pairs (4), joint velocities (2), tip xy (2), target
     xy (2), tip-to-target delta (2); the angle encoding keeps the input
     bounded since the joints have no limits."""
 
     # per-env arrays a checkpoint carries
+    STATE_PREFIX = "reach"
     STATE_FIELDS = ("q", "qd", "target", "episode_step", "episode_idx", "episode_return")
 
     def __init__(self, num_envs: int, seed: int = 0, cfg: ReachConfig | None = None):
-        self.num_envs = num_envs
-        self.seed = seed
+        super().__init__(num_envs, seed)
         self.cfg = cfg or ReachConfig()
         self.action_dim = 2
         self.actor_dim = 12
@@ -58,12 +59,6 @@ class ReachTask:
         self.q = np.zeros((n, 2))
         self.qd = np.zeros((n, 2))
         self.target = np.zeros((n, 2))
-        self.episode_step = np.zeros(n, dtype=np.int64)
-        self.episode_idx = np.full(n, -1, dtype=np.int64)
-        self.episode_return = np.zeros(n)
-        self.total_steps = 0
-        self._episode_records: list[dict] = []
-        self._env_ids = np.arange(n)
 
     def tip_position(self, q: np.ndarray) -> np.ndarray:
         c = self.cfg
@@ -75,12 +70,8 @@ class ReachTask:
         self._reset_envs(np.ones(self.num_envs, dtype=bool))
         return self._observations()
 
-    def _reset_envs(self, mask: np.ndarray) -> None:
-        ids = np.nonzero(mask)[0]
-        if len(ids) == 0:
-            return
-        self.episode_idx[ids] += 1
-        key = rng.stream_key(self.seed, ids, self.episode_idx[ids], rng.CH_REACH_TARGET)
+    def _begin_episodes(self, ids: np.ndarray, ep: np.ndarray) -> None:
+        key = rng.stream_key(self.seed, ids, ep, rng.CH_REACH_TARGET)
         u = rng.uniform(key, 4)
         c = self.cfg
         r = c.target_radius_min + (c.target_radius_max - c.target_radius_min) * u[:, 0]
@@ -91,8 +82,6 @@ class ReachTask:
         # which densifies the learning signal of the distance kernel
         self.q[ids] = (u[:, 2:4] - 0.5) * (2.0 * np.pi)
         self.qd[ids] = 0.0
-        self.episode_step[ids] = 0
-        self.episode_return[ids] = 0.0
 
     def step(self, actions: np.ndarray):
         c = self.cfg
@@ -102,30 +91,15 @@ class ReachTask:
         self.qd = self.qd + c.dt * (tau - c.joint_damping * self.qd) / c.joint_inertia
         self.qd = np.clip(self.qd, -c.max_joint_vel, c.max_joint_vel)
         self.q = self.q + c.dt * self.qd
-        self.total_steps += self.num_envs
-        self.episode_step += 1
 
         dist = np.linalg.norm(self.tip_position(self.q) - self.target, axis=-1)
         reward = logistic_kernel(dist, c.kernel)
-        self.episode_return += reward
+        self._count_step(reward)
 
         done = self.episode_step >= c.episode_length
-        if done.any():
-            for i in np.nonzero(done)[0]:
-                self._episode_records.append(
-                    {
-                        "episode": int(self.episode_idx[i]),
-                        "env_id": int(i),
-                        "success": bool(dist[i] < 0.01),
-                        "final_pos_err": float(dist[i]),
-                        "final_rot_err": 0.0,
-                        "return": float(self.episode_return[i]),
-                    }
-                )
-            self._reset_envs(done)
-        obs = self._observations()
-        info = {"dist": dist}
-        return obs, reward, done, info
+        self._end_episodes(done, success=dist < 0.01, final_pos_err=dist,
+                           final_rot_err=np.zeros(self.num_envs))
+        return self._observations(), reward, done, {"dist": dist}
 
     def _observations(self) -> dict:
         tip = self.tip_position(self.q)
@@ -134,18 +108,3 @@ class ReachTask:
             axis=-1,
         )
         return {"actor": obs, "critic": obs}
-
-    def drain_episode_records(self) -> list[dict]:
-        out = self._episode_records
-        self._episode_records = []
-        return out
-
-    def state_dict(self) -> dict:
-        arrays = {f"reach.{k}": getattr(self, k).copy() for k in self.STATE_FIELDS}
-        arrays["reach.total_steps"] = np.array([self.total_steps], dtype=np.int64)
-        return arrays
-
-    def load_state_dict(self, arrays: dict) -> None:
-        for k in self.STATE_FIELDS:
-            getattr(self, k)[:] = arrays[f"reach.{k}"]
-        self.total_steps = int(arrays["reach.total_steps"][0])

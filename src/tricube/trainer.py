@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -90,7 +91,6 @@ class Trainer:
         self.config = config
         self.obs = None
         self._logs = {name: os.path.join(out_dir, name) for name in LOGS} if out_dir else {}
-        self.last_metrics: dict | None = None
 
     def _append(self, name: str, records: list[dict]) -> None:
         if name in self._logs and records:
@@ -182,24 +182,9 @@ class Trainer:
             upd = self.agent.update(batch, lr)
             elapsed = time.perf_counter() - t0
 
-            record = {
-                "iteration": self.agent.iteration,
-                "global_step": self.agent.global_step,
-                "lr": lr,
-                "mean_reward": stats["mean_reward"],
-                "success_rate": stats["success_rate"],
-                "success_any_rate": stats["success_any_rate"],
-                "mean_return": stats["mean_return"],
-                "episodes": stats["episodes"],
-                "reward_components": stats["reward_components"],
-                "policy_loss": upd.policy_loss,
-                "value_loss": upd.value_loss,
-                "kl": upd.kl,
-                "clip_fraction": upd.clip_fraction,
-                "entropy": upd.entropy,
-            }
+            record = {"iteration": self.agent.iteration, "global_step": self.agent.global_step,
+                      "lr": lr, **stats, **asdict(upd)}
             out.append(record)
-            self.last_metrics = record
             self._append("metrics.jsonl", [record])
             self._append("timing.jsonl", [{
                 "iteration": self.agent.iteration,
@@ -233,8 +218,7 @@ class Trainer:
         self.agent.global_step = meta["global_step"]
         env_state = {k[len("env."):]: v for k, v in tensors.items() if k.startswith("env.")}
         if env_state:
-            self.task.load_state_dict(env_state)
-            self.obs = self.task._observations()
+            self.obs = self.task.load_state_dict(env_state)
 
     def truncate_logs(self, log_lines: dict) -> None:
         """Cut each log back to the line count a checkpoint recorded, so a

@@ -118,29 +118,41 @@ def test_evaluate_report_shape_and_reproducibility():
     assert EvalReport(**json.loads(rep1.to_json())).to_json() == rep1.to_json()
 
 
-class NaNOnLastStep:
-    """A deterministic policy that holds still and emits NaN actions on the
-    last step of the episode."""
+class NaNOnSteps:
+    """A deterministic policy that holds still and emits NaN actions for
+    ``envs`` on the given (1-based) ``steps``."""
 
-    def __init__(self, steps):
-        self.steps, self.calls = steps, 0
+    def __init__(self, steps, envs=slice(None)):
+        self.steps, self.envs, self.calls = steps, envs, 0
 
     def act(self, obs, stochastic=False):
         self.calls += 1
         act = np.zeros((len(obs), 9))
-        return (np.full_like(act, np.nan) if self.calls == self.steps else act), None
+        if self.calls in self.steps:
+            act[self.envs] = np.nan
+        return act, None
 
 
 def test_faulted_trials_are_scored_as_failures():
     # thresholds every pose meets: only the fault can fail a trial
     task = short_task(episode_length=5, success_pos_threshold=10.0, success_rot_threshold=4.0)
-    rep = evaluate(NaNOnLastStep(5), 4, eval_seed=0, task=task)
+    rep = evaluate(NaNOnSteps({5}), 4, eval_seed=0, task=task)
     assert (rep.success_rate, rep.pos_success_rate, rep.rot_success_rate,
             rep.success_any_rate) == (0.0, 0.0, 0.0, 0.0)
     assert rep.fault == [True] * 4
     assert threshold_heatmap(rep, [10.0], [4.0]).tolist() == [[0.0]]
-    held = evaluate(NaNOnLastStep(6), 4, eval_seed=0, task=task)
+    held = evaluate(NaNOnSteps({6}), 4, eval_seed=0, task=task)
     assert held.fault == [False] * 4 and held.success_rate == 1.0
+
+
+def test_a_trial_that_faults_twice_is_one_failed_trial():
+    # env 0 faults on steps 2 and 4 of 5: the episode its first fault's
+    # reset starts faults again, and only the first episode is its trial
+    task = short_task(episode_length=5, success_pos_threshold=10.0, success_rot_threshold=4.0)
+    rep = evaluate(NaNOnSteps({2, 4}, envs=[0]), 4, eval_seed=0, task=task)
+    assert rep.n_trials == len(rep.final_pos_err) == 4
+    assert rep.fault == [True, False, False, False]
+    assert rep.success_rate == rep.success_any_rate == 0.75
 
 
 def test_zero_trials_give_a_well_formed_report():

@@ -9,6 +9,8 @@ from tricube.ppo import PPOAgent, PPOConfig, read_checkpoint
 from tricube.reach import ReachConfig, ReachTask
 from tricube.trainer import Trainer, build_trainer
 
+TASKS = ("cube_repose", "reach")
+
 
 def tiny_cfg(**kw):
     base = dict(
@@ -20,14 +22,16 @@ def tiny_cfg(**kw):
     return PPOConfig(**base)
 
 
-def tiny_cube_trainer(seed=0, out_dir=None, total=512, num_envs=8):
-    run = RunConfig(seed=seed, num_envs=num_envs, total_steps=total, checkpoint_interval=0)
-    return build_trainer(EngineConfig(task=TaskConfig(episode_length=12), ppo=tiny_cfg(), run=run),
+def tiny_trainer(seed=0, out_dir=None, total=512, num_envs=8, task="cube_repose"):
+    run = RunConfig(seed=seed, task=task, num_envs=num_envs, total_steps=total,
+                    checkpoint_interval=0)
+    return build_trainer(EngineConfig(task=TaskConfig(episode_length=12),
+                                      reach=ReachConfig(episode_length=10), ppo=tiny_cfg(), run=run),
                          out_dir)
 
 
 def test_rollout_shapes_and_gae_plumbing():
-    tr = tiny_cube_trainer()
+    tr = tiny_trainer()
     batch, stats = tr.collect_rollout()
     n = 128
     assert batch["actor_obs"].shape == (n, 75)
@@ -40,7 +44,7 @@ def test_rollout_shapes_and_gae_plumbing():
 
 
 def test_train_loop_runs_and_counts_steps():
-    tr = tiny_cube_trainer(total=512)
+    tr = tiny_trainer(total=512)
     records = tr.train()
     assert tr.agent.global_step == 512
     assert len(records) == 4  # 512 / 128
@@ -50,25 +54,26 @@ def test_train_loop_runs_and_counts_steps():
 
 
 def test_same_seed_trainers_are_bit_identical():
-    ra = tiny_cube_trainer(seed=3).train()
-    rb = tiny_cube_trainer(seed=3).train()
+    ra = tiny_trainer(seed=3).train()
+    rb = tiny_trainer(seed=3).train()
     assert json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)
-    rc = tiny_cube_trainer(seed=4).train()
+    rc = tiny_trainer(seed=4).train()
     assert json.dumps(ra, sort_keys=True) != json.dumps(rc, sort_keys=True)
 
 
-def test_resume_matches_uninterrupted(tmp_path):
+@pytest.mark.parametrize("task", TASKS)
+def test_resume_matches_uninterrupted(tmp_path, task):
     # uninterrupted run
-    full = tiny_cube_trainer(seed=5, total=768)
+    full = tiny_trainer(seed=5, total=768, task=task)
     full_records = full.train()
 
     # interrupted at 384 steps, checkpointed, resumed in a fresh process-alike
-    part1 = tiny_cube_trainer(seed=5, total=768)
+    part1 = tiny_trainer(seed=5, total=768, task=task)
     part1_records = part1.train(stop_after_steps=384)
     ckpt = str(tmp_path / "mid.tckpt")
     part1.save_checkpoint(ckpt)
 
-    part2 = tiny_cube_trainer(seed=5, total=768)
+    part2 = tiny_trainer(seed=5, total=768, task=task)
     part2.load_checkpoint(*read_checkpoint(ckpt))
     part2_records = part2.train()
 
@@ -92,8 +97,9 @@ def test_batch_size_num_envs_mismatch_rejected():
         Trainer(task, agent, total_steps=100, seed=0)
 
 
-def test_metrics_files_written(tmp_path):
-    tr = tiny_cube_trainer(seed=1, out_dir=str(tmp_path), total=256)
+@pytest.mark.parametrize("task", TASKS)
+def test_metrics_files_written(tmp_path, task):
+    tr = tiny_trainer(seed=1, out_dir=str(tmp_path), total=256, task=task)
     tr.train()
     lines = [json.loads(l) for l in open(tmp_path / "metrics.jsonl")]
     assert len(lines) == 2
@@ -102,5 +108,7 @@ def test_metrics_files_written(tmp_path):
     assert len(timing) == 2 and timing[0]["env_steps_per_sec"] > 0
     assert (tmp_path / "ckpt_final.tckpt").exists()
     episodes = [json.loads(l) for l in open(tmp_path / "episodes.jsonl")]
-    assert episodes and {"episode", "env_id", "success", "final_pos_err",
-                         "final_rot_err", "return"} <= set(episodes[0])
+    cube_only = {"success_any", "fault"} if task == "cube_repose" else set()
+    assert episodes and all(
+        set(e) == {"episode", "env_id", "success", "final_pos_err", "final_rot_err", "return"}
+        | cube_only for e in episodes)
