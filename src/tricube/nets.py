@@ -10,6 +10,16 @@ Bias add and ELU run in place on each fresh matmul output and the ELU
 gradient comes from the activation alone, so the cache keeps only layer
 inputs; these in-place forms give the same bits as the textbook ones.
 
+The elementwise passes over an activation (bias add plus ELU forward, the
+ELU-gradient product backward) run in row blocks of about ``BLOCK_BYTES``.
+Each of them is several ufunc calls, and on a full 16384x512 batch every
+call streams the whole array through memory; a block stays in the core's
+cache across its calls instead, and the gradient product needs only a
+block-sized temporary.  The ufuncs act on each element alone, so the
+blocked passes give the same bits as full-array ones; an activation of one
+block or less is one iteration of the same calls.  The weight and bias
+gradients reduce over rows and stay full-batch.
+
 Initialization is orthogonal (QR of a keyed Gaussian draw) with gain
 sqrt(2) for hidden layers; output layers take an explicit ``final_gain``
 (small for the policy head so early torques stay near zero).
@@ -36,6 +46,32 @@ def elu_grad(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     out = np.minimum(a, 0.0, out=out)
     out += 1.0
     return out
+
+
+BLOCK_BYTES = 1 << 20
+
+
+def _block_rows(a: np.ndarray) -> int:
+    return max(1, BLOCK_BYTES // (a.shape[1] * a.itemsize))
+
+
+def bias_elu_(h: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """h = elu(h + b) in place, one row block at a time."""
+    rows = _block_rows(h)
+    for start in range(0, h.shape[0], rows):
+        x = h[start : start + rows]
+        x += b
+        elu(x, out=x)
+    return h
+
+
+def mul_elu_grad_(delta: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """delta *= elu_grad(a) in place, one row block at a time."""
+    rows = _block_rows(delta)
+    for start in range(0, delta.shape[0], rows):
+        d = delta[start : start + rows]
+        d *= elu_grad(a[start : start + rows])
+    return delta
 
 
 def orthogonal_init(shape: tuple, key: np.ndarray, gain: float, dtype) -> np.ndarray:
@@ -93,9 +129,10 @@ class MLP:
         for li, (w, b) in enumerate(zip(self.weights, self.biases)):
             cache.append(h)
             h = h @ w.T  # a fresh buffer, so everything below may run in place
-            h += b
             if li < self.n_layers - 1:
-                elu(h, out=h)
+                bias_elu_(h, b)
+            else:
+                h += b
         return h, cache
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -114,7 +151,7 @@ class MLP:
             if li > 0:
                 # h is the previous layer's activation; delta is fresh from the matmul
                 delta = delta @ self.weights[li]
-                delta *= elu_grad(h)
+                mul_elu_grad_(delta, h)
         return grads
 
 

@@ -57,6 +57,9 @@ class PPOConfig:
     normalize_value: bool = True  # running value-target normalization
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "minibatch_size"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.batch_size % self.minibatch_size != 0:
             raise ValueError(
                 f"minibatch size {self.minibatch_size} must divide batch size {self.batch_size}"

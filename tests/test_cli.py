@@ -254,6 +254,15 @@ def test_negative_trials_is_a_config_error(outroot):
     assert run_cli("ablate", "--out", "ab", *TINY, "--set", "harness.ablation_total_steps=0") == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("key, value", [
+    ("epochs", "0"), ("epochs", "-1"), ("batch_size", "0"), ("batch_size", "-128"),
+    ("minibatch_size", "0"), ("minibatch_size", "-4"),
+])
+def test_non_positive_ppo_sizes_are_config_errors(outroot, capsys, key, value):
+    assert run_cli("train", *TINY, "--set", f"ppo.{key}={value}", "--dry-run") == EXIT_CONFIG
+    assert f"ppo: {key} must be positive" in capsys.readouterr().err
+
+
 def test_checkpoints_without_a_stored_config_are_refused(outroot, monkeypatch, capsys):
     from tricube import ppo
 

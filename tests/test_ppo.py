@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from tricube import nets
 from tricube import ppo as ppo_mod
 from tricube import rng
 from tricube.nets import MLP, Adam, elu, elu_grad
@@ -453,18 +455,18 @@ def same_bytes(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_mlp_in_place_matches_reference_bytes(dtype):
-    net = MLP([6, 16, 16, 3], seed_words=(9, 1), dtype=dtype)
+def check_mlp_matches_reference(sizes, n_rows, dtype):
+    net = MLP(sizes, seed_words=(9, 1), dtype=dtype)
     for li, b in enumerate(net.biases):
         b[:] = 0.1 * rng.normal(rng.stream_key(40, li, 0, 78), b.size)
-    x = 3.0 * rng.normal(rng.stream_key(41, np.arange(32), 0, 78), 6)
+    x = 3.0 * rng.normal(rng.stream_key(41, np.arange(n_rows), 0, 78), sizes[0])
     x[0] = 0.0  # exact zeros reach the first ELU as z == bias
     x[1, :3] = 0.0
     x[2] = -1e4  # large negatives saturate ELU at -1
     x[3, 3:] = -50.0
+    x[-1] = -1e4  # and in the last row, the ragged block when run in blocks
     net.biases[0][:4] = 0.0  # and some z are exactly zero
-    dout = rng.normal(rng.stream_key(42, np.arange(32), 0, 78), 3)
+    dout = rng.normal(rng.stream_key(42, np.arange(n_rows), 0, 78), sizes[-1])
     x_before, dout_before = x.copy(), dout.copy()
     dout_in = dout.astype(dtype)  # already contiguous in the net dtype: no copy on entry
 
@@ -480,7 +482,41 @@ def test_mlp_in_place_matches_reference_bytes(dtype):
     assert same_bytes(dout_in, dout_before.astype(dtype))
 
 
-def test_update_with_reference_mlp_gives_identical_parameters(monkeypatch):
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mlp_in_place_matches_reference_bytes(dtype):
+    check_mlp_matches_reference([6, 16, 16, 3], 32, dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_blocked_mlp_matches_reference_bytes(dtype, monkeypatch):
+    # 7-row blocks of the 37-wide layer (16 rows of the 16-wide one): 50 rows
+    # end in a ragged block, and neither width is a multiple of a SIMD width
+    monkeypatch.setattr(nets, "BLOCK_BYTES", 7 * 37 * np.dtype(dtype).itemsize)
+    assert nets._block_rows(np.empty((50, 37), dtype)) == 7
+    check_mlp_matches_reference([6, 37, 16, 3], 50, dtype)
+
+
+def test_elementwise_passes_allocate_at_most_a_block():
+    """The blocked passes never make a full-batch temporary: on an 8 MiB
+    activation the traced peak stays within two blocks."""
+    h = rng.normal(rng.stream_key(48, np.arange(4096), 0, 78), 512).astype(np.float32)
+    b = np.full(512, 0.1, dtype=np.float32)
+    delta = np.ones_like(h)
+    for run_pass in (lambda: nets.bias_elu_(h, b), lambda: nets.mul_elu_grad_(delta, h)):
+        tracemalloc.start()
+        try:
+            run_pass()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < peak <= 2 * nets.BLOCK_BYTES
+
+
+@pytest.mark.parametrize("block_bytes", [nets.BLOCK_BYTES, 5 * 16 * 4], ids=["default", "5-row"])
+def test_update_with_reference_mlp_gives_identical_parameters(block_bytes, monkeypatch):
+    # 5-row: the 16-wide layers take the 32-row minibatches in ragged 5-row blocks
+    monkeypatch.setattr(nets, "BLOCK_BYTES", block_bytes)
+
     def run(forward, backward):
         monkeypatch.setattr(MLP, "forward", forward)
         monkeypatch.setattr(MLP, "backward", backward)
