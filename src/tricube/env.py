@@ -70,6 +70,8 @@ class TaskConfig:
             raise ValueError("episode_length must be > 0")
         if self.success_pos_threshold <= 0 or self.success_rot_threshold <= 0:
             raise ValueError("success thresholds must be > 0")
+        if self.camera_repeat < 1:
+            raise ValueError(f"camera_repeat must be positive, got {self.camera_repeat}")
         for v in (self.obs_variant, self.reward_variant):
             if v not in OBS_VARIANTS:
                 raise ValueError(f"unknown variant {v!r}, expected one of {OBS_VARIANTS}")
@@ -158,11 +160,16 @@ def object_goal_reward(
     goal_quat: np.ndarray,
     cfg: TaskConfig,
     local_keypoints: np.ndarray,
+    goal_keypoints: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Pose-tracking reward (unweighted), per-env."""
+    """Pose-tracking reward (unweighted), per-env.  ``goal_keypoints``, if
+    given, is ``transform_keypoints(goal_pos, goal_quat, local_keypoints)``
+    computed once per episode."""
     if cfg.reward_variant == "keypoints":
         kp_cur = spatial.transform_keypoints(obj_pos, obj_quat, local_keypoints)
-        kp_goal = spatial.transform_keypoints(goal_pos, goal_quat, local_keypoints)
+        kp_goal = goal_keypoints
+        if kp_goal is None:
+            kp_goal = spatial.transform_keypoints(goal_pos, goal_quat, local_keypoints)
         dist = np.linalg.norm(kp_cur - kp_goal, axis=-1)
         return spatial.logistic_kernel(dist, cfg.kernel_keypoints).sum(axis=-1)
     pos_err = np.linalg.norm(obj_pos - goal_pos, axis=-1)
@@ -319,6 +326,8 @@ class CubeReposeTask(EpisodicTask):
         self.filtered_cube_quat = np.tile(spatial.QUAT_IDENTITY, (n, 1))
         self.success_any = np.zeros(n, dtype=bool)
         self.goal_block = np.zeros((n, pose_block_width(self.cfg.obs_variant)))
+        # the reward's goal corners, a function of goal_pos and goal_quat
+        self.goal_keypoints = self._goal_keypoints()
         self._kin = None  # fingertip kinematics cache for the current state
 
     # ------------------------------------------------------------- resets
@@ -356,6 +365,7 @@ class CubeReposeTask(EpisodicTask):
         gp, gq = sample_goals(self.seed, ids, ep, self.cfg, z_min)
         self.goal_pos[ids] = gp
         self.goal_quat[ids] = gq
+        self.goal_keypoints[ids] = spatial.transform_keypoints(gp, gq, self.local_keypoints)
         self.goal_block[ids] = self._pose_blocks(gp, gq)
 
         self.last_action_torque[ids] = 0.0
@@ -428,7 +438,7 @@ class CubeReposeTask(EpisodicTask):
         vel_pen = np.sum(kin.linvel**2, axis=(-1, -2))
         goal_rew = object_goal_reward(
             self.state.obj_pos, self.state.obj_quat, self.goal_pos, self.goal_quat,
-            self.cfg, self.local_keypoints,
+            self.cfg, self.local_keypoints, self.goal_keypoints,
         )
         reward = (
             self.cfg.w_fingertip_reach * reach
@@ -463,6 +473,9 @@ class CubeReposeTask(EpisodicTask):
         return self._observations(), reward, done, info
 
     # --------------------------------------------------------- observations
+
+    def _goal_keypoints(self) -> np.ndarray:
+        return spatial.transform_keypoints(self.goal_pos, self.goal_quat, self.local_keypoints)
 
     def _pose_blocks(self, pos: np.ndarray, quat: np.ndarray) -> np.ndarray:
         if self.cfg.obs_variant == "keypoints":
@@ -540,4 +553,6 @@ class CubeReposeTask(EpisodicTask):
             for name in vars(obj):
                 getattr(obj, name)[:] = arrays[f"{prefix}.{name}"]
         self._kin = None
-        return super().load_state_dict(arrays)
+        obs = super().load_state_dict(arrays)
+        self.goal_keypoints = self._goal_keypoints()
+        return obs

@@ -13,14 +13,21 @@ batch is bit-identical to stepping each env alone.  The only randomness is
 the external-force schedule, which draws from counter-based streams keyed
 by (seed, env_id, step).
 
-Inside the step, vectors are per axis: x, y and z are separate (N, 3)
-arrays over fingertips, (N, 8) over box corners, or (N, 1) for the object,
-in place of stacked (N, 3, 3, 3) temporaries and 3-wide reductions.  This
+Inside the step, vectors are per axis: x, y and z are separate (3, N)
+arrays over fingertips, (8, N) over box corners, or (N,) for the object, in
+place of stacked (N, 3, 3, 3) temporaries and 3-wide reductions.  Per-env
+constants are (N,) and the joints (9, N).  The env axis is last and
+contiguous, so every numpy operation runs one inner loop over the batch;
+env-first (N, 3) or (N, 8) arrays broadcast against (N, 1) columns would
+run inner loops 3 or 8 elements long.  Only the inside is env-last:
+``SimState`` and ``FingertipKin``'s stacked arrays are (N, ...) in C
+order, the order the task's multi-axis sums add in.  The per-axis form
 gives the stacked form's bits because every sum keeps numpy's order: a
 3-wide sum is ((0 + a0) + a1) + a2, numpy's reduction from +0.0 (an all
 -0.0 sum gives +0.0); the 8 box corners are added one after another, where
-``sum(axis=-1)`` would add them as a tree; and each accumulation into a zero
-total (forces, torques, wrenches) stays a ``0 + x`` or ``0 - x``.
+a sum along a contiguous corner axis would add them as a tree; and each
+accumulation into a zero total (forces, torques, wrenches) stays a
+``0 + x`` or ``0 - x``.
 """
 
 from __future__ import annotations
@@ -117,6 +124,12 @@ class PhysicsConfig:
     max_obj_angvel: float = 12.0
     # invented plumbing: velocity-proportional reduction of commanded torque
     safety_damping_coef: float = 0.1
+
+    def __post_init__(self):
+        if not self.dt > 0:
+            raise ValueError(f"dt must be positive, got {self.dt}")
+        if self.n_substeps < 1:
+            raise ValueError(f"n_substeps must be positive, got {self.n_substeps}")
 
 
 @dataclass
@@ -259,10 +272,7 @@ def _sub(a, b) -> tuple:
     return tuple(p - q for p, q in zip(a, b))
 
 
-def _cross(a, b) -> tuple:
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+_cross = spatial.cross_parts
 
 
 def _dot(a, b):
@@ -285,17 +295,19 @@ def _rot_t(r, v) -> tuple:
     return tuple(r[0][i] * v[0] + r[1][i] * v[1] + r[2][i] * v[2] for i in range(3))
 
 
-def _columns(a: np.ndarray) -> tuple:
-    return tuple(a[:, i : i + 1] for i in range(a.shape[1]))
+def _rows(a: np.ndarray) -> tuple:
+    """The k contiguous (N,) rows of an (N, k) array's transpose."""
+    return tuple(np.ascontiguousarray(a.T))
 
 
-def _column_sum(a: np.ndarray) -> np.ndarray:
-    """Sum (N, 1) over the fingers or corners of an (N, k) array, one column
-    after another from +0.0: numpy's order for the middle axis of an
-    (N, k, 3) array.  ``a.sum(axis=1)`` would add 8 corners as a tree."""
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """Sum (N,) over the fingers or corners of a (k, N) array, one row after
+    another from +0.0: numpy's order for the middle axis of an (N, k, 3)
+    array.  ``a.sum(axis=0)`` keeps that order only for N > 1: at N = 1 it
+    would add 8 corners as a tree."""
     total = 0.0
-    for col in _columns(a):
-        total = total + col
+    for row in a:
+        total = total + row
     return total
 
 
@@ -305,8 +317,9 @@ def _column_sum(a: np.ndarray) -> np.ndarray:
 @dataclass
 class FingertipKin:
     """World-frame fingertip kinematics plus the joint frames needed for
-    contact Jacobians.  Vectors are per axis: (N, 3) arrays over the
-    fingers, except the constant mount and roll axis, (3,) per axis."""
+    contact Jacobians.  Vectors are per axis: (3, N) arrays, finger by env,
+    except the constant mount and roll axis, (3, 1) per axis.  The
+    properties stack them into the (N, 3, 3) arrays the task reads."""
 
     tip: tuple  # tip sphere centers
     tip_vel: tuple
@@ -317,9 +330,14 @@ class FingertipKin:
     roll_axis: tuple  # world axis of joint 0
 
     # stacked (N, 3, 3) arrays, [env, finger, xyz]
-    pos = property(lambda self: np.stack(self.tip, axis=-1))
-    linvel = property(lambda self: np.stack(self.tip_vel, axis=-1))
-    angvel = property(lambda self: np.stack(self.tip_angvel, axis=-1))
+    pos = property(lambda self: _stack_fingers(self.tip))
+    linvel = property(lambda self: _stack_fingers(self.tip_vel))
+    angvel = property(lambda self: _stack_fingers(self.tip_angvel))
+
+
+def _stack_fingers(v: tuple) -> np.ndarray:
+    # C order: the task's multi-axis sums add in memory order
+    return np.ascontiguousarray(np.stack(v, axis=-1).swapaxes(0, 1))
 
 
 def _mount_angles() -> np.ndarray:
@@ -333,16 +351,18 @@ def fingertip_kinematics(
 
     Joint 0 rolls about the finger's inward horizontal axis; joints 1 and 2
     flex about the shared lateral axis, so their world axes coincide.
+    ``joint_pos`` and ``joint_vel`` are (N, 9); ``step`` passes transposed
+    views of its joint-major (9, N) arrays, which are used without a copy.
     """
-    if joint_vel is None:
-        joint_vel = np.zeros_like(joint_pos)
-    q0, q1, q2 = (joint_pos[:, j::3] for j in range(3))  # (N, 3) over fingers
-    qd = [joint_vel[:, j::3] for j in range(3)]
+    q = np.ascontiguousarray(joint_pos.T)
+    qd = np.zeros_like(q) if joint_vel is None else np.ascontiguousarray(joint_vel.T)
+    q0, q1, q2 = (q[j::3] for j in range(3))  # (3, N), finger by env
+    qd = [qd[j::3] for j in range(3)]
     l1, l2 = hand.link1_len, hand.link2_len
 
-    phis = _mount_angles()
+    phis = _mount_angles()[:, None]
     mount = (hand.mount_radius * np.cos(phis), hand.mount_radius * np.sin(phis),
-             np.full(N_FINGERS, hand.mount_height))
+             np.full((N_FINGERS, 1), hand.mount_height))
     # finger frame yaw: local +x points from the mount toward the center
     psis = phis + np.pi
     cpsi, spsi = np.cos(psis), np.sin(psis)
@@ -427,7 +447,7 @@ def _point_in_box_normal(d: tuple, h: tuple):
 
 
 def _joint_torques(kin: FingertipKin, point: tuple, force: tuple) -> np.ndarray:
-    """Torques (N, 9) on the finger joints of fingertip forces applied at
+    """Torques (9, N) on the finger joints of fingertip forces applied at
     ``point``: a_k . ((point - o_k) x force) for each joint k."""
     at_mount = _cross(_sub(point, kin.mount), force)
     tau = (
@@ -435,7 +455,7 @@ def _joint_torques(kin: FingertipKin, point: tuple, force: tuple) -> np.ndarray:
         _dot(kin.flex_axis, at_mount),
         _dot(kin.flex_axis, _cross(_sub(point, kin.elbow), force)),
     )
-    return np.stack(tau, axis=-1).reshape(-1, N_JOINTS)
+    return np.stack(tau, axis=1).reshape(N_JOINTS, -1)
 
 
 def _limit_speed(v: tuple, v_max: float) -> tuple:
@@ -468,40 +488,40 @@ def step(state: SimState, torques: np.ndarray, params: EnvParams, cfg: PhysicsCo
     torques = np.clip(torques, -hand.max_torque, hand.max_torque)
     tip_r = hand.fingertip_radius
 
-    # per-env constants are (N, 1) columns, which broadcast against the
-    # (N, 3) fingers and the (N, 8) corners.  Mass-proportional contact
-    # constants keep the stiff-spring stability limit and the resting
-    # penetration independent of mass randomization
+    # the env axis is last: per-env values are (N,), and they broadcast
+    # against the (3, N) fingers, the (8, N) corners and the (9, N) joints.
+    # Mass-proportional contact constants keep the stiff-spring stability
+    # limit and the resting penetration independent of mass randomization
     scale_fac = params.mass_factor if cfg.contact.mass_scaled else np.ones(n)
-    k_obj = (cfg.contact.stiffness * scale_fac)[:, None]
-    c_obj = (cfg.contact.damping * scale_fac)[:, None]
+    k_obj = cfg.contact.stiffness * scale_fac
+    c_obj = cfg.contact.damping * scale_fac
     eps_v = cfg.contact.friction_smoothing_vel
-    mu_obj = (cfg.object.friction * params.object_friction_factor)[:, None]
-    mu_table = (cfg.contact.table_friction * params.table_friction_factor)[:, None]
+    mu_obj = cfg.object.friction * params.object_friction_factor
+    mu_table = cfg.contact.table_friction * params.table_friction_factor
 
-    m = object_mass(cfg, params)[:, None]
-    inertia_b = _columns(object_inertia_body(cfg, params))
-    half = _columns(object_half_extents(cfg, params))
-    ext = _columns(params.ext_force)
+    m = object_mass(cfg, params)
+    inertia_b = _rows(object_inertia_body(cfg, params))
+    half = _rows(object_half_extents(cfg, params))
+    ext = _rows(params.ext_force)
     is_sphere = cfg.object.kind == "sphere"
-    if is_sphere:
-        radius = (cfg.object.radius * params.scale)[:, None]
-    else:  # (N, 8) corner offsets in the body frame
-        corners_b = tuple(spatial._CORNER_SIGNS[:, i] * half[i] for i in range(3))
+    if is_sphere:  # (1, N): one contact point
+        radius = (cfg.object.radius * params.scale)[None]
+    else:  # (8, N) corner offsets in the body frame
+        corners_b = tuple(spatial._CORNER_SIGNS[:, i, None] * half[i] for i in range(3))
 
-    q, qd = out.joint_pos, out.joint_vel
-    x, quat, v, w = map(_columns, (out.obj_pos, out.obj_quat, out.obj_linvel, out.obj_angvel))
-    inertia_j = np.tile(np.asarray(hand.joint_inertia), N_FINGERS)  # (9,)
+    q, qd, tau_cmd = (np.ascontiguousarray(a.T) for a in (out.joint_pos, out.joint_vel, torques))
+    x, quat, v, w = map(_rows, (out.obj_pos, out.obj_quat, out.obj_linvel, out.obj_angvel))
+    inertia_j = np.tile(np.asarray(hand.joint_inertia), N_FINGERS)[:, None]  # (9, 1)
 
-    wrench_acc = np.zeros((n, N_FINGERS, 6))
+    wrench_acc = np.zeros((6, N_FINGERS, n))
 
     def add_wrench(force, torque):
         for i in range(3):
-            wrench_acc[..., i] += force[i]
-            wrench_acc[..., 3 + i] += torque[i]
+            wrench_acc[i] += force[i]
+            wrench_acc[3 + i] += torque[i]
 
     for _ in range(cfg.n_substeps):
-        kin = fingertip_kinematics(q, qd, hand)
+        kin = fingertip_kinematics(q.T, qd.T, hand)
         tips = kin.tip
         rot = spatial.quat_to_mat_parts(quat)
 
@@ -519,7 +539,7 @@ def step(state: SimState, torques: np.ndarray, params: EnvParams, cfg: PhysicsCo
             surf_local = tuple(c * radius for c in n_local)
         else:
             surf_local, n_local, separation = _point_in_box_normal(d_local, half)
-        pen = tip_r - separation  # (N, 3)
+        pen = tip_r - separation  # (3, N)
         active = pen > 0.0
         if active.any():
             normal = _rot(rot, n_local)  # cube -> tip
@@ -530,8 +550,8 @@ def step(state: SimState, torques: np.ndarray, params: EnvParams, cfg: PhysicsCo
             fn = np.where(active, np.maximum(0.0, k_obj * pen - c_obj * v_n), 0.0)
             vt = tuple(c - v_n * nc for c, nc in zip(v_rel, normal))
             f_tip = _add(tuple(fn * nc for nc in normal), _tanh_friction(vt, fn, mu_obj, eps_v))
-            obj_force = _sub(obj_force, map(_column_sum, f_tip))
-            obj_torque = _sub(obj_torque, map(_column_sum, _cross(lever, f_tip)))
+            obj_force = _sub(obj_force, map(_row_sum, f_tip))
+            obj_torque = _sub(obj_torque, map(_row_sum, _cross(lever, f_tip)))
             # map to finger joints through the contact-point Jacobian
             joint_tau_contact = joint_tau_contact + _joint_torques(kin, p_c, f_tip)
             add_wrench(f_tip, _cross(arm, f_tip))
@@ -563,11 +583,11 @@ def step(state: SimState, torques: np.ndarray, params: EnvParams, cfg: PhysicsCo
             fn_o = np.where(active_o, np.maximum(0.0, k_obj * pen_o - c_obj * v_pt[2]), 0.0)
             fric = _tanh_friction((v_pt[0], v_pt[1], 0.0), fn_o, mu_table, eps_v)
             f_o = (0.0 + fric[0], 0.0 + fric[1], fn_o + fric[2])
-            obj_force = _add(obj_force, map(_column_sum, f_o))
-            obj_torque = _add(obj_torque, map(_column_sum, _cross(r_pts, f_o)))
+            obj_force = _add(obj_force, map(_row_sum, f_o))
+            obj_torque = _add(obj_torque, map(_row_sum, _cross(r_pts, f_o)))
 
         # ---- integrate joints (diagonal inertia, semi-implicit Euler)
-        tau = torques - hand.joint_damping * qd + joint_tau_contact
+        tau = tau_cmd - hand.joint_damping * qd + joint_tau_contact
         qd = qd + dt_sub * tau / inertia_j
         qd = np.clip(qd, -hand.max_joint_vel, hand.max_joint_vel)
         q = q + dt_sub * qd
@@ -593,11 +613,12 @@ def step(state: SimState, torques: np.ndarray, params: EnvParams, cfg: PhysicsCo
         x = tuple(c + dt_sub * d for c, d in zip(x, v))
         quat = spatial.quat_integrate_parts(quat, w, dt_sub)
 
-    out.joint_pos, out.joint_vel, out.joint_torque = q, qd, torques
+    out.joint_pos, out.joint_vel = np.ascontiguousarray(q.T), np.ascontiguousarray(qd.T)
+    out.joint_torque = torques
     out.obj_pos, out.obj_quat, out.obj_linvel, out.obj_angvel = (
-        np.concatenate(c, axis=1) for c in (x, quat, v, w)
+        np.stack(c, axis=1) for c in (x, quat, v, w)
     )
-    out.fingertip_wrench = wrench_acc / cfg.n_substeps
+    out.fingertip_wrench = np.ascontiguousarray(wrench_acc.T) / cfg.n_substeps
     out.step_count = state.step_count + 1
     return out
 

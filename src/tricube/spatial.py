@@ -92,12 +92,23 @@ def quat_mul(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     return np.stack(quat_mul_parts(_parts(q1), _parts(q2)), axis=-1)
 
 
+def cross_parts(a: tuple, b: tuple) -> tuple:
+    """a x b, by the formula ``np.cross`` uses."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
+def quat_rotate_parts(q: tuple, v: tuple) -> tuple:
+    """Rotate v by q: v + w t + qv x t, with t = 2 qv x v."""
+    qv, w = q[:3], q[3]
+    t = tuple(2.0 * c for c in cross_parts(qv, v))
+    return tuple(c + w * tc + u for c, tc, u in zip(v, t, cross_parts(qv, t)))
+
+
 def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rotate vectors v (..., 3) by quaternions q (..., 4)."""
-    qv = q[..., :3]
-    w = q[..., 3:4]
-    t = 2.0 * np.cross(qv, v)
-    return v + w * t + np.cross(qv, t)
+    return np.stack(quat_rotate_parts(_parts(q), _parts(v)), axis=-1)
 
 
 def quat_to_mat_parts(q: tuple) -> tuple:
@@ -199,10 +210,16 @@ def transform_keypoints(pos: np.ndarray, quat: np.ndarray, local: np.ndarray) ->
     """World-frame keypoints: R(quat) @ local + pos.
 
     ``pos`` (..., 3), ``quat`` (..., 4), ``local`` (8, 3) or (..., 8, 3).
-    The quaternion is normalized defensively.
+    The quaternion is normalized defensively.  The corners are computed as
+    (8, ...) arrays per axis, so the batch axes, not the 8 corners, make the
+    inner loop of each operation.
     """
-    quat = quat_normalize(quat)
-    return quat_rotate(quat[..., None, :], local) + np.asarray(pos)[..., None, :]
+    pos, quat, local = (np.asarray(a, dtype=np.float64) for a in (pos, quat, local))
+    batch = np.broadcast_shapes(pos.shape[:-1], quat.shape[:-1], local.shape[:-2])
+    corners = _parts(np.moveaxis(np.broadcast_to(local, batch + local.shape[-2:]), -2, 0))
+    q = quat_normalize_parts(_parts(quat))
+    kps = tuple(c + p for c, p in zip(quat_rotate_parts(q, corners), _parts(pos)))
+    return np.ascontiguousarray(np.moveaxis(np.stack(kps, axis=-1), 0, -2))
 
 
 def keypoints_to_flat(kps: np.ndarray) -> np.ndarray:

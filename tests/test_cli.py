@@ -263,6 +263,16 @@ def test_non_positive_ppo_sizes_are_config_errors(outroot, capsys, key, value):
     assert f"ppo: {key} must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("physics.dt", "0"), ("physics.dt", "-0.02"), ("physics.n_substeps", "0"),
+    ("physics.n_substeps", "-1"), ("task.camera_repeat", "0"), ("task.camera_repeat", "-5"),
+])
+def test_non_positive_step_settings_are_config_errors(outroot, capsys, key, value):
+    assert run_cli("train", *TINY, "--set", f"{key}={value}", "--dry-run") == EXIT_CONFIG
+    section, name = key.split(".")
+    assert f"{section}: {name} must be positive" in capsys.readouterr().err
+
+
 def test_checkpoints_without_a_stored_config_are_refused(outroot, monkeypatch, capsys):
     from tricube import ppo
 

@@ -490,6 +490,42 @@ def test_state_dict_round_trip_resumes_exactly():
         assert np.array_equal(r, cont_obs[k][1])
 
 
+def test_goal_keypoints_follow_the_goal_pose(monkeypatch):
+    uncached = env_mod.object_goal_reward
+    calls = []
+
+    def checked(obj_pos, obj_quat, goal_pos, goal_quat, cfg, local, goal_keypoints):
+        got = uncached(obj_pos, obj_quat, goal_pos, goal_quat, cfg, local, goal_keypoints)
+        assert got.tobytes() == uncached(obj_pos, obj_quat, goal_pos, goal_quat, cfg, local).tobytes()
+        calls.append(len(got))
+        return got
+
+    def assert_cached(t):
+        want = spatial.transform_keypoints(t.goal_pos, t.goal_quat, t.local_keypoints)
+        assert t.goal_keypoints.shape == want.shape
+        assert t.goal_keypoints.tobytes() == want.tobytes()
+
+    monkeypatch.setattr(env_mod, "object_goal_reward", checked)
+    a = make_task(8, seed=6, dr_enabled=True, episode_length=5)
+    a.reset_all()
+    assert_cached(a)
+    for i in range(12):  # auto-resets after steps 5 and 10; env 3 faults at step 8 instead
+        act = rng.uniform(rng.stream_key(23, np.arange(8), i, 66), 9, -1, 1)
+        if i == 7:
+            act[3, 0] = np.nan
+        a.step(act)
+        assert_cached(a)
+    assert a.episode_idx.tolist() == [2] * 8
+    assert a.episode_step.tolist() == [2, 2, 2, 4, 2, 2, 2, 2]
+
+    b = make_task(8, seed=6, dr_enabled=True, episode_length=5)
+    b.load_state_dict(a.state_dict())
+    assert_cached(b)
+    act = rng.uniform(rng.stream_key(23, np.arange(8), 12, 66), 9, -1, 1)
+    assert np.array_equal(a.step(act)[1], b.step(act)[1])
+    assert calls == [8] * 14
+
+
 def test_nan_action_faults_and_recovers():
     t = make_task(4, episode_length=50)
     t.reset_all()

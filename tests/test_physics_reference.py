@@ -452,13 +452,21 @@ def step(
 
 # ------------------------------------------------------------------ tests
 
-N = 24
+# the env axis is the step's innermost loop: batch sizes of one env, the
+# original 24, and an odd size that has both vector bodies and tails
+SIZES = (1, 24, 1031)
 BRANCHES = {"tip-object", "tip-table", "object-table"}
 
 
 def same_bytes(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def same_layout(a) -> bool:
+    """C order, as the stacked step returned: the task's multi-axis sums
+    add in memory order, so another layout changes their bits."""
+    return a.flags.c_contiguous
 
 
 def configs() -> dict:
@@ -473,51 +481,57 @@ def configs() -> dict:
     }
 
 
-def start(cfg: PhysicsConfig, randomized: bool) -> tuple[SimState, EnvParams]:
-    ids = np.arange(N)
+def start(cfg: PhysicsConfig, randomized: bool, n: int) -> tuple[SimState, EnvParams]:
+    ids = np.arange(n)
     if randomized:
         params = domrand.sample_episode_randomization(
-            11, ids, np.zeros(N, dtype=np.int64), domrand.DRConfig()
+            11, ids, np.zeros(n, dtype=np.int64), domrand.DRConfig()
         )
     else:
-        params = EnvParams.nominal(N)
-    state = make_rest_state(N, cfg, params)
+        params = EnvParams.nominal(n)
+    state = make_rest_state(n, cfg, params)
+    # every 4th env from env k % n: below 4 envs the cases share env 0
     state.joint_pos[0::4, 0:3] = [0.0, 0.645, -1.271]  # finger 0 into the object's +x side
-    state.joint_pos[1::4, 3:6] = [0.0, 0.3, -0.3]  # finger 1 into the table
-    state.obj_pos[2::4, 2] += 0.03  # dropped
-    state.obj_quat[3::4] = spatial.quat_from_axis_angle(np.array([1.0, 1.0, 0.0]), 0.4)
+    state.joint_pos[1 % n::4, 3:6] = [0.0, 0.3, -0.3]  # finger 1 into the table
+    state.obj_pos[2 % n::4, 2] += 0.03  # dropped
+    state.obj_quat[3 % n::4] = spatial.quat_from_axis_angle(np.array([1.0, 1.0, 0.0]), 0.4)
     return state, params
 
 
-@pytest.mark.parametrize("name", sorted(configs()))
-def test_step_matches_reference_bytes(name):
+@pytest.mark.parametrize("name, n", [  # N=24 keeps the bare config name
+    pytest.param(name, n, id=name if n == 24 else f"{name}-{n}")
+    for name in sorted(configs()) for n in SIZES
+])
+def test_step_matches_reference_bytes(name, n):
     cfg, randomized = configs()[name]
-    state, params = start(cfg, randomized)
+    state, params = start(cfg, randomized, n)
+    bad_env = 3 % n
     ref = state.copy()
     seen = set()
     for t in range(32):
-        torques = rng.uniform(rng.stream_key(5, np.arange(N), t, 77), 9, low=-0.36, high=0.36)
+        torques = rng.uniform(rng.stream_key(5, np.arange(n), t, 77), 9, low=-0.36, high=0.36)
         torques[::5] = 0.0  # rows at rest keep their signed zeros
         if t == 6:
-            torques[3, 4] = np.nan
+            torques[bad_env, 4] = np.nan
         physics.apply_external_force(state, params, cfg, physics.ExternalForceConfig(), seed=3)
         state = physics.step(state, torques, params, cfg)
         ref = step(ref, torques, params, cfg, seen)
         for field in vars(ref):
             assert same_bytes(getattr(state, field), getattr(ref, field)), (t, field)
+            assert same_layout(getattr(state, field)), (t, field)
         if t == 6:
-            assert state.fault[3] and state.fault.sum() == 1
+            assert state.fault[bad_env] and state.fault.sum() == 1
         kin = physics.fingertip_kinematics(state.joint_pos, state.joint_vel, cfg.hand)
         want = fingertip_kinematics(ref.joint_pos, ref.joint_vel, cfg.hand)
         for field in ("pos", "linvel", "angvel"):
             assert same_bytes(getattr(kin, field), getattr(want, field)), (t, field)
+            assert same_layout(getattr(kin, field)), (t, field)
         assert same_bytes(physics.fingertip_quat(state.joint_pos), want.quat), t
     assert seen == BRANCHES
 
 
-def test_kinematics_match_reference_bytes():
+def test_kinematics_match_reference_bytes(n=64):
     hand = HandModel()
-    n = 64
     q = rng.uniform(rng.stream_key(4, np.arange(n), 0, 78), 9, low=-2.7, high=1.57)
     qd = rng.normal(rng.stream_key(4, np.arange(n), 1, 78), 9)
     q[::4, 3:6] = [0.0, 0.0, -0.0]
@@ -528,4 +542,10 @@ def test_kinematics_match_reference_bytes():
         want = fingertip_kinematics(q, vel, hand)
         for field in ("pos", "linvel", "angvel"):
             assert same_bytes(getattr(kin, field), getattr(want, field)), field
+            assert same_layout(getattr(kin, field)), field
     assert same_bytes(physics.fingertip_quat(q), want.quat)
+
+
+@pytest.mark.parametrize("n", (1, 1031))
+def test_kinematics_match_reference_bytes_at_size(n):
+    test_kinematics_match_reference_bytes(n)

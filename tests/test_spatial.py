@@ -249,6 +249,31 @@ def test_quat_rotate_matches_matrix():
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+def cross_formula_rotate(q, v):
+    """quat_rotate as it was written on ``np.cross``."""
+    t = 2.0 * np.cross(q[..., :3], v)
+    return v + q[..., 3:4] * t + np.cross(q[..., :3], t)
+
+
+def test_quat_rotate_keeps_the_cross_formula_bits():
+    q = random_unit_quats(257, seed=53)
+    q[::7, :2] = 0.0
+    q[1::7, 2] = -0.0
+    v = rng.normal(rng.stream_key(53, np.arange(257), 7, 98), 3)
+    v[::5, 0] = -0.0
+    pos = rng.normal(rng.stream_key(53, np.arange(257), 8, 98), 3)
+    local = spatial.box_local_keypoints((0.03, 0.04, 0.05))
+    for qq in (q, -q):
+        pairs = [
+            (spatial.quat_rotate(qq, v), cross_formula_rotate(qq, v)),
+            (spatial.quat_rotate(qq[:, None, :], local), cross_formula_rotate(qq[:, None, :], local)),
+            (spatial.transform_keypoints(pos, qq, local),
+             cross_formula_rotate(spatial.quat_normalize(qq)[:, None, :], local) + pos[:, None, :]),
+        ]
+        for got, want in pairs:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_quat_normalize():
     q = spatial.quat_normalize(np.array([3.0, 0.0, 0.0, 4.0]))
     assert abs(np.linalg.norm(q) - 1.0) < 1e-12
