@@ -19,7 +19,7 @@ observation path runs the sign filter to stay temporally consistent, the
 keypoint path does not need it.  The critic always reads the true
 simulator state.
 
-Reward is ``w_fo * reach * 1(total steps <= cutoff) + w_fv * vel_penalty +
+Reward is ``w_fo * reach * 1(batch steps <= cutoff) + w_fv * vel_penalty +
 w_og * goal_reward`` where ``goal_reward`` is either the sum over the 8
 corners of the logistic kernel of keypoint distance, or the
 position-kernel-plus-inverse-angle form; components are reported raw so
@@ -51,7 +51,7 @@ class TaskConfig:
     w_object_goal: float = 40.0
     kernel_keypoints: KernelParams = field(default_factory=lambda: KernelParams(a=30.0, b=2.0))
     kernel_pos: KernelParams = field(default_factory=lambda: KernelParams(a=50.0, b=2.0))
-    reach_cutoff_steps: float = 5e7  # aggregate env steps
+    reach_cutoff_steps: float = 5e7  # aggregate env steps of one batch
     obs_variant: str = "keypoints"
     reward_variant: str = "keypoints"
     goal_radius: float = 0.15
@@ -215,14 +215,21 @@ class EpisodicTask:
     records with auto-reset, and the checkpoint arrays ``STATE_FIELDS``
     (plus ``total_steps``) under ``STATE_PREFIX``.
 
+    The batch holds envs ``env_offset`` to ``env_offset + num_envs - 1``
+    of a larger one: ``_env_ids`` maps a local index to its global env id,
+    which keys every random stream and names each record's ``env_id``, so
+    two shards at offsets 0 and k step the envs of one batch bit for bit.
+    The aggregate ``total_steps`` counts this batch's steps only.
+
     A task defines ``_begin_episodes(ids, ep)``, the draws that start
-    episode ``ep`` of envs ``ids``, and ``_observations()``.
+    episode ``ep`` of the envs at local indices ``ids``, and
+    ``_observations()``.
     """
 
     STATE_PREFIX = "task"
     STATE_FIELDS: tuple = ()
 
-    def __init__(self, num_envs: int, seed: int):
+    def __init__(self, num_envs: int, seed: int, env_offset: int = 0):
         self.num_envs = num_envs
         self.seed = seed
         self.episode_step = np.zeros(num_envs, dtype=np.int64)
@@ -230,7 +237,7 @@ class EpisodicTask:
         self.episode_return = np.zeros(num_envs)
         self.total_steps = 0  # aggregate env steps
         self._episode_records: list[dict] = []
-        self._env_ids = np.arange(num_envs)
+        self._env_ids = np.arange(env_offset, env_offset + num_envs)
 
     def _reset_envs(self, mask: np.ndarray) -> None:
         ids = np.nonzero(mask)[0]
@@ -251,7 +258,7 @@ class EpisodicTask:
         A record holds ``episode``, ``env_id`` and ``return``, plus the
         task's per-env end ``columns``."""
         for i in np.nonzero(done)[0]:
-            record = {"episode": int(self.episode_idx[i]), "env_id": int(i),
+            record = {"episode": int(self.episode_idx[i]), "env_id": int(self._env_ids[i]),
                       "return": float(self.episode_return[i])}
             record.update((name, col[i].item()) for name, col in columns.items())
             self._episode_records.append(record)
@@ -282,9 +289,9 @@ class CubeReposeTask(EpisodicTask):
     """Vectorized environment batch with auto-reset.
 
     All randomness is drawn from counter-based streams keyed by the run
-    seed, env index, and either the per-env episode index (resets, episode
-    randomization) or the per-env step counter (per-step noise), so replays
-    and partitioned batches are bit-identical.
+    seed, the global env id, and either the per-env episode index (resets,
+    episode randomization) or the per-env step counter (per-step noise), so
+    replays and partitioned batches (see ``EpisodicTask``) are bit-identical.
     """
 
     # per-env task arrays a checkpoint carries besides physics state and params
@@ -301,8 +308,9 @@ class CubeReposeTask(EpisodicTask):
         task: TaskConfig | None = None,
         phys: PhysicsConfig | None = None,
         dr: DRConfig | None = None,
+        env_offset: int = 0,
     ):
-        super().__init__(num_envs, seed)
+        super().__init__(num_envs, seed, env_offset)
         self.cfg = task or TaskConfig()
         self.pcfg = phys or PhysicsConfig()
         self.dr = dr or DRConfig()
@@ -337,12 +345,13 @@ class CubeReposeTask(EpisodicTask):
         return self._observations()
 
     def _begin_episodes(self, ids: np.ndarray, ep: np.ndarray) -> None:
-        new_params = domrand.sample_episode_randomization(self.seed, ids, ep, self.dr)
+        gids = self._env_ids[ids]
+        new_params = domrand.sample_episode_randomization(self.seed, gids, ep, self.dr)
         for name in vars(self.params):
             getattr(self.params, name)[ids] = getattr(new_params, name)
 
         rest = physics.make_rest_state(len(ids), self.pcfg, new_params)
-        key = rng.stream_key(self.seed, ids, ep, rng.CH_RESET_CUBE)
+        key = rng.stream_key(self.seed, gids, ep, rng.CH_RESET_CUBE)
         u = rng.uniform(key, 3)
         r = self.cfg.spawn_disc_radius * np.sqrt(u[:, 0])
         theta = 2.0 * np.pi * u[:, 1]
@@ -351,7 +360,7 @@ class CubeReposeTask(EpisodicTask):
         yaw = 2.0 * np.pi * u[:, 2]
         rest.obj_quat[:] = spatial.quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), yaw)
 
-        key_j = rng.stream_key(self.seed, ids, ep, rng.CH_RESET_JOINTS)
+        key_j = rng.stream_key(self.seed, gids, ep, rng.CH_RESET_JOINTS)
         jitter = rng.normal(key_j, N_JOINTS) * self.cfg.joint_reset_noise
         rest.joint_pos[:] = np.clip(
             rest.joint_pos + jitter, self.pcfg.hand.joint_lower, self.pcfg.hand.joint_upper
@@ -362,11 +371,7 @@ class CubeReposeTask(EpisodicTask):
             getattr(self.state, name)[ids] = getattr(rest, name)
 
         z_min = physics.object_half_extents(self.pcfg, self.params)[ids, 2]
-        gp, gq = sample_goals(self.seed, ids, ep, self.cfg, z_min)
-        self.goal_pos[ids] = gp
-        self.goal_quat[ids] = gq
-        self.goal_keypoints[ids] = spatial.transform_keypoints(gp, gq, self.local_keypoints)
-        self.goal_block[ids] = self._pose_blocks(gp, gq)
+        self.set_goals(ids, *sample_goals(self.seed, gids, ep, self.cfg, z_min))
 
         self.last_action_torque[ids] = 0.0
         self.success_any[ids] = False
@@ -375,13 +380,24 @@ class CubeReposeTask(EpisodicTask):
         # first frame of an episode: the filter has no history, take it raw
         self.filtered_cube_quat[ids] = self.held_cube_quat[ids]
 
+    def set_goals(self, ids, pos: np.ndarray, quat: np.ndarray) -> None:
+        """Pin the goal of envs ``ids`` (local indices, or a mask) to
+        ``pos``/``quat``, with the goal observation and the reward's goal
+        corners that derive from it."""
+        self.goal_pos[ids] = pos
+        self.goal_quat[ids] = quat
+        self.goal_keypoints[ids] = spatial.transform_keypoints(
+            self.goal_pos[ids], self.goal_quat[ids], self.local_keypoints)
+        self.goal_block[ids] = self._pose_blocks(self.goal_pos[ids], self.goal_quat[ids])
+
     # ------------------------------------------------------------- camera
 
     def _refresh_camera(self, ids: np.ndarray) -> None:
         pos = self.state.obj_pos[ids]
         quat = self.state.obj_quat[ids]
+        gids = self._env_ids[ids]
         if self.dr.enabled:
-            key = rng.stream_key(self.seed, ids, self.state.step_count[ids], rng.CH_OBS_NOISE)
+            key = rng.stream_key(self.seed, gids, self.state.step_count[ids], rng.CH_OBS_NOISE)
             pos = domrand.apply_observation_noise(
                 pos, self.dr.cube_position, self.params.cube_pos_offset[ids], key
             )
@@ -389,12 +405,12 @@ class CubeReposeTask(EpisodicTask):
                 quat,
                 self.dr.cube_orientation,
                 self.params.cube_rot_offset[ids],
-                rng.stream_key(self.seed, ids, self.state.step_count[ids], rng.CH_OBS_NOISE_CUBE_ROT),
+                rng.stream_key(self.seed, gids, self.state.step_count[ids], rng.CH_OBS_NOISE_CUBE_ROT),
             )
         if self.cfg.camera_sign_flips:
             # the tracker solves each frame from scratch: its sign is arbitrary
             key_s = rng.stream_key(
-                self.seed, ids, self.state.step_count[ids], rng.CH_CAMERA_SIGN
+                self.seed, gids, self.state.step_count[ids], rng.CH_CAMERA_SIGN
             )
             flip = rng.uniform(key_s, 1)[:, 0] < 0.5
             quat = np.where(flip[:, None], -quat, quat)
@@ -425,7 +441,8 @@ class CubeReposeTask(EpisodicTask):
             )
             if self.dr.external_force_enabled:
                 physics.apply_external_force(
-                    self.state, self.params, self.pcfg, self.dr.external_force, self.seed
+                    self.state, self.params, self.pcfg, self.dr.external_force, self.seed,
+                    self._env_ids,
                 )
 
         self.state = physics.step(self.state, torque_applied, self.params, self.pcfg)

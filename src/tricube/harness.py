@@ -2,23 +2,39 @@
 threshold heatmaps, position/orientation breakdowns, and zero-shot object
 transfer.
 
-Every evaluation runs N single-episode trials in a batch of N envs with a
-fixed evaluation seed.  Because resets and noise draw from counter-based
-streams keyed by (seed, env_id, episode), two policies evaluated with the
-same seed face identical goals, spawns, and randomizations: ablation arms
-are paired by construction.  The protocols take the resolved
-``EngineConfig`` and read the trial count, evaluation seed, task and
-physics from it; every one runs with randomization off.  Reports carry the
-config hash, checkpoint hash, seed, and trial count, and re-running a
-report spec reproduces it byte for byte.
+Every evaluation runs N single-episode trials, one per env id 0 to N-1,
+with a fixed evaluation seed.  Because resets and noise draw from
+counter-based streams keyed by (seed, env_id, episode), two policies
+evaluated with the same seed face identical goals, spawns, and
+randomizations: ablation arms are paired by construction.
+
+``evaluate`` splits the trials into contiguous shards, one per core this
+process may run on (``os.sched_getaffinity``; restrict it with ``taskset``),
+and steps each shard's envs in a forked process at one BLAS thread; the
+calling process steps the first shard itself.  Env ids are global and the
+policy's inference runs in fixed-size row blocks (``nets.INFER_ROWS``), so
+each trial's bits do not depend on the shard it ran in: every report is
+byte-equal for any shard count.  The shard count is no part of the run's
+config or identity.
+
+The protocols take the resolved ``EngineConfig`` and read the trial count,
+evaluation seed, task and physics from it; every one runs with
+randomization off.  Reports carry the config hash, checkpoint hash, seed,
+and trial count, and re-running a report spec reproduces it byte for byte.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import ctypes
+import functools
 import hashlib
 import json
 import math
+import os
+import pickle
+import signal
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -27,6 +43,7 @@ from . import config as config_mod
 from .config import TRANSFER_OBJECTS
 from .domrand import DRConfig
 from .env import CubeReposeTask, TaskConfig, check_success
+from .nets import INFER_ROWS
 from .physics import PhysicsConfig
 from .ppo import PPOAgent
 from .trainer import build_trainer
@@ -102,6 +119,136 @@ def success_breakdown(
     )
 
 
+def shard_bounds(n_trials: int, n_shards: int) -> list[tuple[int, int]]:
+    """Contiguous ``(lo, hi)`` trial ranges of at most ``n_shards`` shards,
+    each at least one ``INFER_ROWS`` block, with bounds on block multiples."""
+    blocks = -(-n_trials // INFER_ROWS)
+    n_shards = max(1, min(n_shards, blocks))
+    edges = [min(INFER_ROWS * (blocks * i // n_shards), n_trials) for i in range(n_shards + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+@functools.cache
+def _openblas_thread_controls():
+    """OpenBLAS's (get, set) thread-count functions as numpy loaded them,
+    or None under another BLAS."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    lib = ctypes.CDLL(umath.__file__)  # its symbols resolve through its BLAS
+    for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+        get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+        set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+        if get and set_:  # int openblas_get_num_threads(void); void ..._set_...(int)
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body at one OpenBLAS thread, then restore the count."""
+    get, set_ = _openblas_thread_controls()
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+def usable_shards() -> int:
+    """One shard per core this process may run on, where it can fork and
+    can hold each shard's BLAS to one thread (so the shards never run more
+    threads than cores); else 1."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    if _openblas_thread_controls() is None:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _fork_shard(run, lo: int, hi: int) -> tuple[int, int]:
+    """Fork a child that sends back the pickled ``(True, run(lo, hi))``, or
+    ``(False, exception)``; returns its pid and the pipe's read end."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child never returns into the caller's frames
+        code = 1
+        try:
+            os.close(r)
+            try:
+                payload = pickle.dumps((True, run(lo, hi)))
+            except BaseException as err:  # sent to the parent, raised there
+                try:
+                    payload = pickle.dumps((False, err))
+                except Exception:  # an exception that does not pickle
+                    payload = pickle.dumps((False, RuntimeError(f"{type(err).__name__}: {err}")))
+            with os.fdopen(w, "wb") as f:
+                f.write(payload)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, r
+
+
+def run_sharded(run, bounds: list[tuple[int, int]]) -> list:
+    """``run(lo, hi)`` of each shard, in shard order: the first shard in
+    this process, every other one in a forked child.  A shard's exception
+    is raised here.  On every path each child is waited for (and killed if
+    its result is no longer wanted) before this returns.
+
+    Forking, not spawning: a child starts from this process's memory (the
+    agent and modules, nothing pickled in or imported again), and the only
+    threads here are OpenBLAS's, whose own fork handler stops them before
+    the fork."""
+    children: dict[int, int] = {}  # pid -> read end of its pipe
+    try:
+        for lo, hi in bounds[1:]:
+            pid, r = _fork_shard(run, lo, hi)
+            children[pid] = r
+        results = [run(*bounds[0])]
+        for pid in list(children):
+            with os.fdopen(children[pid], "rb") as f:
+                children[pid] = None
+                data = f.read()
+            os.waitpid(pid, 0)
+            del children[pid]
+            ok, value = pickle.loads(data) if data else (
+                False, RuntimeError(f"evaluation shard process {pid} ended without a result"))
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pid, r in children.items():
+            if r is not None:
+                os.close(r)
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):  # already reaped
+                pass
+
+
+def episode_records(agent: PPOAgent, lo: int, hi: int, eval_seed: int, task: TaskConfig,
+                    phys: PhysicsConfig | None, dr: DRConfig) -> list[dict]:
+    """The first-episode records of trials ``lo`` to ``hi - 1``, by env id."""
+    env = CubeReposeTask(hi - lo, seed=eval_seed, task=task, phys=phys, dr=dr, env_offset=lo)
+    obs = env.reset_all()
+    for _ in range(task.episode_length):
+        act, _ = agent.act(obs["actor"], stochastic=False)
+        obs, _, done, _ = env.step(act)
+    records = [r for r in env.drain_episode_records() if r["episode"] == 0]
+    records.sort(key=lambda r: r["env_id"])
+    if len(records) != hi - lo:
+        raise RuntimeError(f"expected {hi - lo} episode records, got {len(records)}")
+    return records
+
+
 def evaluate(
     agent: PPOAgent,
     n_trials: int,
@@ -112,25 +259,28 @@ def evaluate(
     checkpoint_hash: str = "",
     config_hash: str = "",
 ) -> EvalReport:
-    """Run one fixed-length episode in each of ``n_trials`` parallel envs and
-    score end-of-episode success, with randomization off unless ``dr`` is
-    given.  Each trial is its env's first episode; a trial that ends in an
-    env fault is a failure in every rate, and the episodes its reset starts
-    are not scored.
+    """Run one fixed-length episode in each of ``n_trials`` envs and score
+    end-of-episode success, with randomization off unless ``dr`` is given.
+    Each trial is its env's first episode; a trial that ends in an env
+    fault is a failure in every rate, and the episodes its reset starts are
+    not scored.
+    The trials run in shards, one per usable core (see the module
+    docstring); the report is the same for any shard count.
     No trials give rates and a mean return of 0.0.  The report carries the
     two hashes it is handed: ``config.config_hash`` of the run's resolved
     config and the checkpoint file's."""
     tcfg = copy.deepcopy(task) if task else TaskConfig()
-    env = CubeReposeTask(n_trials, seed=eval_seed, task=tcfg, phys=phys,
-                         dr=dr or DRConfig(enabled=False))
-    obs = env.reset_all()
-    for _ in range(tcfg.episode_length):
-        act, _ = agent.act(obs["actor"], stochastic=False)
-        obs, _, done, _ = env.step(act)
-    records = [r for r in env.drain_episode_records() if r["episode"] == 0]
-    records.sort(key=lambda r: r["env_id"])
-    if len(records) != n_trials:
-        raise RuntimeError(f"expected {n_trials} episode records, got {len(records)}")
+    dr = dr or DRConfig(enabled=False)
+    n_shards = usable_shards()
+    if n_trials * tcfg.episode_length > tcfg.reach_cutoff_steps:
+        # the reach cutoff would fall inside the evaluation; it counts the
+        # steps of one batch, so only one batch reproduces it
+        n_shards = 1
+    bounds = shard_bounds(n_trials, n_shards)
+    with one_blas_thread() if len(bounds) > 1 else contextlib.nullcontext():
+        shards = run_sharded(
+            lambda lo, hi: episode_records(agent, lo, hi, eval_seed, tcfg, phys, dr), bounds)
+    records = [r for shard in shards for r in shard]
     pos_err = np.array([r["final_pos_err"] for r in records])
     rot_err = np.array([r["final_rot_err"] for r in records])
     fault = np.array([r["fault"] for r in records], dtype=bool)

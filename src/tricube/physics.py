@@ -11,7 +11,8 @@ cases, not against any reference engine.
 Everything is float64 and elementwise over the env axis, so stepping a
 batch is bit-identical to stepping each env alone.  The only randomness is
 the external-force schedule, which draws from counter-based streams keyed
-by (seed, env_id, step).
+by (seed, global env_id, step), so a shard of a batch draws the same
+forces as the whole batch.
 
 Inside the step, vectors are per axis: x, y and z are separate (3, N)
 arrays over fingertips, (8, N) over box corners, or (N,) for the object, in
@@ -624,17 +625,20 @@ def step(state: SimState, torques: np.ndarray, params: EnvParams, cfg: PhysicsCo
 
 
 def apply_external_force(
-    state: SimState, params: EnvParams, cfg: PhysicsConfig, fcfg: ExternalForceConfig, seed: int
+    state: SimState, params: EnvParams, cfg: PhysicsConfig, fcfg: ExternalForceConfig, seed: int,
+    env_ids: np.ndarray | None = None,
 ) -> None:
     """Update the per-env external force state for the coming step.
 
-    Draws are keyed by (seed, env_id, step_count), so the schedule is
-    deterministic and independent of batch partitioning.
+    Draws are keyed by (seed, env_id, step_count) with the batch's global
+    ``env_ids`` (default: envs 0 to N-1), so the schedule is deterministic
+    and independent of batch partitioning.
     """
-    n = state.n_envs
     if fcfg.prob <= 0.0:
         return
-    key = rng.stream_key(seed, np.arange(n), state.step_count, rng.CH_EXT_FORCE)
+    if env_ids is None:
+        env_ids = np.arange(state.n_envs)
+    key = rng.stream_key(seed, env_ids, state.step_count, rng.CH_EXT_FORCE)
     u = rng.uniform(key, 1)[:, 0]
     fresh = rng.normal(key, 3) * (fcfg.scale * object_mass(cfg, params) * cfg.gravity)[:, None]
     start = u < fcfg.prob

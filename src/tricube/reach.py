@@ -49,8 +49,9 @@ class ReachTask(EpisodicTask):
     STATE_PREFIX = "reach"
     STATE_FIELDS = ("q", "qd", "target", "episode_step", "episode_idx", "episode_return")
 
-    def __init__(self, num_envs: int, seed: int = 0, cfg: ReachConfig | None = None):
-        super().__init__(num_envs, seed)
+    def __init__(self, num_envs: int, seed: int = 0, cfg: ReachConfig | None = None,
+                 env_offset: int = 0):
+        super().__init__(num_envs, seed, env_offset)
         self.cfg = cfg or ReachConfig()
         self.action_dim = 2
         self.actor_dim = 12
@@ -71,7 +72,7 @@ class ReachTask(EpisodicTask):
         return self._observations()
 
     def _begin_episodes(self, ids: np.ndarray, ep: np.ndarray) -> None:
-        key = rng.stream_key(self.seed, ids, ep, rng.CH_REACH_TARGET)
+        key = rng.stream_key(self.seed, self._env_ids[ids], ep, rng.CH_REACH_TARGET)
         u = rng.uniform(key, 4)
         c = self.cfg
         r = c.target_radius_min + (c.target_radius_max - c.target_radius_min) * u[:, 0]

@@ -2,10 +2,12 @@
 
 Every random draw in the engine is a pure function of a tuple of integer
 words, typically ``(seed, env_id, step_or_episode, channel)``.  There is no
-mutable generator state: stepping 4096 environments in one batch and
-stepping each alone consume exactly the same numbers, partitioning a batch
-across workers cannot reorder draws, and resuming a run from a checkpoint
-needs only the integer counters that are already part of the run state.
+mutable generator state.  ``env_id`` is an env's global id (a shard of a
+batch keys its envs by their ids in the whole batch, see
+``env.EpisodicTask``), so stepping 4096 environments in one batch, in
+shards, or each alone consumes exactly the same numbers, and resuming a run
+from a checkpoint needs only the integer counters that are already part of
+the run state.
 
 The construction is a SplitMix64-style keyed hash: the key words are
 absorbed one at a time through the 64-bit finalizer, and the k-th output of

@@ -446,10 +446,20 @@ def test_success_when_goal_at_spawn():
     # pin the goal to the cube's resting pose: the do-nothing policy succeeds
     t = make_task(2, episode_length=5, spawn_disc_radius=1e-9, goal_yaw_only=True)
     t.reset_all()
-    t.goal_pos[:] = t.state.obj_pos
-    t.goal_quat[:] = t.state.obj_quat
+    goal_pos, goal_quat = t.state.obj_pos.copy(), t.state.obj_quat.copy()
+    t.set_goals(np.arange(2), goal_pos, goal_quat)
+    lo, hi = actor_layout(t.cfg.obs_variant)["goal_pose"]
+    want_block = t._pose_blocks(goal_pos, goal_quat)
     for _ in range(5):
+        obs_before = t._observations()
+        assert np.array_equal(obs_before["actor"][:, lo:hi], want_block)
         _, _, done, info = t.step(np.zeros((2, 9)))
+        if not done.any():  # the state is still this episode's
+            want = env_mod.object_goal_reward(t.state.obj_pos, t.state.obj_quat, goal_pos,
+                                              goal_quat, t.cfg, t.local_keypoints)
+            assert np.array_equal(info["reward_components"]["object_goal_reward"], want)
+        # the cube rests at the pinned goal: every corner near the kernel's peak 1/4
+        assert np.all(info["reward_components"]["object_goal_reward"] > 1.9)
     assert done.all()
     recs = t.drain_episode_records()
     assert all(r["success"] for r in recs)
