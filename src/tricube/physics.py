@@ -29,6 +29,21 @@ gives the stacked form's bits because every sum keeps numpy's order: a
 a sum along a contiguous corner axis would add them as a tree; and each
 accumulation into a zero total (forces, torques, wrenches) stays a
 ``0 + x`` or ``0 - x``.
+
+Contact work follows the pairs that can touch, not the batch.  A broad
+phase keeps the (fingertip, env) pairs with |tip - x| < tip_r + R + 1 mm,
+where R bounds the scaled object (the norm of a box's half extents, a
+sphere's radius): the separation is at least |tip - x| - R, and the 1 mm
+covers the rounding of the rotated offset.  Only those pairs, gathered in
+finger-major order, run the narrow phase and the force terms; the table
+terms run only on the tips below the table and, after the corner heights,
+on the box corners below it.  The result is scattered back with
+``np.add.at``, which adds in pair order from +0.0, so each per-env sum adds
+its fingers or corners in the dense order.  The bits are the dense
+computation's: a skipped pair added an exact +0.0 or -0.0 to a sum that
+starts from +0.0 and so is never -0.0, which leaves it unchanged; its joint
+torque was +0.0 (``_dot`` starts from +0.0); and adding it to the wrench
+total left that unchanged too.
 """
 
 from __future__ import annotations
@@ -41,6 +56,18 @@ from . import rng, spatial
 
 N_FINGERS = 3
 N_JOINTS = 9  # 3 per finger
+
+
+def _require(obj, positive: tuple = (), non_negative: tuple = ()) -> None:
+    """Raise ValueError naming the first field of ``obj`` out of its range;
+    a tuple field is checked by its least entry."""
+    for name in positive + non_negative:
+        value = getattr(obj, name)
+        least = np.min(value)
+        if name in positive and not least > 0:
+            raise ValueError(f"{name} must be positive, got {value}")
+        if not least >= 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
 
 
 @dataclass
@@ -70,6 +97,9 @@ class HandModel:
     joint_inertia: tuple = (0.012, 0.012, 0.002)
     home_config: tuple = (0.0, 1.1, -2.0)
 
+    def __post_init__(self):
+        _require(self, positive=("fingertip_radius",))
+
     def home_joint_positions(self) -> np.ndarray:
         return np.tile(np.asarray(self.home_config, dtype=np.float64), N_FINGERS)
 
@@ -88,6 +118,9 @@ class ObjectParams:
     def __post_init__(self):
         if self.kind not in ("box", "sphere"):
             raise ValueError(f"unsupported object kind: {self.kind!r}")
+        if len(self.half_extents) != 3:
+            raise ValueError(f"half_extents must hold 3 lengths, got {self.half_extents}")
+        _require(self, positive=("half_extents", "radius", "mass"), non_negative=("friction",))
 
     def box_half_extents(self) -> np.ndarray:
         """Half extents (3,) of the object's box: a sphere's is (r, r, r)."""
@@ -112,6 +145,10 @@ class ContactParams:
     table_friction: float = 0.5
     mass_scaled: bool = True
 
+    def __post_init__(self):
+        _require(self, positive=("stiffness", "friction_smoothing_vel"),
+                 non_negative=("damping", "table_friction"))
+
 
 @dataclass
 class PhysicsConfig:
@@ -127,10 +164,7 @@ class PhysicsConfig:
     safety_damping_coef: float = 0.1
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.n_substeps < 1:
-            raise ValueError(f"n_substeps must be positive, got {self.n_substeps}")
+        _require(self, positive=("dt", "n_substeps"))
 
 
 @dataclass
@@ -301,17 +335,6 @@ def _rows(a: np.ndarray) -> tuple:
     return tuple(np.ascontiguousarray(a.T))
 
 
-def _row_sum(a: np.ndarray) -> np.ndarray:
-    """Sum (N,) over the fingers or corners of a (k, N) array, one row after
-    another from +0.0: numpy's order for the middle axis of an (N, k, 3)
-    array.  ``a.sum(axis=0)`` keeps that order only for N > 1: at N = 1 it
-    would add 8 corners as a tree."""
-    total = 0.0
-    for row in a:
-        total = total + row
-    return total
-
-
 # ------------------------------------------------------------------ kinematics
 
 
@@ -341,8 +364,20 @@ def _stack_fingers(v: tuple) -> np.ndarray:
     return np.ascontiguousarray(np.stack(v, axis=-1).swapaxes(0, 1))
 
 
-def _mount_angles() -> np.ndarray:
-    return np.arange(N_FINGERS) * (2.0 * np.pi / N_FINGERS)
+def _constant(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+# the finger frames' fixed angles, per finger: phi is the mount's azimuth
+# and psi = phi + pi the frame's yaw (local +x points from the mount toward
+# the center).  Computed once here; (3, 1) columns broadcast over envs
+_PHI = np.arange(N_FINGERS)[:, None] * (2.0 * np.pi / N_FINGERS)
+_COS_PHI, _SIN_PHI = _constant(np.cos(_PHI)), _constant(np.sin(_PHI))
+_PSI = _PHI + np.pi
+_COS_PSI, _SIN_PSI = _constant(np.cos(_PSI)), _constant(np.sin(_PSI))
+_SIN_HALF_PSI = _constant(np.sin(_PSI[:, 0] / 2.0))
+_COS_HALF_PSI = _constant(np.cos(_PSI[:, 0] / 2.0))
 
 
 def fingertip_kinematics(
@@ -361,12 +396,9 @@ def fingertip_kinematics(
     qd = [qd[j::3] for j in range(3)]
     l1, l2 = hand.link1_len, hand.link2_len
 
-    phis = _mount_angles()[:, None]
-    mount = (hand.mount_radius * np.cos(phis), hand.mount_radius * np.sin(phis),
+    mount = (hand.mount_radius * _COS_PHI, hand.mount_radius * _SIN_PHI,
              np.full((N_FINGERS, 1), hand.mount_height))
-    # finger frame yaw: local +x points from the mount toward the center
-    psis = phis + np.pi
-    cpsi, spsi = np.cos(psis), np.sin(psis)
+    cpsi, spsi = _COS_PSI, _SIN_PSI
 
     c0, s0 = np.cos(q0), np.sin(q0)
     s1, c1 = np.sin(q1), np.cos(q1)
@@ -374,8 +406,9 @@ def fingertip_kinematics(
     s12, c12 = np.sin(q12), np.cos(q12)
 
     # positions in the finger frame (x inward, y lateral, z up)
-    elbow_local = (-l1 * s1, s0 * (l1 * c1), -c0 * (l1 * c1))
-    tip_local = _add(elbow_local, (-l2 * s12, s0 * (l2 * c12), -c0 * (l2 * c12)))
+    r1, r2 = l1 * c1, l2 * c12
+    elbow_local = (-l1 * s1, s0 * r1, -c0 * r1)
+    tip_local = _add(elbow_local, (-l2 * s12, s0 * r2, -c0 * r2))
 
     def to_world(v):  # rotate finger frame -> world by Rz(psi), add mount
         return (cpsi * v[0] - spsi * v[1] + mount[0], spsi * v[0] + cpsi * v[1] + mount[1],
@@ -396,10 +429,9 @@ def fingertip_kinematics(
 def fingertip_quat(joint_pos: np.ndarray) -> np.ndarray:
     """Fingertip orientations (N, 3, 4), xyzw: Rz(psi) * Rx(q0) * Ry(q1 + q2)
     per finger, psi being the finger frame's yaw."""
-    psis = _mount_angles() + np.pi
     q0 = joint_pos[:, 0::3]
     q12 = joint_pos[:, 1::3] + joint_pos[:, 2::3]
-    qz = (0.0, 0.0, np.sin(psis / 2.0), np.cos(psis / 2.0))
+    qz = (0.0, 0.0, _SIN_HALF_PSI, _COS_HALF_PSI)
     qx = (np.sin(q0 / 2.0), 0.0, 0.0, np.cos(q0 / 2.0))
     qy = (0.0, np.sin(q12 / 2.0), 0.0, np.cos(q12 / 2.0))
     return np.stack(spatial.quat_mul_parts(qz, spatial.quat_mul_parts(qx, qy)), axis=-1)
@@ -421,42 +453,70 @@ def _tanh_friction(vt: tuple, fn: np.ndarray, mu, eps: float) -> tuple:
 def _point_in_box_normal(d: tuple, h: tuple):
     """Closest surface point and outward normal for points near an AABB.
 
-    ``d`` point in box frame, ``h`` half extents.  Returns (surface_point,
-    normal, separation) where separation is the signed distance from surface
-    to the point (negative when inside).
+    ``d`` point in box frame, ``h`` half extents, each a (K,) array per
+    axis.  Returns (surface_point, normal, separation) where separation is
+    the signed distance from surface to the point (negative when inside).
+    The push-out of the points inside the box runs on those points only.
     """
-    clamped = tuple(np.clip(c, -e, e) for c, e in zip(d, h))
-    diff = _sub(d, clamped)
-    dist = _norm(diff)
-    outside = dist > 1e-12
-    safe = np.where(outside, dist, 1.0)
+    surface = tuple(np.clip(c, -e, e) for c, e in zip(d, h))
+    diff = _sub(d, surface)
+    separation = _norm(diff)
+    outside = separation > 1e-12
+    safe = np.where(outside, separation, 1.0)
+    normal = tuple(c / safe for c in diff)
 
-    # inside: push out along the axis with the least face distance, the
-    # first of equal ones as argmin picks
-    g0, g1, g2 = (e - np.abs(c) for c, e in zip(d, h))  # >= 0 when inside
-    pick0 = (g0 <= g1) & (g0 <= g2)
-    pick1 = ~pick0 & (g1 <= g2)
-    gap_min = np.where(pick0, g0, np.where(pick1, g1, g2))
-    sign = np.sign(np.where(pick0, d[0], np.where(pick1, d[1], d[2])))
-    sign = np.where(sign == 0.0, 1.0, sign)
-    n_in = tuple(np.where(p, sign, 0.0) for p in (pick0, pick1, ~(pick0 | pick1)))
-
-    normal = tuple(np.where(outside, c / safe, i) for c, i in zip(diff, n_in))
-    surface = tuple(np.where(outside, cl, c + i * gap_min) for cl, c, i in zip(clamped, d, n_in))
-    separation = np.where(outside, dist, -gap_min)
+    inside = np.flatnonzero(~outside)
+    if inside.size:
+        # push out along the axis with the least face distance, the first
+        # of equal ones as argmin picks
+        d, h = _take(d, inside), _take(h, inside)
+        g0, g1, g2 = (e - np.abs(c) for c, e in zip(d, h))  # >= 0 when inside
+        pick0 = (g0 <= g1) & (g0 <= g2)
+        pick1 = ~pick0 & (g1 <= g2)
+        gap_min = np.where(pick0, g0, np.where(pick1, g1, g2))
+        sign = np.sign(np.where(pick0, d[0], np.where(pick1, d[1], d[2])))
+        sign = np.where(sign == 0.0, 1.0, sign)
+        n_in = tuple(np.where(p, sign, 0.0) for p in (pick0, pick1, ~(pick0 | pick1)))
+        for k in range(3):
+            normal[k][inside] = n_in[k]
+            surface[k][inside] = d[k] + n_in[k] * gap_min
+        separation[inside] = -gap_min
     return surface, normal, separation
 
 
-def _joint_torques(kin: FingertipKin, point: tuple, force: tuple) -> np.ndarray:
-    """Torques (9, N) on the finger joints of fingertip forces applied at
-    ``point``: a_k . ((point - o_k) x force) for each joint k."""
-    at_mount = _cross(_sub(point, kin.mount), force)
-    tau = (
-        _dot(kin.roll_axis, at_mount),
-        _dot(kin.flex_axis, at_mount),
-        _dot(kin.flex_axis, _cross(_sub(point, kin.elbow), force)),
+def _take(parts: tuple, idx: np.ndarray) -> tuple:
+    """The elements ``idx`` of each part, indexed as flat arrays; a scalar
+    part stands for a constant and stays as it is."""
+    return tuple(c.ravel()[idx] if np.ndim(c) else c for c in parts)
+
+
+def _split(pair: np.ndarray, n: int) -> tuple:
+    """Row (finger or corner) and env of flat (row, env) indices into (k, N)
+    arrays: ``divmod``, with the remainder from the faster division."""
+    row = pair // n
+    return row, pair - row * n
+
+
+def _env_sum(e: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
+    """Sum (N,) of per-pair values into their envs ``e``, from +0.0 and in
+    pair order: ``np.add.at`` adds its indices one after another."""
+    total = np.zeros(n)
+    np.add.at(total, e, vals)
+    return total
+
+
+def _joint_torques(kin: FingertipKin, f: np.ndarray, pair: np.ndarray, point: tuple,
+                   force: tuple) -> tuple:
+    """Torques on the three joints of finger ``f`` of fingertip forces
+    applied at ``point``, one array per joint: a_k . ((point - o_k) x force)
+    for each joint k.  ``pair`` indexes the (3, N) arrays of ``kin``."""
+    at_mount = _cross(_sub(point, _take(kin.mount, f)), force)
+    flex = _take(kin.flex_axis, pair)
+    return (
+        _dot(_take(kin.roll_axis, f), at_mount),
+        _dot(flex, at_mount),
+        _dot(flex, _cross(_sub(point, _take(kin.elbow, pair)), force)),
     )
-    return np.stack(tau, axis=1).reshape(N_JOINTS, -1)
 
 
 def _limit_speed(v: tuple, v_max: float) -> tuple:
@@ -505,21 +565,34 @@ def step(state: SimState, torques: np.ndarray, params: EnvParams, cfg: PhysicsCo
     half = _rows(object_half_extents(cfg, params))
     ext = _rows(params.ext_force)
     is_sphere = cfg.object.kind == "sphere"
-    if is_sphere:  # (1, N): one contact point
-        radius = (cfg.object.radius * params.scale)[None]
+    if is_sphere:
+        radius = cfg.object.radius * params.scale
+        bound = radius
     else:  # (8, N) corner offsets in the body frame
         corners_b = tuple(spatial._CORNER_SIGNS[:, i, None] * half[i] for i in range(3))
+        bound = _norm(half)
+    # broad phase: a tip can touch the object only within this distance of
+    # its center, as separation >= |tip - x| - bound; 1 mm covers rounding
+    reach_sq = (tip_r + bound + 1e-3) ** 2
 
     q, qd, tau_cmd = (np.ascontiguousarray(a.T) for a in (out.joint_pos, out.joint_vel, torques))
     x, quat, v, w = map(_rows, (out.obj_pos, out.obj_quat, out.obj_linvel, out.obj_angvel))
     inertia_j = np.tile(np.asarray(hand.joint_inertia), N_FINGERS)[:, None]  # (9, 1)
 
-    wrench_acc = np.zeros((6, N_FINGERS, n))
+    wrench_acc = np.zeros((6, N_FINGERS * n))  # [axis, finger * N + env]
+    joint_tau_contact = np.empty(N_JOINTS * n)  # [joint * N + env], zeroed per substep
 
-    def add_wrench(force, torque):
+    def add_contacts(kin, f, pair, point, force, arm):
+        # (finger, env) pairs are unique in a branch, so each np.add.at adds
+        # a pair's torque or wrench to its own total once
+        tau = _joint_torques(kin, f, pair, point, force)
+        joint = pair + 2 * n * f  # (3 finger + k) * N + env, less k * N
+        for k in range(3):
+            np.add.at(joint_tau_contact[k * n:], joint, tau[k])
+        torque = _cross(arm, force)
         for i in range(3):
-            wrench_acc[i] += force[i]
-            wrench_acc[3 + i] += torque[i]
+            np.add.at(wrench_acc[i], pair, force[i])
+            np.add.at(wrench_acc[3 + i], pair, torque[i])
 
     for _ in range(cfg.n_substeps):
         kin = fingertip_kinematics(q.T, qd.T, hand)
@@ -527,68 +600,81 @@ def step(state: SimState, torques: np.ndarray, params: EnvParams, cfg: PhysicsCo
         rot = spatial.quat_to_mat_parts(quat)
 
         obj_force = obj_torque = (0.0, 0.0, 0.0)
-        joint_tau_contact = 0.0
+        joint_tau_contact.fill(0.0)
 
-        # ---- fingertip vs object
-        d_local = _rot_t(rot, _sub(tips, x))  # R^T (c - x)
-        if is_sphere:
-            dist = _norm(d_local)
-            near = dist > 1e-12
-            safe = np.where(near, dist, 1.0)
-            n_local = tuple(np.where(near, c / safe, e) for c, e in zip(d_local, (0.0, 0.0, 1.0)))
-            separation = dist - radius
-            surf_local = tuple(c * radius for c in n_local)
-        else:
-            surf_local, n_local, separation = _point_in_box_normal(d_local, half)
-        pen = tip_r - separation  # (3, N)
-        active = pen > 0.0
-        if active.any():
-            normal = _rot(rot, n_local)  # cube -> tip
-            p_c = _add(_rot(rot, surf_local), x)
-            arm, lever = _sub(p_c, tips), _sub(p_c, x)
-            v_rel = _sub(_add(kin.tip_vel, _cross(kin.tip_angvel, arm)), _add(v, _cross(w, lever)))
+        # ---- fingertip vs object, on the (finger, env) pairs in reach
+        rel = _sub(tips, x)
+        pair = np.flatnonzero(rel[0] * rel[0] + rel[1] * rel[1] + rel[2] * rel[2] < reach_sq)
+        if pair.size:
+            f, e = _split(pair, n)
+            rot_p = tuple(_take(row, e) for row in rot)
+            x_p = _take(x, e)
+            d_local = _rot_t(rot_p, _take(rel, pair))  # R^T (c - x)
+            if is_sphere:
+                radius_p = radius[e]
+                dist = _norm(d_local)
+                near = dist > 1e-12
+                safe = np.where(near, dist, 1.0)
+                n_local = tuple(np.where(near, c / safe, z) for c, z in zip(d_local, (0.0, 0.0, 1.0)))
+                separation = dist - radius_p
+                surf_local = tuple(c * radius_p for c in n_local)
+            else:
+                surf_local, n_local, separation = _point_in_box_normal(d_local, _take(half, e))
+            pen = tip_r - separation
+            tip_p = _take(tips, pair)
+            normal = _rot(rot_p, n_local)  # cube -> tip
+            p_c = _add(_rot(rot_p, surf_local), x_p)
+            arm, lever = _sub(p_c, tip_p), _sub(p_c, x_p)
+            v_tip = _add(_take(kin.tip_vel, pair), _cross(_take(kin.tip_angvel, pair), arm))
+            v_rel = _sub(v_tip, _add(_take(v, e), _cross(_take(w, e), lever)))
             v_n = _dot(v_rel, normal)
-            fn = np.where(active, np.maximum(0.0, k_obj * pen - c_obj * v_n), 0.0)
+            fn = np.where(pen > 0.0, np.maximum(0.0, k_obj[e] * pen - c_obj[e] * v_n), 0.0)
             vt = tuple(c - v_n * nc for c, nc in zip(v_rel, normal))
-            f_tip = _add(tuple(fn * nc for nc in normal), _tanh_friction(vt, fn, mu_obj, eps_v))
-            obj_force = _sub(obj_force, map(_row_sum, f_tip))
-            obj_torque = _sub(obj_torque, map(_row_sum, _cross(lever, f_tip)))
+            f_tip = _add(tuple(fn * nc for nc in normal), _tanh_friction(vt, fn, mu_obj[e], eps_v))
+            obj_force = tuple(0.0 - _env_sum(e, c, n) for c in f_tip)
+            obj_torque = tuple(0.0 - _env_sum(e, c, n) for c in _cross(lever, f_tip))
             # map to finger joints through the contact-point Jacobian
-            joint_tau_contact = joint_tau_contact + _joint_torques(kin, p_c, f_tip)
-            add_wrench(f_tip, _cross(arm, f_tip))
+            add_contacts(kin, f, pair, p_c, f_tip, arm)
 
-        # ---- fingertip vs table
+        # ---- fingertip vs table, on the tips below its surface
         pen_t = tip_r - tips[2]
-        active_t = pen_t > 0.0
-        if active_t.any():
-            p_ct = (tips[0], tips[1], tips[2] - tip_r)
-            arm = _sub(p_ct, tips)
-            v_tip_t = _add(kin.tip_vel, _cross(kin.tip_angvel, arm))
-            fn_t = cfg.contact.stiffness * pen_t - cfg.contact.damping * v_tip_t[2]
-            fn_t = np.where(active_t, np.maximum(0.0, fn_t), 0.0)
-            fric = _tanh_friction((v_tip_t[0], v_tip_t[1], 0.0), fn_t, mu_table, eps_v)
+        pair = np.flatnonzero(pen_t > 0.0)
+        if pair.size:
+            f, e = _split(pair, n)
+            tip_p = _take(tips, pair)
+            p_ct = (tip_p[0], tip_p[1], tip_p[2] - tip_r)
+            arm = _sub(p_ct, tip_p)
+            v_tip_t = _add(_take(kin.tip_vel, pair), _cross(_take(kin.tip_angvel, pair), arm))
+            fn_t = cfg.contact.stiffness * pen_t.ravel()[pair] - cfg.contact.damping * v_tip_t[2]
+            fn_t = np.maximum(0.0, fn_t)
+            fric = _tanh_friction((v_tip_t[0], v_tip_t[1], 0.0), fn_t, mu_table[e], eps_v)
             f_tab = (0.0 + fric[0], 0.0 + fric[1], fn_t + fric[2])
-            joint_tau_contact = joint_tau_contact + _joint_torques(kin, p_ct, f_tab)
-            add_wrench(f_tab, _cross(arm, f_tab))
+            add_contacts(kin, f, pair, p_ct, f_tab, arm)
 
-        # ---- object vs table
-        if is_sphere:
-            pen_o = radius - x[2]  # bottom point at z - r
-            r_pts = (0.0, 0.0, -radius)
-        else:
-            r_pts = _rot(rot, corners_b)  # relative to com
-            pen_o = -(x[2] + r_pts[2])
-        active_o = pen_o > 0.0
-        if active_o.any():
-            v_pt = _add(v, _cross(w, r_pts))
-            fn_o = np.where(active_o, np.maximum(0.0, k_obj * pen_o - c_obj * v_pt[2]), 0.0)
-            fric = _tanh_friction((v_pt[0], v_pt[1], 0.0), fn_o, mu_table, eps_v)
+        # ---- object vs table, on the points below its surface
+        if is_sphere:  # one point, the bottom one at z - r
+            pen_o = (radius - x[2])[None]
+            r_z = -radius[None]
+        else:  # only the corners' heights first
+            r_z = _rot((rot[2],), corners_b)[0]  # the z row of R @ corner
+            pen_o = -(x[2] + r_z)
+        pair = np.flatnonzero(pen_o > 0.0)
+        if pair.size:
+            e = _split(pair, n)[1]
+            if is_sphere:
+                r_xy = (0.0, 0.0)
+            else:
+                r_xy = _rot((_take(rot[0], e), _take(rot[1], e)), _take(corners_b, pair))
+            r_pts = (*r_xy, r_z.ravel()[pair])
+            v_pt = _add(_take(v, e), _cross(_take(w, e), r_pts))
+            fn_o = np.maximum(0.0, k_obj[e] * pen_o.ravel()[pair] - c_obj[e] * v_pt[2])
+            fric = _tanh_friction((v_pt[0], v_pt[1], 0.0), fn_o, mu_table[e], eps_v)
             f_o = (0.0 + fric[0], 0.0 + fric[1], fn_o + fric[2])
-            obj_force = _add(obj_force, map(_row_sum, f_o))
-            obj_torque = _add(obj_torque, map(_row_sum, _cross(r_pts, f_o)))
+            obj_force = _add(obj_force, (_env_sum(e, c, n) for c in f_o))
+            obj_torque = _add(obj_torque, (_env_sum(e, c, n) for c in _cross(r_pts, f_o)))
 
         # ---- integrate joints (diagonal inertia, semi-implicit Euler)
-        tau = tau_cmd - hand.joint_damping * qd + joint_tau_contact
+        tau = tau_cmd - hand.joint_damping * qd + joint_tau_contact.reshape(N_JOINTS, n)
         qd = qd + dt_sub * tau / inertia_j
         qd = np.clip(qd, -hand.max_joint_vel, hand.max_joint_vel)
         q = q + dt_sub * qd
@@ -619,7 +705,7 @@ def step(state: SimState, torques: np.ndarray, params: EnvParams, cfg: PhysicsCo
     out.obj_pos, out.obj_quat, out.obj_linvel, out.obj_angvel = (
         np.stack(c, axis=1) for c in (x, quat, v, w)
     )
-    out.fingertip_wrench = np.ascontiguousarray(wrench_acc.T) / cfg.n_substeps
+    out.fingertip_wrench = np.ascontiguousarray(wrench_acc.reshape(6, N_FINGERS, n).T) / cfg.n_substeps
     out.step_count = state.step_count + 1
     return out
 

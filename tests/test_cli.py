@@ -273,6 +273,24 @@ def test_non_positive_step_settings_are_config_errors(outroot, capsys, key, valu
     assert f"{section}: {name} must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, want", [
+    ("physics.object.mass", "0", "positive"),
+    ("physics.object.half_extents", "[0,0.0325,0.0325]", "positive"),
+    ("physics.object.radius", "-0.01", "positive"),
+    ("physics.object.friction", "-0.1", "non-negative"),
+    ("physics.hand.fingertip_radius", "-0.01", "positive"),
+    ("physics.contact.stiffness", "0", "positive"),
+    ("physics.contact.friction_smoothing_vel", "0", "positive"),
+    ("physics.contact.damping", "-1", "non-negative"),
+    ("physics.contact.table_friction", "-0.5", "non-negative"),
+])
+def test_out_of_range_physics_constants_are_config_errors(outroot, capsys, key, value, want):
+    assert run_cli("train", *TINY, "--set", f"{key}={value}") == EXIT_CONFIG
+    section, name = key.rsplit(".", 1)
+    assert f"{section}: {name} must be {want}" in capsys.readouterr().err
+    assert not any(outroot.iterdir())
+
+
 def test_checkpoints_without_a_stored_config_are_refused(outroot, monkeypatch, capsys):
     from tricube import ppo
 

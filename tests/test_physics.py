@@ -319,6 +319,26 @@ def test_fingertip_contact_pushes_cube():
     assert np.max(np.abs(state.fingertip_wrench[:, 1:, :])) == 0.0
 
 
+def test_narrow_phase_runs_only_on_the_pairs_in_reach(monkeypatch):
+    # contact work follows the (finger, env) pairs that can touch, not the
+    # batch: a step must not fall back to testing every pair
+    sizes, real = [], physics._point_in_box_normal
+
+    def counting(d, h):
+        sizes.append(d[0].size)
+        return real(d, h)
+
+    monkeypatch.setattr(physics, "_point_in_box_normal", counting)
+    cfg, n = default_cfg(), 64
+    params = EnvParams.nominal(n)
+    state = make_rest_state(n, cfg, params)
+    physics.step(state, np.zeros((n, 9)), params, cfg)
+    assert sum(sizes) == 0
+    state.joint_pos[17, 0:3] = [0.0, 0.645, -1.271]  # one finger pressed into the cube
+    physics.step(state, np.zeros((n, 9)), params, cfg)
+    assert sizes and max(sizes) <= 3
+
+
 def test_scaled_small_and_heavy_objects_stay_stable():
     cfg = default_cfg()
     n = 4

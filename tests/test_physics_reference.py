@@ -549,3 +549,112 @@ def test_kinematics_match_reference_bytes(n=64):
 @pytest.mark.parametrize("n", (1, 1031))
 def test_kinematics_match_reference_bytes_at_size(n):
     test_kinematics_match_reference_bytes(n)
+
+
+def test_point_in_box_normal_matches_reference_bytes(k=4000):
+    """Points inside, outside and on the box, with tied face distances and
+    signed zeros; the step's form takes (K,) arrays per axis."""
+    r = np.random.default_rng(12)
+    h = r.uniform(0.01, 0.05, (k, 3))
+    h[::3] = 0.0325  # a cube: ties between faces
+    d = h * r.uniform(-1.5, 1.5, (k, 3))
+    d[::5] *= 0.5  # inside
+    d[1::7] = h[1::7] * r.choice([-1.0, 1.0], (len(d[1::7]), 3))  # on a corner
+    d[2::11] = 0.0  # the center: every face ties, sign 0
+    d[3::11] = -0.0
+    d[4::13, 0] = h[4::13, 0]  # on a face
+    want = _point_in_box_normal(d, h)
+    got = physics._point_in_box_normal(tuple(d.T.copy()), tuple(h.T.copy()))
+    assert (want[2] < 0).any() and (want[2] > 0).any()
+    for i, name in enumerate(("surface", "normal")):
+        for axis in range(3):
+            assert same_bytes(got[i][axis], want[i][:, axis]), (name, axis)
+    assert same_bytes(got[2], want[2])
+
+
+# ------------------------------------------------------------------ contact extremes
+
+PRESSED = [0.0, 0.645, -1.271]  # a finger's tip into the object's side facing it
+
+
+def touching(tip: np.ndarray, offset: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    """Object centers (N, 3) that put each tip ``gap`` beyond the object
+    point at ``offset`` from the center, along that offset: the separation
+    is ``gap`` where ``offset`` is a corner or a sphere's surface point."""
+    dist = np.linalg.norm(offset, axis=1)
+    return tip - offset * ((dist + gap) / dist)[:, None]
+
+
+def extreme(case: str, n: int) -> tuple:
+    """(cfg, state, params, zero_torques, external forces) of a contact
+    extreme; the tips' gaps alternate over envs around zero."""
+    tip_r = HandModel().fingertip_radius
+    gap = tip_r + np.where(np.arange(n) % 2 == 0, -1e-7, 1e-7)  # tips 1e-7 in or out
+    ids = np.arange(n)
+    params = domrand.sample_episode_randomization(11, ids, np.zeros(n, dtype=np.int64),
+                                                  domrand.DRConfig())
+    if case == "none":  # no gravity or pushes: the hand at home never meets the floating cube
+        cfg = PhysicsConfig(gravity=0.0)
+        state = make_rest_state(n, cfg, params)
+        state.obj_pos[:, 2] = 1.0
+        return cfg, state, params, True, False
+    if case == "sphere-grazing":
+        cfg = PhysicsConfig(object=physics.ObjectParams(kind="sphere", radius=0.0375))
+        state = make_rest_state(n, cfg, params)
+        tip = physics.fingertip_kinematics(state.joint_pos, None, cfg.hand).pos[:, 0]
+        offset = np.array([1.0, -0.5, 0.3]) * (cfg.object.radius * params.scale)[:, None]
+        offset /= np.linalg.norm([1.0, -0.5, 0.3])
+        state.obj_pos = touching(tip, offset, gap)
+        return cfg, state, params, False, True
+    cfg = PhysicsConfig()
+    state = make_rest_state(n, cfg, params)
+    if case == "all-pressed":
+        state.joint_pos[:] = np.tile(PRESSED, N_FINGERS)
+        return cfg, state, params, False, True
+    if case == "tip-inside":  # the tip's center inside the box, off its center
+        tip = physics.fingertip_kinematics(state.joint_pos, None, cfg.hand).pos[:, 0]
+        state.obj_pos = tip - [0.01, 0.005, 0.0]
+        return cfg, state, params, False, True
+    assert case == "scaled-corner"  # the bound's tight case: |tip - x| = |h| + r
+    params.scale[:] = 1.25
+    tip = physics.fingertip_kinematics(state.joint_pos, None, cfg.hand).pos[:, 0]
+    quat = spatial.quat_from_axis_angle(np.array([1.0, 1.0, 0.0]), 0.4 + 0.01 * ids)
+    state.obj_quat = quat
+    state.obj_pos = touching(tip, spatial.quat_rotate(quat, object_half_extents(cfg, params)), gap)
+    return cfg, state, params, False, True
+
+
+EXTREMES = {
+    "all-pressed": {"tip-object", "object-table"},
+    "scaled-corner": {"tip-object"},
+    "sphere-grazing": {"tip-object"},
+    "tip-inside": {"tip-object"},
+    "none": set(),
+}
+
+
+@pytest.mark.parametrize("case, n", [
+    pytest.param(case, n, id=f"{case}-{n}") for case in EXTREMES for n in SIZES
+])
+def test_step_matches_reference_bytes_at_contact_extremes(case, n):
+    cfg, state, params, still, pushed = extreme(case, n)
+    if case == "all-pressed":  # every (finger, env) pair passes the broad phase
+        tips = physics.fingertip_kinematics(state.joint_pos, None, cfg.hand).pos
+        dist = np.linalg.norm(tips - state.obj_pos[:, None], axis=-1)
+        bound = np.linalg.norm(object_half_extents(cfg, params), axis=1)
+        assert (dist < cfg.hand.fingertip_radius + bound[:, None]).all()
+    ref = state.copy()
+    seen = set()
+    for t in range(8):
+        torques = np.zeros((n, N_JOINTS)) if still else rng.uniform(
+            rng.stream_key(5, np.arange(n), t, 77), 9, low=-0.36, high=0.36)
+        if pushed:
+            physics.apply_external_force(state, params, cfg, physics.ExternalForceConfig(), seed=3)
+        state = physics.step(state, torques, params, cfg)
+        ref = step(ref, torques, params, cfg, seen)
+        for field in vars(ref):
+            assert same_bytes(getattr(state, field), getattr(ref, field)), (t, field)
+            assert same_layout(getattr(state, field)), (t, field)
+    assert EXTREMES[case] <= seen
+    if case == "none":
+        assert seen == set() and not state.fingertip_wrench.any()
