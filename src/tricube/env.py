@@ -216,7 +216,7 @@ class EpisodicTask:
     (plus ``total_steps``) under ``STATE_PREFIX``.
 
     The batch holds envs ``env_offset`` to ``env_offset + num_envs - 1``
-    of a larger one: ``_env_ids`` maps a local index to its global env id,
+    of a larger one: ``env_ids`` maps a local index to its global env id,
     which keys every random stream and names each record's ``env_id``, so
     two shards at offsets 0 and k step the envs of one batch bit for bit.
     The aggregate ``total_steps`` counts this batch's steps only.
@@ -237,7 +237,7 @@ class EpisodicTask:
         self.episode_return = np.zeros(num_envs)
         self.total_steps = 0  # aggregate env steps
         self._episode_records: list[dict] = []
-        self._env_ids = np.arange(env_offset, env_offset + num_envs)
+        self.env_ids = np.arange(env_offset, env_offset + num_envs)
 
     def _reset_envs(self, mask: np.ndarray) -> None:
         ids = np.nonzero(mask)[0]
@@ -258,7 +258,7 @@ class EpisodicTask:
         A record holds ``episode``, ``env_id`` and ``return``, plus the
         task's per-env end ``columns``."""
         for i in np.nonzero(done)[0]:
-            record = {"episode": int(self.episode_idx[i]), "env_id": int(self._env_ids[i]),
+            record = {"episode": int(self.episode_idx[i]), "env_id": int(self.env_ids[i]),
                       "return": float(self.episode_return[i])}
             record.update((name, col[i].item()) for name, col in columns.items())
             self._episode_records.append(record)
@@ -345,7 +345,7 @@ class CubeReposeTask(EpisodicTask):
         return self._observations()
 
     def _begin_episodes(self, ids: np.ndarray, ep: np.ndarray) -> None:
-        gids = self._env_ids[ids]
+        gids = self.env_ids[ids]
         new_params = domrand.sample_episode_randomization(self.seed, gids, ep, self.dr)
         for name in vars(self.params):
             getattr(self.params, name)[ids] = getattr(new_params, name)
@@ -395,7 +395,7 @@ class CubeReposeTask(EpisodicTask):
     def _refresh_camera(self, ids: np.ndarray) -> None:
         pos = self.state.obj_pos[ids]
         quat = self.state.obj_quat[ids]
-        gids = self._env_ids[ids]
+        gids = self.env_ids[ids]
         if self.dr.enabled:
             key = rng.stream_key(self.seed, gids, self.state.step_count[ids], rng.CH_OBS_NOISE)
             pos = domrand.apply_observation_noise(
@@ -434,7 +434,7 @@ class CubeReposeTask(EpisodicTask):
         torque_applied = torque_cmd
         if self.dr.enabled:
             key = rng.stream_key(
-                self.seed, self._env_ids, self.state.step_count, rng.CH_ACT_NOISE
+                self.seed, self.env_ids, self.state.step_count, rng.CH_ACT_NOISE
             )
             torque_applied = domrand.apply_action_noise(
                 torque_cmd, self.dr.torque, self.params.torque_offset, key
@@ -442,7 +442,7 @@ class CubeReposeTask(EpisodicTask):
             if self.dr.external_force_enabled:
                 physics.apply_external_force(
                     self.state, self.params, self.pcfg, self.dr.external_force, self.seed,
-                    self._env_ids,
+                    self.env_ids,
                 )
 
         self.state = physics.step(self.state, torque_applied, self.params, self.pcfg)
@@ -511,13 +511,13 @@ class CubeReposeTask(EpisodicTask):
         joint_vel = self.state.joint_vel
         if self.dr.enabled:
             key = rng.stream_key(
-                self.seed, self._env_ids, self.state.step_count, rng.CH_OBS_NOISE_JOINT_POS
+                self.seed, self.env_ids, self.state.step_count, rng.CH_OBS_NOISE_JOINT_POS
             )
             joint_pos = domrand.apply_observation_noise(
                 joint_pos, self.dr.joint_position, self.params.joint_pos_offset, key
             )
             key = rng.stream_key(
-                self.seed, self._env_ids, self.state.step_count, rng.CH_OBS_NOISE_JOINT_VEL
+                self.seed, self.env_ids, self.state.step_count, rng.CH_OBS_NOISE_JOINT_VEL
             )
             joint_vel = domrand.apply_observation_noise(
                 joint_vel, self.dr.joint_velocity, self.params.joint_vel_offset, key

@@ -44,11 +44,19 @@ computation's: a skipped pair added an exact +0.0 or -0.0 to a sum that
 starts from +0.0 and so is never -0.0, which leaves it unchanged; its joint
 torque was +0.0 (``_dot`` starts from +0.0); and adding it to the wrench
 total left that unchanged too.
+
+The kinematics follow the pairs too.  Each substep computes the tip
+centers of every pair, which the broad phase and the table test read, but
+the velocity terms (tip velocities and joint frames) only at the pairs of
+the tip-object and tip-table branches (``FingertipKin.at``), from inputs
+gathered there.  Their formula is elementwise, so each term has the bits a
+dense pass would give it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -98,7 +106,11 @@ class HandModel:
     home_config: tuple = (0.0, 1.1, -2.0)
 
     def __post_init__(self):
-        _require(self, positive=("fingertip_radius",))
+        _require(self, positive=("link1_len", "link2_len", "fingertip_radius", "max_joint_vel",
+                                 "max_torque", "joint_inertia"), non_negative=("joint_damping",))
+        if not self.joint_lower < self.joint_upper:
+            raise ValueError(f"joint_lower must be below joint_upper, got {self.joint_lower} "
+                             f"and {self.joint_upper}")
 
     def home_joint_positions(self) -> np.ndarray:
         return np.tile(np.asarray(self.home_config, dtype=np.float64), N_FINGERS)
@@ -338,25 +350,55 @@ def _rows(a: np.ndarray) -> tuple:
 # ------------------------------------------------------------------ kinematics
 
 
-@dataclass
 class FingertipKin:
     """World-frame fingertip kinematics plus the joint frames needed for
-    contact Jacobians.  Vectors are per axis: (3, N) arrays, finger by env,
-    except the constant mount and roll axis, (3, 1) per axis.  The
-    properties stack them into the (N, 3, 3) arrays the task reads."""
+    contact Jacobians, over (finger, env) pairs.  Vectors are per axis: (3,
+    N) arrays, finger by env, except the constant mount and roll axis, (3,
+    1) per axis; ``at`` gives (K,) arrays at K pairs.  The properties
+    ``pos``, ``linvel`` and ``angvel`` stack them into the (N, 3, 3) arrays
+    the task reads.
 
-    tip: tuple  # tip sphere centers
-    tip_vel: tuple
-    tip_angvel: tuple
-    elbow: tuple  # origin of joint 2; joints 0 and 1 sit at the mount
-    flex_axis: tuple  # world axis of joints 1 and 2
-    mount: tuple
-    roll_axis: tuple  # world axis of joint 0
+    The tip centers are computed for every pair, as the broad phase and the
+    table test read them all.  The velocity terms (``tip_vel``,
+    ``tip_angvel``, ``elbow`` and ``flex_axis``) follow the pairs that are
+    read: for every pair the first time one of them is read, or, through
+    ``at``, at the pairs gathered only.  Both apply ``_velocity_terms`` to
+    the same inputs, dense or gathered, and every operation in it is
+    elementwise, so a gathered term has the bits of the dense term at its
+    pair.
+    """
+
+    def __init__(self, tip, elbow_local, c0, s0, qd, cpsi, spsi, mount):
+        self.tip = tip  # tip sphere centers
+        self.mount = mount  # origin of joints 0 and 1
+        self.roll_axis = (cpsi, spsi, 0.0)  # world axis of joint 0
+        self._inputs = (elbow_local, c0, s0, qd, cpsi, spsi)
+
+    @cached_property
+    def _terms(self) -> tuple:
+        return _velocity_terms(self.tip, *self._inputs, self.mount)
+
+    tip_vel = property(lambda self: self._terms[0])
+    tip_angvel = property(lambda self: self._terms[1])
+    elbow = property(lambda self: self._terms[2])  # origin of joint 2
+    flex_axis = property(lambda self: self._terms[3])  # world axis of joints 1 and 2
 
     # stacked (N, 3, 3) arrays, [env, finger, xyz]
     pos = property(lambda self: _stack_fingers(self.tip))
     linvel = property(lambda self: _stack_fingers(self.tip_vel))
     angvel = property(lambda self: _stack_fingers(self.tip_angvel))
+
+    def at(self, pair: np.ndarray) -> "FingertipKin":
+        """The kinematics at flat (finger, env) indices ``pair`` into the (3,
+        N) arrays, as (K,) arrays; their velocity terms are computed at
+        those pairs only."""
+        f, e = _split(pair, self.tip[0].shape[1])
+        elbow_local, c0, s0, qd, cpsi, spsi = self._inputs
+        return FingertipKin(
+            _take(self.tip, pair), _take(elbow_local, pair), *_take((c0, s0), pair),
+            tuple(c[f, e] for c in qd),  # strided views: flattening would copy
+            *_take((cpsi, spsi), f), _take(self.mount, f),
+        )
 
 
 def _stack_fingers(v: tuple) -> np.ndarray:
@@ -380,6 +422,12 @@ _SIN_HALF_PSI = _constant(np.sin(_PSI[:, 0] / 2.0))
 _COS_HALF_PSI = _constant(np.cos(_PSI[:, 0] / 2.0))
 
 
+def _to_world(v, cpsi, spsi, mount) -> tuple:
+    """Rotate a finger-frame vector to the world by Rz(psi); add the mount."""
+    return (cpsi * v[0] - spsi * v[1] + mount[0], spsi * v[0] + cpsi * v[1] + mount[1],
+            v[2] + mount[2])
+
+
 def fingertip_kinematics(
     joint_pos: np.ndarray, joint_vel: np.ndarray | None, hand: HandModel
 ) -> FingertipKin:
@@ -389,16 +437,16 @@ def fingertip_kinematics(
     flex about the shared lateral axis, so their world axes coincide.
     ``joint_pos`` and ``joint_vel`` are (N, 9); ``step`` passes transposed
     views of its joint-major (9, N) arrays, which are used without a copy.
+    Only the tip centers are computed here; the velocity terms follow the
+    pairs that are read (see ``FingertipKin``).
     """
     q = np.ascontiguousarray(joint_pos.T)
     qd = np.zeros_like(q) if joint_vel is None else np.ascontiguousarray(joint_vel.T)
     q0, q1, q2 = (q[j::3] for j in range(3))  # (3, N), finger by env
-    qd = [qd[j::3] for j in range(3)]
     l1, l2 = hand.link1_len, hand.link2_len
 
     mount = (hand.mount_radius * _COS_PHI, hand.mount_radius * _SIN_PHI,
              np.full((N_FINGERS, 1), hand.mount_height))
-    cpsi, spsi = _COS_PSI, _SIN_PSI
 
     c0, s0 = np.cos(q0), np.sin(q0)
     s1, c1 = np.sin(q1), np.cos(q1)
@@ -409,12 +457,16 @@ def fingertip_kinematics(
     r1, r2 = l1 * c1, l2 * c12
     elbow_local = (-l1 * s1, s0 * r1, -c0 * r1)
     tip_local = _add(elbow_local, (-l2 * s12, s0 * r2, -c0 * r2))
+    tip = _to_world(tip_local, _COS_PSI, _SIN_PSI, mount)
+    return FingertipKin(tip, elbow_local, c0, s0, tuple(qd[j::3] for j in range(3)),
+                        _COS_PSI, _SIN_PSI, mount)
 
-    def to_world(v):  # rotate finger frame -> world by Rz(psi), add mount
-        return (cpsi * v[0] - spsi * v[1] + mount[0], spsi * v[0] + cpsi * v[1] + mount[1],
-                v[2] + mount[2])
 
-    tip, elbow = to_world(tip_local), to_world(elbow_local)
+def _velocity_terms(tip, elbow_local, c0, s0, qd, cpsi, spsi, mount) -> tuple:
+    """(tip_vel, tip_angvel, elbow, flex_axis) of the fingertips at ``tip``,
+    from the finger-frame elbow, the roll joint's cosine and sine, the joint
+    velocities and the finger frames, all per axis and elementwise."""
+    elbow = _to_world(elbow_local, cpsi, spsi, mount)
     roll, flex = (cpsi, spsi, 0.0), (-spsi * c0, cpsi * c0, s0)
 
     # velocities: v = sum_k qd_k * a_k x (tip - o_k), w = sum_k qd_k * a_k
@@ -423,7 +475,7 @@ def fingertip_kinematics(
     linvel = tuple(0.0 + qd[0] * arms[0][i] + qd[1] * arms[1][i] + qd[2] * arms[2][i]
                    for i in range(3))
     angvel = tuple(0.0 + qd[0] * roll[i] + qd[1] * flex[i] + qd[2] * flex[i] for i in range(3))
-    return FingertipKin(tip, linvel, angvel, elbow, flex, mount, roll)
+    return linvel, angvel, elbow, flex
 
 
 def fingertip_quat(joint_pos: np.ndarray) -> np.ndarray:
@@ -505,17 +557,16 @@ def _env_sum(e: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
     return total
 
 
-def _joint_torques(kin: FingertipKin, f: np.ndarray, pair: np.ndarray, point: tuple,
-                   force: tuple) -> tuple:
-    """Torques on the three joints of finger ``f`` of fingertip forces
-    applied at ``point``, one array per joint: a_k . ((point - o_k) x force)
-    for each joint k.  ``pair`` indexes the (3, N) arrays of ``kin``."""
-    at_mount = _cross(_sub(point, _take(kin.mount, f)), force)
-    flex = _take(kin.flex_axis, pair)
+def _joint_torques(kin: FingertipKin, point: tuple, force: tuple) -> tuple:
+    """Torques on a finger's three joints of fingertip forces applied at
+    ``point``, one array per joint: a_k . ((point - o_k) x force) for each
+    joint k.  ``kin`` holds the kinematics gathered at the forces' pairs."""
+    at_mount = _cross(_sub(point, kin.mount), force)
+    flex = kin.flex_axis
     return (
-        _dot(_take(kin.roll_axis, f), at_mount),
+        _dot(kin.roll_axis, at_mount),
         _dot(flex, at_mount),
-        _dot(flex, _cross(_sub(point, _take(kin.elbow, pair)), force)),
+        _dot(flex, _cross(_sub(point, kin.elbow), force)),
     )
 
 
@@ -585,7 +636,7 @@ def step(state: SimState, torques: np.ndarray, params: EnvParams, cfg: PhysicsCo
     def add_contacts(kin, f, pair, point, force, arm):
         # (finger, env) pairs are unique in a branch, so each np.add.at adds
         # a pair's torque or wrench to its own total once
-        tau = _joint_torques(kin, f, pair, point, force)
+        tau = _joint_torques(kin, point, force)
         joint = pair + 2 * n * f  # (3 finger + k) * N + env, less k * N
         for k in range(3):
             np.add.at(joint_tau_contact[k * n:], joint, tau[k])
@@ -607,6 +658,7 @@ def step(state: SimState, torques: np.ndarray, params: EnvParams, cfg: PhysicsCo
         pair = np.flatnonzero(rel[0] * rel[0] + rel[1] * rel[1] + rel[2] * rel[2] < reach_sq)
         if pair.size:
             f, e = _split(pair, n)
+            kin_p = kin.at(pair)
             rot_p = tuple(_take(row, e) for row in rot)
             x_p = _take(x, e)
             d_local = _rot_t(rot_p, _take(rel, pair))  # R^T (c - x)
@@ -621,11 +673,10 @@ def step(state: SimState, torques: np.ndarray, params: EnvParams, cfg: PhysicsCo
             else:
                 surf_local, n_local, separation = _point_in_box_normal(d_local, _take(half, e))
             pen = tip_r - separation
-            tip_p = _take(tips, pair)
             normal = _rot(rot_p, n_local)  # cube -> tip
             p_c = _add(_rot(rot_p, surf_local), x_p)
-            arm, lever = _sub(p_c, tip_p), _sub(p_c, x_p)
-            v_tip = _add(_take(kin.tip_vel, pair), _cross(_take(kin.tip_angvel, pair), arm))
+            arm, lever = _sub(p_c, kin_p.tip), _sub(p_c, x_p)
+            v_tip = _add(kin_p.tip_vel, _cross(kin_p.tip_angvel, arm))
             v_rel = _sub(v_tip, _add(_take(v, e), _cross(_take(w, e), lever)))
             v_n = _dot(v_rel, normal)
             fn = np.where(pen > 0.0, np.maximum(0.0, k_obj[e] * pen - c_obj[e] * v_n), 0.0)
@@ -634,22 +685,23 @@ def step(state: SimState, torques: np.ndarray, params: EnvParams, cfg: PhysicsCo
             obj_force = tuple(0.0 - _env_sum(e, c, n) for c in f_tip)
             obj_torque = tuple(0.0 - _env_sum(e, c, n) for c in _cross(lever, f_tip))
             # map to finger joints through the contact-point Jacobian
-            add_contacts(kin, f, pair, p_c, f_tip, arm)
+            add_contacts(kin_p, f, pair, p_c, f_tip, arm)
 
         # ---- fingertip vs table, on the tips below its surface
         pen_t = tip_r - tips[2]
         pair = np.flatnonzero(pen_t > 0.0)
         if pair.size:
             f, e = _split(pair, n)
-            tip_p = _take(tips, pair)
+            kin_p = kin.at(pair)
+            tip_p = kin_p.tip
             p_ct = (tip_p[0], tip_p[1], tip_p[2] - tip_r)
             arm = _sub(p_ct, tip_p)
-            v_tip_t = _add(_take(kin.tip_vel, pair), _cross(_take(kin.tip_angvel, pair), arm))
+            v_tip_t = _add(kin_p.tip_vel, _cross(kin_p.tip_angvel, arm))
             fn_t = cfg.contact.stiffness * pen_t.ravel()[pair] - cfg.contact.damping * v_tip_t[2]
             fn_t = np.maximum(0.0, fn_t)
             fric = _tanh_friction((v_tip_t[0], v_tip_t[1], 0.0), fn_t, mu_table[e], eps_v)
             f_tab = (0.0 + fric[0], 0.0 + fric[1], fn_t + fric[2])
-            add_contacts(kin, f, pair, p_ct, f_tab, arm)
+            add_contacts(kin_p, f, pair, p_ct, f_tab, arm)
 
         # ---- object vs table, on the points below its surface
         if is_sphere:  # one point, the bottom one at z - r

@@ -72,7 +72,7 @@ class ReachTask(EpisodicTask):
         return self._observations()
 
     def _begin_episodes(self, ids: np.ndarray, ep: np.ndarray) -> None:
-        key = rng.stream_key(self.seed, self._env_ids[ids], ep, rng.CH_REACH_TARGET)
+        key = rng.stream_key(self.seed, self.env_ids[ids], ep, rng.CH_REACH_TARGET)
         u = rng.uniform(key, 4)
         c = self.cfg
         r = c.target_radius_min + (c.target_radius_max - c.target_radius_min) * u[:, 0]

@@ -118,7 +118,7 @@ class Trainer:
         for t in range(h):
             a_obs = agent.prep_actor_obs(obs["actor"], update=True)
             c_obs = agent.prep_critic_obs(obs["critic"], update=True)
-            key = rng.stream_key(self.seed, np.arange(n), agent.global_step + t * n, rng.CH_POLICY_SAMPLE)
+            key = rng.stream_key(self.seed, task.env_ids, agent.global_step + t * n, rng.CH_POLICY_SAMPLE)
             act, logp = agent.policy.act(a_obs, stochastic=True, key=key)
             actor_obs[t] = a_obs
             critic_obs[t] = c_obs

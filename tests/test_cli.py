@@ -279,6 +279,13 @@ def test_non_positive_step_settings_are_config_errors(outroot, capsys, key, valu
     ("physics.object.radius", "-0.01", "positive"),
     ("physics.object.friction", "-0.1", "non-negative"),
     ("physics.hand.fingertip_radius", "-0.01", "positive"),
+    ("physics.hand.link1_len", "0", "positive"),
+    ("physics.hand.link2_len", "-0.16", "positive"),
+    ("physics.hand.max_joint_vel", "0", "positive"),
+    ("physics.hand.max_torque", "0", "positive"),
+    ("physics.hand.joint_inertia", "[0.0,0.012,0.002]", "positive"),
+    ("physics.hand.joint_damping", "-0.02", "non-negative"),
+    ("physics.hand.joint_lower", "1.57", "below joint_upper"),
     ("physics.contact.stiffness", "0", "positive"),
     ("physics.contact.friction_smoothing_vel", "0", "positive"),
     ("physics.contact.damping", "-1", "non-negative"),

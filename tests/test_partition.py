@@ -19,6 +19,7 @@ from tricube.env import CubeReposeTask, TaskConfig, actor_obs_dim, critic_obs_di
 from tricube.physics import ExternalForceConfig
 from tricube.ppo import PPOAgent, PPOConfig
 from tricube.reach import ReachConfig, ReachTask
+from tricube.trainer import Trainer
 
 
 def step_shards(make, bounds, action_dim, steps, nan_at=None):
@@ -68,6 +69,48 @@ def test_reach_shards_at_global_offsets_step_like_the_whole_batch():
     split = step_shards(make, [(0, 4), (4, 8)], 2, 10)
     assert split == whole
     assert {r["env_id"] for r in whole[1]} == set(range(8))
+
+
+def rollout_rows(n: int, offset: int) -> dict:
+    """One one-step rollout of an ``n``-env cube trainer at global
+    ``offset``: its actions, logp, rewards, dones and values, row by row."""
+    task = CubeReposeTask(n, seed=4, env_offset=offset)
+    cfg = PPOConfig(batch_size=n, minibatch_size=n, normalize_obs=False,
+                    policy_hidden=(16, 16), value_hidden=(16,))
+    agent = PPOAgent(task.actor_dim, task.critic_dim, task.action_dim, cfg, seed=2)
+    trainer = Trainer(task, agent, total_steps=n, seed=5)
+    rows = {"rewards": [], "dones": [], "values": []}
+    step, predict = task.step, agent.predict_values
+
+    def recording_step(act):
+        out = step(act)
+        rows["rewards"].append(out[1])
+        rows["dones"].append(out[2])
+        return out
+
+    def recording_values(obs):
+        rows["values"].append(predict(obs))
+        return rows["values"][-1]
+
+    task.step, agent.predict_values = recording_step, recording_values
+    batch = trainer.collect_rollout()[0]
+    rows = {k: np.concatenate(v) for k, v in rows.items()}  # the step's, then the bootstrap's
+    return {**rows, "actions": batch["actions"], "logp": batch["logp"]}
+
+
+def test_training_rollout_shards_at_global_offsets_sample_like_the_whole_batch():
+    # the policy samples are keyed on global env ids; their step counter
+    # advances by the trainer's own env count, so only a rollout's first
+    # step keys alike in the whole batch and in its shards
+    whole = rollout_rows(16, 0)
+    shards = [rollout_rows(8, 0), rollout_rows(8, 8)]
+    assert np.abs(whole["actions"]).max() > 0.1
+    for name, rows in whole.items():
+        if name == "values":  # each rollout's step values, then its bootstrap values
+            split = np.concatenate([s[name][:8] for s in shards] + [s[name][8:] for s in shards])
+        else:
+            split = np.concatenate([s[name] for s in shards])
+        assert rows.tobytes() == split.tobytes(), name
 
 
 def test_shard_bounds_fall_on_inference_blocks():

@@ -339,6 +339,31 @@ def test_narrow_phase_runs_only_on_the_pairs_in_reach(monkeypatch):
     assert sizes and max(sizes) <= 3
 
 
+def test_velocity_terms_run_only_on_the_pairs_read(monkeypatch):
+    # physics.step gathers the tip velocities and joint frames at its
+    # contact pairs; it never computes them for every (finger, env) pair
+    sizes, real = [], physics._velocity_terms
+
+    def counting(tip, *inputs):
+        sizes.append(tip[0].size)
+        return real(tip, *inputs)
+
+    monkeypatch.setattr(physics, "_velocity_terms", counting)
+    cfg, n = default_cfg(), 64
+    params = EnvParams.nominal(n)
+    state = make_rest_state(n, cfg, params)
+    physics.step(state, np.zeros((n, 9)), params, cfg)
+    assert sizes == []
+    state.joint_pos[17, 0:3] = [0.0, 0.645, -1.271]  # one finger pressed into the cube
+    physics.step(state, np.zeros((n, 9)), params, cfg)
+    assert sizes and max(sizes) <= 3
+    # a reader of the stacked velocities gets every pair, once
+    kin = physics.fingertip_kinematics(state.joint_pos, state.joint_vel, cfg.hand)
+    sizes.clear()
+    kin.linvel, kin.angvel, kin.linvel
+    assert sizes == [physics.N_FINGERS * n]
+
+
 def test_scaled_small_and_heavy_objects_stay_stable():
     cfg = default_cfg()
     n = 4

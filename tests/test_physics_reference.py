@@ -551,6 +551,33 @@ def test_kinematics_match_reference_bytes_at_size(n):
     test_kinematics_match_reference_bytes(n)
 
 
+@pytest.mark.parametrize("n", SIZES)
+def test_gathered_velocity_terms_match_dense_bytes(n):
+    """The velocity terms ``FingertipKin.at`` computes at some (finger, env)
+    pairs have the bits of the dense terms at those pairs."""
+    hand = HandModel()
+    q = rng.uniform(rng.stream_key(4, np.arange(n), 0, 79), 9, low=-2.7, high=1.57)
+    qd = rng.normal(rng.stream_key(4, np.arange(n), 1, 79), 9)
+    q[::4, 3:6] = [0.0, 0.0, -0.0]
+    qd[::3] = 0.0
+    qd[1::3, :4] = -0.0
+    every = np.arange(N_FINGERS * n)
+    picks = (every, every[1::2], every[n - 1:], np.flatnonzero(q[:, 1::3].T.ravel() > 0.0))
+    for vel in (qd, None):
+        # transposed views of joint-major arrays, as physics.step passes them
+        kin = physics.fingertip_kinematics(q.T.copy().T, None if vel is None else vel.T.copy().T,
+                                           hand)
+        for pair in picks:
+            at = kin.at(pair)
+            for name in ("tip", "tip_vel", "tip_angvel", "elbow", "flex_axis"):
+                for got, want in zip(getattr(at, name), physics._take(getattr(kin, name), pair)):
+                    assert same_bytes(got, want), (vel is None, name)
+            finger = pair // n
+            for name in ("mount", "roll_axis"):
+                for got, want in zip(getattr(at, name), physics._take(getattr(kin, name), finger)):
+                    assert same_bytes(got, want), (vel is None, name)
+
+
 def test_point_in_box_normal_matches_reference_bytes(k=4000):
     """Points inside, outside and on the box, with tied face distances and
     signed zeros; the step's form takes (K,) arrays per axis."""
