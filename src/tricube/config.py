@@ -83,6 +83,9 @@ class RunConfig:
             raise ValueError("num_envs and total_steps must be positive")
         if self.task not in ("cube_repose", "reach"):
             raise ValueError(f"unknown task {self.task!r}")
+        stop = self.stop_after_steps
+        if stop is not None and (not isinstance(stop, int) or isinstance(stop, bool) or stop <= 0):
+            raise ValueError(f"stop_after_steps must be a positive integer or null, got {stop!r}")
 
 
 @dataclass
@@ -100,8 +103,6 @@ class EngineConfig:
             raise ConfigError(
                 f"ppo.batch_size {self.ppo.batch_size} must be divisible by run.num_envs {self.run.num_envs}"
             )
-        if self.run.stop_after_steps is not None and self.run.stop_after_steps <= 0:
-            raise ConfigError("run.stop_after_steps must be positive when set")
 
 
 # Profiles are override dicts on top of the dataclass defaults.  The default

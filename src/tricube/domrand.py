@@ -1,6 +1,7 @@
 """Domain randomization: per-episode physical-parameter scaling, correlated
 plus per-step Gaussian observation/action noise, and the external-force
-perturbation schedule.
+perturbation schedule.  Noise only adds; the hand's limits (``HandModel``)
+bound what the task observes and what ``physics.step`` applies.
 
 Noise channels have two parts: ``sigma`` is sampled fresh every timestep,
 ``sigma_corr`` once at episode start and held, modeling calibration bias.
@@ -28,14 +29,10 @@ from .physics import N_JOINTS, EnvParams, ExternalForceConfig
 class NoiseSpec:
     sigma: float
     sigma_corr: float
-    clamp_lo: float
-    clamp_hi: float
 
     def __post_init__(self):
         if self.sigma < 0 or self.sigma_corr < 0:
             raise ValueError("noise sigmas must be >= 0")
-        if self.clamp_lo >= self.clamp_hi:
-            raise ValueError("clamp range must be ordered")
 
 
 @dataclass
@@ -43,17 +40,16 @@ class DRConfig:
     """Default values are the reference randomization profile."""
 
     enabled: bool = True
-    cube_position: NoiseSpec = field(default_factory=lambda: NoiseSpec(0.002, 0.0, -0.30, 0.30))
-    cube_orientation: NoiseSpec = field(default_factory=lambda: NoiseSpec(0.020, 0.0, -1.00, 1.00))
-    joint_position: NoiseSpec = field(default_factory=lambda: NoiseSpec(0.003, 0.004, -2.70, 1.57))
-    joint_velocity: NoiseSpec = field(default_factory=lambda: NoiseSpec(0.003, 0.004, -10.0, 10.0))
-    torque: NoiseSpec = field(default_factory=lambda: NoiseSpec(0.02, 0.01, -0.36, 0.36))
+    cube_position: NoiseSpec = field(default_factory=lambda: NoiseSpec(0.002, 0.0))
+    cube_orientation: NoiseSpec = field(default_factory=lambda: NoiseSpec(0.020, 0.0))
+    joint_position: NoiseSpec = field(default_factory=lambda: NoiseSpec(0.003, 0.004))
+    joint_velocity: NoiseSpec = field(default_factory=lambda: NoiseSpec(0.003, 0.004))
+    torque: NoiseSpec = field(default_factory=lambda: NoiseSpec(0.02, 0.01))
     object_scale_range: tuple = (0.97, 1.03)
     object_mass_range: tuple = (0.70, 1.30)
     object_friction_range: tuple = (0.70, 1.30)
     table_friction_range: tuple = (0.50, 1.50)
     external_force: ExternalForceConfig = field(default_factory=ExternalForceConfig)
-    external_force_enabled: bool = True
 
 
 def sample_episode_randomization(
@@ -92,10 +88,8 @@ def sample_episode_randomization(
 def apply_observation_noise(
     values: np.ndarray, spec: NoiseSpec, offset: np.ndarray, key: np.ndarray
 ) -> np.ndarray:
-    """Additive channel: value + episode offset + fresh N(0, sigma^2),
-    clamped to the channel range."""
-    noised = values + offset + rng.normal(key, values.shape[-1]) * spec.sigma
-    return np.clip(noised, spec.clamp_lo, spec.clamp_hi)
+    """Additive channel: value + episode offset + fresh N(0, sigma^2)."""
+    return values + offset + rng.normal(key, values.shape[-1]) * spec.sigma
 
 
 def apply_orientation_noise(
@@ -111,10 +105,5 @@ def apply_orientation_noise(
     return spatial.quat_normalize(out)
 
 
-def apply_action_noise(
-    torques: np.ndarray, spec: NoiseSpec, offset: np.ndarray, key: np.ndarray
-) -> np.ndarray:
-    """Actuation noise after command scaling: additive, then clamped to the
-    torque range."""
-    noised = torques + offset + rng.normal(key, torques.shape[-1]) * spec.sigma
-    return np.clip(noised, spec.clamp_lo, spec.clamp_hi)
+# actuation noise is the same channel, named apart so a profile can time it
+apply_action_noise = apply_observation_noise

@@ -39,6 +39,9 @@ from .spatial import KernelParams
 
 OBS_VARIANTS = ("keypoints", "pos_quat")
 SUCCESS_ROT_22_DEG = np.deg2rad(22.0)
+# the camera sees the arena only: each coordinate of a noised cube position
+# is clipped to this bound (m), a box around the table and every goal
+CAMERA_POS_LIMIT = 0.30
 
 
 @dataclass
@@ -75,6 +78,9 @@ class TaskConfig:
         for v in (self.obs_variant, self.reward_variant):
             if v not in OBS_VARIANTS:
                 raise ValueError(f"unknown variant {v!r}, expected one of {OBS_VARIANTS}")
+        if self.keypoint_half_extents is not None:
+            physics._require(self, positive=("keypoint_half_extents",),
+                             triples=("keypoint_half_extents",))
 
 
 def pose_block_width(variant: str) -> int:
@@ -130,17 +136,16 @@ def process_action(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Map policy outputs in [-1, 1] to commanded torques.
 
-    Scale to the torque range, apply velocity-proportional safety damping,
-    clamp.  Non-finite actions become zero torque and flag the env.
-    Returns (torques (N, 9), fault (N,)).
+    Clip, scale to the torque range, apply velocity-proportional safety
+    damping, which only shrinks a torque.  Non-finite actions become zero
+    torque and flag the env.  Returns (torques (N, 9), fault (N,)).
     """
     raw = np.asarray(raw_action, dtype=np.float64)
     fault = ~np.isfinite(raw).all(axis=-1)
     raw = np.where(fault[..., None], 0.0, raw)
     tau = np.clip(raw, -1.0, 1.0) * pcfg.hand.max_torque
     damp = 1.0 - pcfg.safety_damping_coef * np.abs(joint_vel) / pcfg.hand.max_joint_vel
-    tau = tau * np.maximum(damp, 0.0)
-    return np.clip(tau, -pcfg.hand.max_torque, pcfg.hand.max_torque), fault
+    return tau * np.maximum(damp, 0.0), fault
 
 
 def fingertip_to_object(
@@ -238,6 +243,11 @@ class EpisodicTask:
         self.total_steps = 0  # aggregate env steps
         self._episode_records: list[dict] = []
         self.env_ids = np.arange(env_offset, env_offset + num_envs)
+
+    def reset_all(self) -> dict:
+        """Start a new episode in every env; returns the observations."""
+        self._reset_envs(np.ones(self.num_envs, dtype=bool))
+        return self._observations()
 
     def _reset_envs(self, mask: np.ndarray) -> None:
         ids = np.nonzero(mask)[0]
@@ -340,9 +350,7 @@ class CubeReposeTask(EpisodicTask):
 
     # ------------------------------------------------------------- resets
 
-    def reset_all(self) -> dict:
-        self._reset_envs(np.ones(self.num_envs, dtype=bool))
-        return self._observations()
+    reset_all = EpisodicTask.reset_all  # perfbench's tests read it from vars()
 
     def _begin_episodes(self, ids: np.ndarray, ep: np.ndarray) -> None:
         gids = self.env_ids[ids]
@@ -398,9 +406,9 @@ class CubeReposeTask(EpisodicTask):
         gids = self.env_ids[ids]
         if self.dr.enabled:
             key = rng.stream_key(self.seed, gids, self.state.step_count[ids], rng.CH_OBS_NOISE)
-            pos = domrand.apply_observation_noise(
+            pos = np.clip(domrand.apply_observation_noise(
                 pos, self.dr.cube_position, self.params.cube_pos_offset[ids], key
-            )
+            ), -CAMERA_POS_LIMIT, CAMERA_POS_LIMIT)
             quat = domrand.apply_orientation_noise(
                 quat,
                 self.dr.cube_orientation,
@@ -436,14 +444,14 @@ class CubeReposeTask(EpisodicTask):
             key = rng.stream_key(
                 self.seed, self.env_ids, self.state.step_count, rng.CH_ACT_NOISE
             )
+            # physics.step clamps the noised torque to the actuator range
             torque_applied = domrand.apply_action_noise(
                 torque_cmd, self.dr.torque, self.params.torque_offset, key
             )
-            if self.dr.external_force_enabled:
-                physics.apply_external_force(
-                    self.state, self.params, self.pcfg, self.dr.external_force, self.seed,
-                    self.env_ids,
-                )
+            physics.apply_external_force(
+                self.state, self.params, self.pcfg, self.dr.external_force, self.seed,
+                self.env_ids,
+            )
 
         self.state = physics.step(self.state, torque_applied, self.params, self.pcfg)
         kin = self._kin = physics.fingertip_kinematics(
@@ -510,18 +518,19 @@ class CubeReposeTask(EpisodicTask):
         joint_pos = self.state.joint_pos
         joint_vel = self.state.joint_vel
         if self.dr.enabled:
+            hand = self.pcfg.hand
             key = rng.stream_key(
                 self.seed, self.env_ids, self.state.step_count, rng.CH_OBS_NOISE_JOINT_POS
             )
-            joint_pos = domrand.apply_observation_noise(
+            joint_pos = np.clip(domrand.apply_observation_noise(
                 joint_pos, self.dr.joint_position, self.params.joint_pos_offset, key
-            )
+            ), hand.joint_lower, hand.joint_upper)
             key = rng.stream_key(
                 self.seed, self.env_ids, self.state.step_count, rng.CH_OBS_NOISE_JOINT_VEL
             )
-            joint_vel = domrand.apply_observation_noise(
+            joint_vel = np.clip(domrand.apply_observation_noise(
                 joint_vel, self.dr.joint_velocity, self.params.joint_vel_offset, key
-            )
+            ), -hand.max_joint_vel, hand.max_joint_vel)
 
         # the cube pose seen through the camera: held between frames, noised
         # in the world frame at each refresh

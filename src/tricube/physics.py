@@ -66,9 +66,12 @@ N_FINGERS = 3
 N_JOINTS = 9  # 3 per finger
 
 
-def _require(obj, positive: tuple = (), non_negative: tuple = ()) -> None:
-    """Raise ValueError naming the first field of ``obj`` out of its range;
-    a tuple field is checked by its least entry."""
+def _require(obj, positive: tuple = (), non_negative: tuple = (), triples: tuple = ()) -> None:
+    """Raise ValueError naming the first field of ``obj`` out of its range
+    or, if in ``triples``, not 3 values; a tuple is checked by its least entry."""
+    for name in triples:
+        if len(getattr(obj, name)) != 3:
+            raise ValueError(f"{name} must be 3 values, got {getattr(obj, name)}")
     for name in positive + non_negative:
         value = getattr(obj, name)
         least = np.min(value)
@@ -107,7 +110,8 @@ class HandModel:
 
     def __post_init__(self):
         _require(self, positive=("link1_len", "link2_len", "fingertip_radius", "max_joint_vel",
-                                 "max_torque", "joint_inertia"), non_negative=("joint_damping",))
+                                 "max_torque", "joint_inertia"), non_negative=("joint_damping",),
+                 triples=("joint_inertia", "home_config"))
         if not self.joint_lower < self.joint_upper:
             raise ValueError(f"joint_lower must be below joint_upper, got {self.joint_lower} "
                              f"and {self.joint_upper}")
@@ -130,9 +134,8 @@ class ObjectParams:
     def __post_init__(self):
         if self.kind not in ("box", "sphere"):
             raise ValueError(f"unsupported object kind: {self.kind!r}")
-        if len(self.half_extents) != 3:
-            raise ValueError(f"half_extents must hold 3 lengths, got {self.half_extents}")
-        _require(self, positive=("half_extents", "radius", "mass"), non_negative=("friction",))
+        _require(self, positive=("half_extents", "radius", "mass"), non_negative=("friction",),
+                 triples=("half_extents",))
 
     def box_half_extents(self) -> np.ndarray:
         """Half extents (3,) of the object's box: a sphere's is (r, r, r)."""
@@ -172,11 +175,12 @@ class PhysicsConfig:
     n_substeps: int = 6
     max_obj_linvel: float = 5.0
     max_obj_angvel: float = 12.0
-    # invented plumbing: velocity-proportional reduction of commanded torque
+    # invented plumbing: velocity-proportional reduction of commanded torque;
+    # >= 0, so process_action's torques stay within max_torque
     safety_damping_coef: float = 0.1
 
     def __post_init__(self):
-        _require(self, positive=("dt", "n_substeps"))
+        _require(self, positive=("dt", "n_substeps"), non_negative=("safety_damping_coef",))
 
 
 @dataclass
@@ -578,10 +582,10 @@ def _limit_speed(v: tuple, v_max: float) -> tuple:
 def step(state: SimState, torques: np.ndarray, params: EnvParams, cfg: PhysicsConfig) -> SimState:
     """Advance every env by one control step of ``cfg.dt`` seconds.
 
-    ``torques`` (N, 9) must already be clamped to the actuator range (the
-    task layer owns scaling, safety damping, and action noise).  Non-finite
-    inputs set the per-env fault flag and that env is restored to the rest
-    state; the rest of the batch is unaffected.
+    ``torques`` (N, 9) are clamped to ``±cfg.hand.max_torque`` here, the one
+    clamp on the actuator (the task layer owns scaling, safety damping, and
+    action noise).  Non-finite inputs set the per-env fault flag and that env
+    is restored to the rest state; the rest of the batch is unaffected.
     """
     n = state.n_envs
     torques = np.asarray(torques, dtype=np.float64)

@@ -67,10 +67,6 @@ class ReachTask(EpisodicTask):
         y = -c.link1_len * np.cos(q[:, 0]) - c.link2_len * np.cos(q[:, 0] + q[:, 1])
         return np.stack([x, y], axis=-1)
 
-    def reset_all(self) -> dict:
-        self._reset_envs(np.ones(self.num_envs, dtype=bool))
-        return self._observations()
-
     def _begin_episodes(self, ids: np.ndarray, ep: np.ndarray) -> None:
         key = rng.stream_key(self.seed, self.env_ids[ids], ep, rng.CH_REACH_TARGET)
         u = rng.uniform(key, 4)

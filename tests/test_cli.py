@@ -284,18 +284,39 @@ def test_non_positive_step_settings_are_config_errors(outroot, capsys, key, valu
     ("physics.hand.max_joint_vel", "0", "positive"),
     ("physics.hand.max_torque", "0", "positive"),
     ("physics.hand.joint_inertia", "[0.0,0.012,0.002]", "positive"),
+    ("physics.hand.joint_inertia", "[0.012,0.012]", "3 values"),
+    ("physics.hand.home_config", "[0.0,1.1]", "3 values"),
     ("physics.hand.joint_damping", "-0.02", "non-negative"),
     ("physics.hand.joint_lower", "1.57", "below joint_upper"),
     ("physics.contact.stiffness", "0", "positive"),
     ("physics.contact.friction_smoothing_vel", "0", "positive"),
     ("physics.contact.damping", "-1", "non-negative"),
     ("physics.contact.table_friction", "-0.5", "non-negative"),
+    ("physics.safety_damping_coef", "-0.1", "non-negative"),
+    ("task.keypoint_half_extents", "[0.03,0.03]", "3 values"),
+    ("task.keypoint_half_extents", "[0,0.03,0.03]", "positive"),
 ])
 def test_out_of_range_physics_constants_are_config_errors(outroot, capsys, key, value, want):
     assert run_cli("train", *TINY, "--set", f"{key}={value}") == EXIT_CONFIG
     section, name = key.rsplit(".", 1)
     assert f"{section}: {name} must be {want}" in capsys.readouterr().err
     assert not any(outroot.iterdir())
+
+
+@pytest.mark.parametrize("value", ['"abc"', "1.5", "0", "true"])
+def test_stop_after_steps_must_be_a_positive_integer(outroot, capsys, value):
+    assert run_cli("train", *TINY, "--set", f"run.stop_after_steps={value}") == EXIT_CONFIG
+    assert "run: stop_after_steps must be a positive integer" in capsys.readouterr().err
+    assert not any(outroot.iterdir())
+
+
+@pytest.mark.parametrize("key, value, section", [
+    ("dr.torque.clamp_lo", "-1", "dr.torque"), ("dr.external_force_enabled", "false", "dr"),
+])
+def test_removed_randomization_keys_are_unknown(outroot, capsys, key, value, section):
+    # the hand's limits live in physics.hand; external forces stop at prob 0
+    assert run_cli("train", *TINY, "--set", f"{key}={value}") == EXIT_CONFIG
+    assert f"{section}: unknown keys ['{key.rsplit('.', 1)[1]}']" in capsys.readouterr().err
 
 
 def test_checkpoints_without_a_stored_config_are_refused(outroot, monkeypatch, capsys):

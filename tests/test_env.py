@@ -1,10 +1,11 @@
 import numpy as np
+import pytest
 
 from tricube import env as env_mod
 from tricube import physics, rng, spatial
 from tricube.domrand import DRConfig
 from tricube.env import CubeReposeTask, TaskConfig, actor_layout, critic_layout
-from tricube.physics import PhysicsConfig
+from tricube.physics import HandModel, PhysicsConfig
 
 
 def make_task(n=8, seed=0, dr_enabled=False, **task_kw):
@@ -112,6 +113,42 @@ def test_process_action_nan_faults():
     tau, fault = env_mod.process_action(a, np.zeros((3, 9)), pcfg)
     assert list(fault) == [False, True, False]
     assert np.all(tau[1] == 0.0)
+
+
+# the reference hand, and one whose torque limit and upper joint limit
+# exceed the reference's 0.36 N m and 1.57 rad
+HANDS = pytest.mark.parametrize("hand", [HandModel(), HandModel(max_torque=0.5, joint_upper=2.0)],
+                                ids=["reference", "raised"])
+
+
+@HANDS
+def test_dr_observed_joints_stay_in_the_hand_range(hand):
+    # joints at their limits: the noised readings reach the limits, not past
+    t = CubeReposeTask(8, seed=1, phys=PhysicsConfig(hand=hand), dr=DRConfig())
+    t.reset_all()
+    arrays = t.state_dict()
+    upper = (np.arange(8) >= 4)[:, None]
+    arrays["state.joint_pos"][:] = np.where(upper, hand.joint_upper, hand.joint_lower)
+    arrays["state.joint_vel"][:] = np.where(upper, 1.0, -1.0) * hand.max_joint_vel
+    actor = t.load_state_dict(arrays)["actor"]
+    layout = actor_layout("keypoints")
+    pos = actor[:, slice(*layout["joint_pos"])]
+    vel = actor[:, slice(*layout["joint_vel"])]
+    assert pos.min() == hand.joint_lower and pos.max() == hand.joint_upper
+    assert vel.min() == -hand.max_joint_vel and vel.max() == hand.max_joint_vel
+    assert not np.all(np.isin(pos, (hand.joint_lower, hand.joint_upper)))  # noise is on
+
+
+@HANDS
+def test_dr_applied_torque_stays_within_max_torque(hand):
+    # full commands at rest: the noised torque reaches max_torque, not past
+    t = CubeReposeTask(8, seed=2, phys=PhysicsConfig(hand=hand), dr=DRConfig())
+    t.reset_all()
+    t.step(np.where((np.arange(8) >= 4)[:, None], 1.0, -1.0) * np.ones((8, 9)))
+    applied = t.state.joint_torque
+    assert applied.min() == -hand.max_torque and applied.max() == hand.max_torque
+    assert np.all(np.abs(t.last_action_torque) == hand.max_torque)
+    assert not np.all(np.abs(applied) == hand.max_torque)  # noise is on
 
 
 # ------------------------------------------------------------ reward pieces

@@ -323,7 +323,7 @@ def test_ablation_arms_use_the_whole_config(monkeypatch):
     from tricube import trainer as trainer_mod
 
     cfg = micro_ablation_config()
-    cfg.dr.external_force_enabled = False
+    cfg.dr.external_force.prob = 0.0
     seen = []
 
     def record(self, stop_after_steps=None):
