@@ -8,7 +8,9 @@ the output directory and its lock file; run the command's body, which
 writes only inside that directory; write exactly one ``manifest.json``.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime fault, 4
-checkpoint/config incompatibility or an unreadable checkpoint.
+checkpoint/config incompatibility or an unreadable checkpoint.  A config
+leaf outside its declared domain exits 2, naming its path, before anything
+is written.
 """
 
 from __future__ import annotations

@@ -3,9 +3,10 @@ unknown keys.
 
 Resolution order is profile defaults, then the config file, then ``--set
 section.key=value`` overrides.  The resolved tree round-trips through JSON
-exactly (parse -> serialize -> parse is the identity), is validated before
-any run starts, and its canonical-JSON hash identifies the run in every
-report and manifest.
+exactly (parse -> serialize -> parse is the identity), and its
+canonical-JSON hash identifies the run in every report and manifest.  Every
+leaf declares its domain (``domains``), and building the tree checks each
+one: an out-of-domain leaf is a ``ConfigError`` naming its path.
 """
 
 from __future__ import annotations
@@ -16,15 +17,12 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
+from .domains import NON_EMPTY, NON_NEGATIVE, POSITIVE, SEED, Checked, ConfigError, leaf, list_of, one_of
 from .domrand import DRConfig
 from .env import TaskConfig
 from .physics import ObjectParams, PhysicsConfig
 from .ppo import PPOConfig
 from .reach import ReachConfig
-
-
-class ConfigError(ValueError):
-    pass
 
 
 # zero-shot transfer objects: primitive shapes, dimensions in meters
@@ -41,55 +39,31 @@ TRANSFER_OBJECTS = {
 
 
 @dataclass
-class HarnessConfig:
-    eval_trials: int = 1024
-    eval_seed: int = 10_000
-    ablation_seeds: tuple = (0, 1, 2)
-    ablation_total_steps: int = 50_000_000
-    sweep_scale_grid: tuple = (0.4, 0.6, 0.8, 0.9, 1.0, 1.1, 1.2, 1.35, 1.5)
-    sweep_mass_grid: tuple = (0.25, 0.5, 0.7, 1.0, 1.3, 2.0, 3.0, 4.0)
-    heatmap_pos_thresholds: tuple = (0.01, 0.02, 0.03, 0.05)
-    heatmap_rot_thresholds_deg: tuple = (11.0, 22.0, 33.0, 45.0)
-    transfer_objects: tuple = tuple(TRANSFER_OBJECTS)
-
-    def __post_init__(self):
-        if self.eval_trials < 0:
-            raise ValueError("eval_trials must be non-negative")
-        if self.ablation_total_steps <= 0:
-            raise ValueError("ablation_total_steps must be positive")
-        for name in ("sweep_scale_grid", "sweep_mass_grid"):
-            grid = getattr(self, name)
-            if not grid or not all(isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0
-                                   for v in grid):
-                raise ValueError(f"{name} must be a non-empty list of positive numbers")
-        unknown = [n for n in self.transfer_objects
-                   if not isinstance(n, str) or n not in TRANSFER_OBJECTS]
-        if unknown:
-            raise ValueError(f"unknown transfer_objects {unknown}; known: {sorted(TRANSFER_OBJECTS)}")
+class HarnessConfig(Checked):
+    eval_trials: int = leaf(1024, NON_NEGATIVE, off="0 runs no trials")
+    eval_seed: int = leaf(10_000, SEED)
+    ablation_seeds: tuple = leaf((0, 1, 2), list_of(SEED, NON_EMPTY))
+    ablation_total_steps: int = leaf(50_000_000, POSITIVE)
+    sweep_scale_grid: tuple = leaf((0.4, 0.6, 0.8, 0.9, 1.0, 1.1, 1.2, 1.35, 1.5), list_of(POSITIVE, NON_EMPTY))
+    sweep_mass_grid: tuple = leaf((0.25, 0.5, 0.7, 1.0, 1.3, 2.0, 3.0, 4.0), list_of(POSITIVE, NON_EMPTY))
+    heatmap_pos_thresholds: tuple = leaf((0.01, 0.02, 0.03, 0.05), list_of(POSITIVE, NON_EMPTY))
+    heatmap_rot_thresholds_deg: tuple = leaf((11.0, 22.0, 33.0, 45.0), list_of(POSITIVE, NON_EMPTY))
+    transfer_objects: tuple = leaf(tuple(TRANSFER_OBJECTS), list_of(one_of(*TRANSFER_OBJECTS), NON_EMPTY))
 
 
 @dataclass
-class RunConfig:
-    seed: int = 0
-    task: str = "cube_repose"  # or "reach"
-    num_envs: int = 4096
-    total_steps: int = 1_000_000_000
-    checkpoint_interval: int = 50  # iterations
-    stop_after_steps: int | None = None
-    output_dir: str = "runs/default"
-
-    def __post_init__(self):
-        if self.num_envs <= 0 or self.total_steps <= 0:
-            raise ValueError("num_envs and total_steps must be positive")
-        if self.task not in ("cube_repose", "reach"):
-            raise ValueError(f"unknown task {self.task!r}")
-        stop = self.stop_after_steps
-        if stop is not None and (not isinstance(stop, int) or isinstance(stop, bool) or stop <= 0):
-            raise ValueError(f"stop_after_steps must be a positive integer or null, got {stop!r}")
+class RunConfig(Checked):
+    seed: int = leaf(0, SEED)
+    task: str = leaf("cube_repose", one_of("cube_repose", "reach"))
+    num_envs: int = leaf(4096, POSITIVE)
+    total_steps: int = leaf(1_000_000_000, POSITIVE)
+    checkpoint_interval: int = leaf(50, NON_NEGATIVE, off="0 writes no periodic checkpoints")  # iterations
+    stop_after_steps: int | None = leaf(None, POSITIVE, kind=int)
+    output_dir: str = leaf("runs/default", NON_EMPTY)
 
 
 @dataclass
-class EngineConfig:
+class EngineConfig(Checked):
     physics: PhysicsConfig = field(default_factory=PhysicsConfig)
     task: TaskConfig = field(default_factory=TaskConfig)
     dr: DRConfig = field(default_factory=DRConfig)
@@ -98,11 +72,8 @@ class EngineConfig:
     harness: HarnessConfig = field(default_factory=HarnessConfig)
     run: RunConfig = field(default_factory=RunConfig)
 
-    def validate(self) -> None:
-        if self.ppo.batch_size % self.run.num_envs != 0:
-            raise ConfigError(
-                f"ppo.batch_size {self.ppo.batch_size} must be divisible by run.num_envs {self.run.num_envs}"
-            )
+    # the one rule across two sections
+    RULES = (("ppo.batch_size", "divisible by", "run.num_envs"),)
 
 
 # Profiles are override dicts on top of the dataclass defaults.  The default
@@ -143,59 +114,30 @@ def to_dict(obj) -> dict:
     return obj
 
 
-def _coerce_like(default, value, path: str):
-    if dataclasses.is_dataclass(default):
-        if not isinstance(value, dict):
-            raise ConfigError(f"{path}: expected a table, got {type(value).__name__}")
-        return _build(type(default), default, value, path)
-    if isinstance(default, tuple):
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{path}: expected a list")
-        return tuple(value)
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path}: expected a boolean")
-        return value
-    if isinstance(default, int) and not isinstance(default, bool):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}: expected a number")
-        if isinstance(value, float) and not value.is_integer():
-            raise ConfigError(f"{path}: expected an integer")
-        return int(value)
-    if isinstance(default, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}: expected a number")
-        return float(value)
-    if isinstance(default, str):
-        if not isinstance(value, str):
-            raise ConfigError(f"{path}: expected a string")
-        return value
-    # default is None (optional field): accept what JSON gave us
-    return tuple(value) if isinstance(value, list) else value
-
-
 def _build(cls, defaults, data: dict, path: str):
-    field_names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - field_names
+    """``cls`` from ``defaults`` under ``data``, built, and so checked, bottom-up."""
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
     kwargs = {}
     for f in dataclasses.fields(cls):
-        if f.name in data:
-            sub_path = f"{path}.{f.name}" if path else f.name
-            kwargs[f.name] = _coerce_like(getattr(defaults, f.name), data[f.name], sub_path)
+        default, sub_path = getattr(defaults, f.name), f"{path}.{f.name}" if path else f.name
+        if f.name not in data:
+            kwargs[f.name] = copy.deepcopy(default)
+        elif not dataclasses.is_dataclass(default):
+            kwargs[f.name] = f.metadata["domain"].coerce(data[f.name], f.metadata["kind"], sub_path)
+        elif isinstance(data[f.name], dict):
+            kwargs[f.name] = _build(type(default), default, data[f.name], sub_path)
         else:
-            kwargs[f.name] = copy.deepcopy(getattr(defaults, f.name))
+            raise ConfigError(f"{sub_path}: expected a table, got {type(data[f.name]).__name__}")
     try:
         return cls(**kwargs)
     except ValueError as err:
-        raise ConfigError(f"{path or cls.__name__}: {err}") from err
+        raise ConfigError(f"{path}: {err}" if path else str(err)) from err
 
 
 def from_dict(data: dict) -> EngineConfig:
-    cfg = _build(EngineConfig, EngineConfig(), data, "")
-    cfg.validate()
-    return cfg
+    return _build(EngineConfig, EngineConfig(), data, "")
 
 
 def _deep_merge(base: dict, override: dict) -> dict:

@@ -22,33 +22,30 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng, spatial
+from .domains import FLAG, NON_NEGATIVE, PAIR, POSITIVE, Checked, leaf, list_of
 from .physics import N_JOINTS, EnvParams, ExternalForceConfig
 
 
 @dataclass
-class NoiseSpec:
-    sigma: float
-    sigma_corr: float
-
-    def __post_init__(self):
-        if self.sigma < 0 or self.sigma_corr < 0:
-            raise ValueError("noise sigmas must be >= 0")
+class NoiseSpec(Checked):
+    sigma: float = leaf(0.0, NON_NEGATIVE)
+    sigma_corr: float = leaf(0.0, NON_NEGATIVE)
 
 
 @dataclass
-class DRConfig:
+class DRConfig(Checked):
     """Default values are the reference randomization profile."""
 
-    enabled: bool = True
+    enabled: bool = leaf(True, FLAG)
     cube_position: NoiseSpec = field(default_factory=lambda: NoiseSpec(0.002, 0.0))
     cube_orientation: NoiseSpec = field(default_factory=lambda: NoiseSpec(0.020, 0.0))
     joint_position: NoiseSpec = field(default_factory=lambda: NoiseSpec(0.003, 0.004))
     joint_velocity: NoiseSpec = field(default_factory=lambda: NoiseSpec(0.003, 0.004))
     torque: NoiseSpec = field(default_factory=lambda: NoiseSpec(0.02, 0.01))
-    object_scale_range: tuple = (0.97, 1.03)
-    object_mass_range: tuple = (0.70, 1.30)
-    object_friction_range: tuple = (0.70, 1.30)
-    table_friction_range: tuple = (0.50, 1.50)
+    object_scale_range: tuple = leaf((0.97, 1.03), list_of(POSITIVE, PAIR))
+    object_mass_range: tuple = leaf((0.70, 1.30), list_of(POSITIVE, PAIR))
+    object_friction_range: tuple = leaf((0.70, 1.30), list_of(NON_NEGATIVE, PAIR))
+    table_friction_range: tuple = leaf((0.50, 1.50), list_of(NON_NEGATIVE, PAIR))
     external_force: ExternalForceConfig = field(default_factory=ExternalForceConfig)
 
 

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import domrand, physics, rng, spatial
+from .domains import FINITE, FLAG, NON_NEGATIVE, POSITIVE, TRIPLE, Checked, leaf, list_of, one_of
 from .domrand import DRConfig
 from .physics import N_JOINTS, EnvParams, PhysicsConfig
 from .spatial import KernelParams
@@ -45,42 +46,28 @@ CAMERA_POS_LIMIT = 0.30
 
 
 @dataclass
-class TaskConfig:
-    episode_length: int = 750  # 15 s at 50 Hz
-    success_pos_threshold: float = 0.02
-    success_rot_threshold: float = float(SUCCESS_ROT_22_DEG)
-    w_fingertip_reach: float = -750.0
-    w_fingertip_vel: float = -0.5
-    w_object_goal: float = 40.0
+class TaskConfig(Checked):
+    episode_length: int = leaf(750, POSITIVE)  # 15 s at 50 Hz
+    success_pos_threshold: float = leaf(0.02, POSITIVE)
+    success_rot_threshold: float = leaf(float(SUCCESS_ROT_22_DEG), POSITIVE)
+    w_fingertip_reach: float = leaf(-750.0, FINITE)
+    w_fingertip_vel: float = leaf(-0.5, FINITE)
+    w_object_goal: float = leaf(40.0, FINITE)
     kernel_keypoints: KernelParams = field(default_factory=lambda: KernelParams(a=30.0, b=2.0))
     kernel_pos: KernelParams = field(default_factory=lambda: KernelParams(a=50.0, b=2.0))
-    reach_cutoff_steps: float = 5e7  # aggregate env steps of one batch
-    obs_variant: str = "keypoints"
-    reward_variant: str = "keypoints"
-    goal_radius: float = 0.15
-    goal_z_max: float = 0.25
-    goal_yaw_only: bool = False
-    camera_repeat: int = 5
-    camera_sign_flips: bool = True
-    spawn_disc_radius: float = 0.03
-    joint_reset_noise: float = 0.02
+    reach_cutoff_steps: float = leaf(5e7, NON_NEGATIVE)  # aggregate env steps of one batch
+    obs_variant: str = leaf("keypoints", one_of(*OBS_VARIANTS))
+    reward_variant: str = leaf("keypoints", one_of(*OBS_VARIANTS))
+    goal_radius: float = leaf(0.15, NON_NEGATIVE)
+    goal_z_max: float = leaf(0.25, POSITIVE)
+    goal_yaw_only: bool = leaf(False, FLAG)
+    camera_repeat: int = leaf(5, POSITIVE)
+    camera_sign_flips: bool = leaf(True, FLAG)
+    spawn_disc_radius: float = leaf(0.03, NON_NEGATIVE)
+    joint_reset_noise: float = leaf(0.02, NON_NEGATIVE)
     # observed/reward keypoints come from this box; None derives it from the
     # physics object.  Zero-shot transfer pins it to the training cube.
-    keypoint_half_extents: tuple | None = None
-
-    def __post_init__(self):
-        if self.episode_length <= 0:
-            raise ValueError("episode_length must be > 0")
-        if self.success_pos_threshold <= 0 or self.success_rot_threshold <= 0:
-            raise ValueError("success thresholds must be > 0")
-        if self.camera_repeat < 1:
-            raise ValueError(f"camera_repeat must be positive, got {self.camera_repeat}")
-        for v in (self.obs_variant, self.reward_variant):
-            if v not in OBS_VARIANTS:
-                raise ValueError(f"unknown variant {v!r}, expected one of {OBS_VARIANTS}")
-        if self.keypoint_half_extents is not None:
-            physics._require(self, positive=("keypoint_half_extents",),
-                             triples=("keypoint_half_extents",))
+    keypoint_half_extents: tuple | None = leaf(None, list_of(POSITIVE, TRIPLE), kind=float)
 
 
 def pose_block_width(variant: str) -> int:

@@ -61,28 +61,14 @@ from functools import cached_property
 import numpy as np
 
 from . import rng, spatial
+from .domains import FINITE, FLAG, NON_NEGATIVE, POSITIVE, TRIPLE, UNIT, Checked, leaf, list_of, one_of
 
 N_FINGERS = 3
 N_JOINTS = 9  # 3 per finger
 
 
-def _require(obj, positive: tuple = (), non_negative: tuple = (), triples: tuple = ()) -> None:
-    """Raise ValueError naming the first field of ``obj`` out of its range
-    or, if in ``triples``, not 3 values; a tuple is checked by its least entry."""
-    for name in triples:
-        if len(getattr(obj, name)) != 3:
-            raise ValueError(f"{name} must be 3 values, got {getattr(obj, name)}")
-    for name in positive + non_negative:
-        value = getattr(obj, name)
-        least = np.min(value)
-        if name in positive and not least > 0:
-            raise ValueError(f"{name} must be positive, got {value}")
-        if not least >= 0:
-            raise ValueError(f"{name} must be non-negative, got {value}")
-
-
 @dataclass
-class HandModel:
+class HandModel(Checked):
     """Geometry and joint parameters of the 3-finger hand.
 
     The three fingers are mounted 120 degrees apart on a circle of radius
@@ -94,48 +80,36 @@ class HandModel:
     platform dimensions and live in config, not code.
     """
 
-    link1_len: float = 0.16
-    link2_len: float = 0.16
-    fingertip_radius: float = 0.0175
-    mount_radius: float = 0.04
-    mount_height: float = 0.29
-    joint_lower: float = -2.70
-    joint_upper: float = 1.57
-    max_joint_vel: float = 10.0
-    max_torque: float = 0.36
-    joint_damping: float = 0.02
+    link1_len: float = leaf(0.16, POSITIVE)
+    link2_len: float = leaf(0.16, POSITIVE)
+    fingertip_radius: float = leaf(0.0175, POSITIVE)
+    mount_radius: float = leaf(0.04, NON_NEGATIVE)
+    mount_height: float = leaf(0.29, POSITIVE)
+    joint_lower: float = leaf(-2.70, FINITE)
+    joint_upper: float = leaf(1.57, FINITE)
+    max_joint_vel: float = leaf(10.0, POSITIVE)
+    max_torque: float = leaf(0.36, POSITIVE)
+    joint_damping: float = leaf(0.02, NON_NEGATIVE)
     # diagonal joint-space inertia approximation per joint of one finger
-    joint_inertia: tuple = (0.012, 0.012, 0.002)
-    home_config: tuple = (0.0, 1.1, -2.0)
+    joint_inertia: tuple = leaf((0.012, 0.012, 0.002), list_of(POSITIVE, TRIPLE))
+    home_config: tuple = leaf((0.0, 1.1, -2.0), list_of(FINITE, TRIPLE))
 
-    def __post_init__(self):
-        _require(self, positive=("link1_len", "link2_len", "fingertip_radius", "max_joint_vel",
-                                 "max_torque", "joint_inertia"), non_negative=("joint_damping",),
-                 triples=("joint_inertia", "home_config"))
-        if not self.joint_lower < self.joint_upper:
-            raise ValueError(f"joint_lower must be below joint_upper, got {self.joint_lower} "
-                             f"and {self.joint_upper}")
+    RULES = (("joint_lower", "below", "joint_upper"),)
 
     def home_joint_positions(self) -> np.ndarray:
         return np.tile(np.asarray(self.home_config, dtype=np.float64), N_FINGERS)
 
 
 @dataclass
-class ObjectParams:
+class ObjectParams(Checked):
     """The manipulated object: an axis-aligned box (default: the 6.5 cm
     cube) or a sphere, with uniform-density inertia."""
 
-    kind: str = "box"  # "box" | "sphere"
-    half_extents: tuple = (0.0325, 0.0325, 0.0325)
-    radius: float = 0.0325
-    mass: float = 0.094
-    friction: float = 0.9
-
-    def __post_init__(self):
-        if self.kind not in ("box", "sphere"):
-            raise ValueError(f"unsupported object kind: {self.kind!r}")
-        _require(self, positive=("half_extents", "radius", "mass"), non_negative=("friction",),
-                 triples=("half_extents",))
+    kind: str = leaf("box", one_of("box", "sphere"))
+    half_extents: tuple = leaf((0.0325, 0.0325, 0.0325), list_of(POSITIVE, TRIPLE))
+    radius: float = leaf(0.0325, POSITIVE)
+    mass: float = leaf(0.094, POSITIVE)
+    friction: float = leaf(0.9, NON_NEGATIVE)
 
     def box_half_extents(self) -> np.ndarray:
         """Half extents (3,) of the object's box: a sphere's is (r, r, r)."""
@@ -145,7 +119,7 @@ class ObjectParams:
 
 
 @dataclass
-class ContactParams:
+class ContactParams(Checked):
     """Penalty contact constants.
 
     Stiffness and damping for object contacts scale with the effective
@@ -154,44 +128,36 @@ class ContactParams:
     the mass and scale randomization range.
     """
 
-    stiffness: float = 1200.0  # N/m per contact at nominal object mass
-    damping: float = 6.0  # N s/m per contact at nominal object mass
-    friction_smoothing_vel: float = 0.002  # m/s, tanh regularization knee
-    table_friction: float = 0.5
-    mass_scaled: bool = True
-
-    def __post_init__(self):
-        _require(self, positive=("stiffness", "friction_smoothing_vel"),
-                 non_negative=("damping", "table_friction"))
+    stiffness: float = leaf(1200.0, POSITIVE)  # N/m per contact at nominal object mass
+    damping: float = leaf(6.0, NON_NEGATIVE)  # N s/m per contact at nominal object mass
+    friction_smoothing_vel: float = leaf(0.002, POSITIVE)  # m/s, tanh regularization knee
+    table_friction: float = leaf(0.5, NON_NEGATIVE)
+    mass_scaled: bool = leaf(True, FLAG)
 
 
 @dataclass
-class PhysicsConfig:
+class PhysicsConfig(Checked):
     hand: HandModel = field(default_factory=HandModel)
     object: ObjectParams = field(default_factory=ObjectParams)
     contact: ContactParams = field(default_factory=ContactParams)
-    gravity: float = 9.81
-    dt: float = 0.02
-    n_substeps: int = 6
-    max_obj_linvel: float = 5.0
-    max_obj_angvel: float = 12.0
-    # invented plumbing: velocity-proportional reduction of commanded torque;
-    # >= 0, so process_action's torques stay within max_torque
-    safety_damping_coef: float = 0.1
-
-    def __post_init__(self):
-        _require(self, positive=("dt", "n_substeps"), non_negative=("safety_damping_coef",))
+    gravity: float = leaf(9.81, FINITE)
+    dt: float = leaf(0.02, POSITIVE)
+    n_substeps: int = leaf(6, POSITIVE)
+    max_obj_linvel: float = leaf(5.0, POSITIVE)
+    max_obj_angvel: float = leaf(12.0, POSITIVE)
+    # invented plumbing: velocity-proportional reduction of commanded torque (never a gain)
+    safety_damping_coef: float = leaf(0.1, NON_NEGATIVE)
 
 
 @dataclass
-class ExternalForceConfig:
+class ExternalForceConfig(Checked):
     """Random cube perturbations: each step a force episode starts with
     probability ``prob``; the force is Gaussian per component with std
     ``scale * m * g`` and decays geometrically afterwards."""
 
-    prob: float = 0.1
-    scale: float = 1.0
-    decay: float = 0.8
+    prob: float = leaf(0.1, UNIT)
+    scale: float = leaf(1.0, NON_NEGATIVE)
+    decay: float = leaf(0.8, UNIT)
 
 
 @dataclass

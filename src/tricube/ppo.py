@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
+from .domains import FINITE, FLAG, NON_NEGATIVE, POSITIVE, UNIT, Checked, leaf, list_of
 from .nets import MLP, Adam, RunningNorm
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -37,35 +38,27 @@ CHECKPOINT_VERSION = 2  # 2: the manifest stores the run's config; version 1 fil
 
 
 @dataclass
-class PPOConfig:
-    gamma: float = 0.99
-    gae_tau: float = 0.95
-    lr_start: float = 5e-4
-    lr_end: float = 1e-6
-    batch_size: int = 65536
-    minibatch_size: int = 16384
-    epochs: int = 8
-    clip_eps: float = 0.2
-    entropy_coef: float = 0.0
-    policy_hidden: tuple = (256, 256, 128, 128)
-    value_hidden: tuple = (512, 512, 256, 128)
-    log_std_init: float = 0.0
-    log_std_min: float = -5.0
-    log_std_max: float = 2.0
-    max_grad_norm: float = 1.0  # global-norm gradient clip; 0 disables
-    normalize_obs: bool = True  # running per-dim observation normalization
-    normalize_value: bool = True  # running value-target normalization
+class PPOConfig(Checked):
+    gamma: float = leaf(0.99, UNIT)
+    gae_tau: float = leaf(0.95, UNIT)
+    lr_start: float = leaf(5e-4, POSITIVE)
+    lr_end: float = leaf(1e-6, NON_NEGATIVE)
+    batch_size: int = leaf(65536, POSITIVE)
+    minibatch_size: int = leaf(16384, POSITIVE)
+    epochs: int = leaf(8, POSITIVE)
+    clip_eps: float = leaf(0.2, POSITIVE)
+    entropy_coef: float = leaf(0.0, NON_NEGATIVE)
+    policy_hidden: tuple = leaf((256, 256, 128, 128), list_of(POSITIVE))
+    value_hidden: tuple = leaf((512, 512, 256, 128), list_of(POSITIVE))
+    log_std_init: float = leaf(0.0, FINITE)
+    log_std_min: float = leaf(-5.0, FINITE)
+    log_std_max: float = leaf(2.0, FINITE)
+    max_grad_norm: float = leaf(1.0, FINITE, off="<= 0 turns clipping off")  # global-norm clip
+    normalize_obs: bool = leaf(True, FLAG)  # running per-dim observation normalization
+    normalize_value: bool = leaf(True, FLAG)  # running value-target normalization
 
-    def __post_init__(self):
-        for name in ("epochs", "batch_size", "minibatch_size"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.batch_size % self.minibatch_size != 0:
-            raise ValueError(
-                f"minibatch size {self.minibatch_size} must divide batch size {self.batch_size}"
-            )
-        if self.lr_end > self.lr_start:
-            raise ValueError("lr_end must not exceed lr_start")
+    RULES = (("lr_end", "at most", "lr_start"), ("batch_size", "divisible by", "minibatch_size"),
+             ("log_std_min", "below", "log_std_max"))
 
 
 def clip_grad_norm(grads: list, max_norm: float) -> list:

@@ -15,24 +15,27 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
+from .domains import NON_NEGATIVE, POSITIVE, Checked, leaf
 from .env import EpisodicTask
 from .spatial import KernelParams, logistic_kernel
 
 
 @dataclass
-class ReachConfig:
-    episode_length: int = 200
-    link1_len: float = 0.16
-    link2_len: float = 0.16
-    joint_inertia: float = 0.004
-    joint_damping: float = 0.04
-    max_torque: float = 0.25
-    max_joint_vel: float = 10.0
-    dt: float = 0.02
-    target_radius_min: float = 0.08
-    target_radius_max: float = 0.25
+class ReachConfig(Checked):
+    episode_length: int = leaf(200, POSITIVE)
+    link1_len: float = leaf(0.16, POSITIVE)
+    link2_len: float = leaf(0.16, POSITIVE)
+    joint_inertia: float = leaf(0.004, POSITIVE)
+    joint_damping: float = leaf(0.04, NON_NEGATIVE)
+    max_torque: float = leaf(0.25, POSITIVE)
+    max_joint_vel: float = leaf(10.0, POSITIVE)
+    dt: float = leaf(0.02, POSITIVE)
+    target_radius_min: float = leaf(0.08, NON_NEGATIVE)
+    target_radius_max: float = leaf(0.25, POSITIVE)
     # gentle slope: the kernel stays informative across the whole workspace
     kernel: KernelParams = field(default_factory=lambda: KernelParams(a=10.0, b=2.0))
+
+    RULES = (("target_radius_min", "at most", "target_radius_max"),)
 
     @property
     def oracle_return(self) -> float:

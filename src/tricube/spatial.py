@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domains import NON_NEGATIVE, POSITIVE, Checked, leaf
+
 QUAT_IDENTITY = np.array([0.0, 0.0, 0.0, 1.0])
 
 # (8, 3) sign matrix: row i, column k is +1 if bit k of i is set, else -1.
@@ -39,18 +41,12 @@ _CORNER_SIGNS = np.array(
 
 
 @dataclass
-class KernelParams:
+class KernelParams(Checked):
     """Logistic reward-kernel parameters: ``a`` scales distance (1/m), ``b``
     flattens the peak.  ``K(0) = 1/(b+2)``."""
 
-    a: float = 30.0
-    b: float = 2.0
-
-    def __post_init__(self):
-        if self.a <= 0:
-            raise ValueError(f"kernel scale a must be > 0, got {self.a}")
-        if self.b < 0:
-            raise ValueError(f"kernel offset b must be >= 0, got {self.b}")
+    a: float = leaf(30.0, POSITIVE)
+    b: float = leaf(2.0, NON_NEGATIVE)
 
 
 def _parts(a) -> tuple:

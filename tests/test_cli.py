@@ -438,6 +438,24 @@ def test_grid_and_objects_are_checked_config_overrides(outroot, capsys):
     assert manifest["config"]["harness"]["sweep_mass_grid"] == [0.5, 2] == manifest["grid"]
 
 
+def test_empty_output_dir_is_a_config_error(outroot, capsys):
+    # an empty run.output_dir would write the run's files into the root itself
+    assert run_cli("train", "--out", "", *TINY) == EXIT_CONFIG
+    assert "run: output_dir must be non-empty" in capsys.readouterr().err
+    assert not any(outroot.iterdir())
+
+
+def test_empty_evaluation_lists_are_config_errors(outroot, capsys):
+    ckpt = str(outroot / "unread.tckpt")  # the config is refused before the checkpoint is read
+    assert run_cli("objects", "--out", "ob", "--checkpoint", ckpt, "--objects", "[]",
+                   *TINY) == EXIT_CONFIG
+    assert "harness: transfer_objects must be non-empty" in capsys.readouterr().err
+    assert run_cli("heatmap", "--out", "hm", "--checkpoint", ckpt, *TINY,
+                   "--set", "harness.heatmap_pos_thresholds=[]") == EXIT_CONFIG
+    assert "harness: heatmap_pos_thresholds must be non-empty" in capsys.readouterr().err
+    assert not any(outroot.iterdir())
+
+
 def test_eval_missing_checkpoint(outroot):
     assert run_cli(
         "eval", "--out", "missing", "--checkpoint", str(outroot / "no.tckpt"), "--trials", "2", *TINY

@@ -1,9 +1,15 @@
+import dataclasses
 import json
 
 import pytest
+from test_cli import TINY, outroot, run_cli  # noqa: F401 (outroot is a fixture)
 
 from tricube import config as config_mod
-from tricube.config import ConfigError, config_hash, from_dict, resolve, to_dict
+from tricube.cli import EXIT_CONFIG
+from tricube.config import (TRANSFER_OBJECTS, ConfigError, EngineConfig, config_hash, from_dict,
+                            resolve, to_dict)
+from tricube.physics import ObjectParams
+from tricube.ppo import PPOConfig
 
 
 def test_defaults_carry_reference_values():
@@ -126,3 +132,90 @@ def test_hash_changes_with_content():
     assert config_hash(a) != config_hash(b)
     # where the artifacts land is no part of the run's identity
     assert config_hash(resolve("paper", set_exprs=["run.output_dir=elsewhere"])) == config_hash(a)
+
+
+def test_shipped_profiles_keep_their_hashes():
+    # the declared domains admit every value the shipped configs use
+    want = {"paper": "d06b939d29d3f1d1", "desk": "d836d3d9478d42ff", "smoke": "f495bad89ef48d4e"}
+    assert {name: config_hash(resolve(name)) for name in want} == want
+    for obj in TRANSFER_OBJECTS.values():
+        assert from_dict({"physics": {"object": to_dict(obj)}}).physics.object == obj
+
+
+def test_tuple_leaves_coerce_their_elements():
+    ints = resolve("paper", set_exprs=["dr.object_scale_range=[1,1]"])
+    floats = resolve("paper", set_exprs=["dr.object_scale_range=[1.0,1.0]"])
+    assert ints.dr.object_scale_range == (1.0, 1.0)
+    assert config_hash(ints) == config_hash(floats)
+    hidden = resolve("paper", set_exprs=["ppo.policy_hidden=[16.0]"]).ppo.policy_hidden
+    assert hidden == (16,) and isinstance(hidden[0], int)
+
+
+def test_direct_construction_and_replace_are_checked_too():
+    with pytest.raises(ValueError, match="mass must be positive"):
+        dataclasses.replace(ObjectParams(), mass=0.0)
+    with pytest.raises(ValueError, match="log_std_min must be below log_std_max"):
+        PPOConfig(log_std_min=3.0)
+
+
+def config_leaves(obj, prefix=""):
+    """``(dotted path, field)`` of every leaf under the config block ``obj``."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from config_leaves(value, f"{prefix}{f.name}.")
+        else:
+            yield f"{prefix}{f.name}", f
+
+
+# one value of each kind outside every domain of that kind: a float leaf must
+# be finite, no int leaf takes -1 and no string leaf "", a bool takes no number
+OUTSIDE = {float: "NaN", int: "-1", str: '""', bool: "1"}
+
+
+LEAVES = dict(config_leaves(EngineConfig()))
+
+
+@pytest.mark.parametrize("path", LEAVES)
+def test_every_leaf_has_a_domain_and_a_value_outside_it_exits_2(outroot, capsys, path):
+    f = LEAVES[path]
+    assert "domain" in f.metadata, f"{path} declares no domain"
+    bad = OUTSIDE[f.metadata["kind"]]
+    if isinstance(f.default, tuple):
+        bad = f"[{bad}]"  # an element outside the elements' domain
+    assert run_cli("train", *TINY, "--set", f"{path}={bad}", "--dry-run") == EXIT_CONFIG
+    section, name = path.rsplit(".", 1)
+    err = capsys.readouterr().err
+    assert f"{section}: {name} must be" in err or f"{path}: expected" in err, err
+    assert not any(outroot.iterdir())
+
+
+@pytest.mark.parametrize("expr, want", [
+    ("dr.object_scale_range=[-1,-1]", "dr: object_scale_range must be positive"),
+    ("dr.object_scale_range=[1.2,0.8]", "dr: object_scale_range must be an ordered pair"),
+    ("ppo.gamma=-1", "ppo: gamma must be in [0, 1]"),
+    ("ppo.clip_eps=-1", "ppo: clip_eps must be positive"),
+    ("ppo.log_std_min=3", "ppo: log_std_min must be below log_std_max"),
+    ("dr.external_force.prob=2", "dr.external_force: prob must be in [0, 1]"),
+    ("dr.external_force.decay=2", "dr.external_force: decay must be in [0, 1]"),
+    ("reach.target_radius_min=0.5", "reach: target_radius_min must be at most target_radius_max"),
+    ("harness.ablation_seeds=[0.5]", "harness.ablation_seeds: expected an integer"),
+    ("run.seed=-1", "run: seed must be an integer in [0, 2**64)"),
+    ("run.checkpoint_interval=-1", "run: checkpoint_interval must be non-negative"),
+    ("ppo.policy_hidden=[16.5]", "ppo.policy_hidden: expected an integer"),
+    ('task.keypoint_half_extents="abc"', "task: keypoint_half_extents must be 3 values"),
+    ("ppo.lr_start=NaN", "ppo: lr_start must be positive"),
+])
+def test_values_that_used_to_train_or_crash_are_config_errors(outroot, capsys, expr, want):
+    assert run_cli("train", "--out", "bad", *TINY, "--set", expr) == EXIT_CONFIG
+    assert want in capsys.readouterr().err
+    assert not any(outroot.iterdir())
+
+
+@pytest.mark.parametrize("key, value", [
+    ("ppo.max_grad_norm", 0), ("ppo.max_grad_norm", -1), ("harness.eval_trials", 0),
+    ("run.checkpoint_interval", 0),
+])
+def test_the_documented_sentinels_stay_in_their_domains(key, value):
+    section, name = key.split(".")
+    assert getattr(getattr(resolve("paper", set_exprs=[f"{key}={value}"]), section), name) == value
