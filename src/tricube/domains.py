@@ -43,7 +43,11 @@ class Domain:
             return tuple(self.elem.coerce(v, kind, path) for v in value)
         integral = kind is int and isinstance(value, float) and value.is_integer()
         if self.elem is None and (of_kind(value, kind) or integral):
-            return kind(value)
+            try:
+                return kind(value)
+            except OverflowError:  # an integer past the largest float
+                raise ConfigError(f"{path}: expected a finite number, got an integer too large "
+                                  "for a float") from None
         if self.optional:
             return value
         raise ConfigError(f"{path}: expected {'a list' if self.elem else KINDS[kind][1]}")

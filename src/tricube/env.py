@@ -153,12 +153,16 @@ def object_goal_reward(
     cfg: TaskConfig,
     local_keypoints: np.ndarray,
     goal_keypoints: np.ndarray | None = None,
+    obj_keypoints: np.ndarray | None = None,
 ) -> np.ndarray:
     """Pose-tracking reward (unweighted), per-env.  ``goal_keypoints``, if
     given, is ``transform_keypoints(goal_pos, goal_quat, local_keypoints)``
-    computed once per episode."""
+    computed once per episode; ``obj_keypoints`` likewise of the object's
+    pose, computed once per step."""
     if cfg.reward_variant == "keypoints":
-        kp_cur = spatial.transform_keypoints(obj_pos, obj_quat, local_keypoints)
+        kp_cur = obj_keypoints
+        if kp_cur is None:
+            kp_cur = spatial.transform_keypoints(obj_pos, obj_quat, local_keypoints)
         kp_goal = goal_keypoints
         if kp_goal is None:
             kp_goal = spatial.transform_keypoints(goal_pos, goal_quat, local_keypoints)
@@ -448,9 +452,12 @@ class CubeReposeTask(EpisodicTask):
         # the cutoff counts this step's env steps
         reach = reach_raw if self.total_steps + n <= self.cfg.reach_cutoff_steps else np.zeros(n)
         vel_pen = np.sum(kin.linvel**2, axis=(-1, -2))
+        # the object's true corners, shared by the reward and the critic
+        needs_kps = "keypoints" in (self.cfg.reward_variant, self.cfg.obs_variant)
+        true_kps = self._true_keypoints() if needs_kps else None
         goal_rew = object_goal_reward(
             self.state.obj_pos, self.state.obj_quat, self.goal_pos, self.goal_quat,
-            self.cfg, self.local_keypoints, self.goal_keypoints,
+            self.cfg, self.local_keypoints, self.goal_keypoints, true_kps,
         )
         reward = (
             self.cfg.w_fingertip_reach * reach
@@ -482,21 +489,29 @@ class CubeReposeTask(EpisodicTask):
         if live_refresh.any():
             self._refresh_camera(np.nonzero(live_refresh)[0])
 
-        return self._observations(), reward, done, info
+        if self.cfg.obs_variant == "keypoints" and done.any():  # reset envs start elsewhere
+            true_kps[done] = self._true_keypoints(done)
+        return self._observations(true_kps), reward, done, info
 
     # --------------------------------------------------------- observations
 
     def _goal_keypoints(self) -> np.ndarray:
         return spatial.transform_keypoints(self.goal_pos, self.goal_quat, self.local_keypoints)
 
-    def _pose_blocks(self, pos: np.ndarray, quat: np.ndarray) -> np.ndarray:
+    def _true_keypoints(self, ids=slice(None)) -> np.ndarray:
+        return spatial.transform_keypoints(
+            self.state.obj_pos[ids], self.state.obj_quat[ids], self.local_keypoints)
+
+    def _pose_blocks(self, pos: np.ndarray, quat: np.ndarray, keypoints=None) -> np.ndarray:
+        """The observed pose; ``keypoints``, if given, are the corners of ``pos``/``quat``."""
         if self.cfg.obs_variant == "keypoints":
-            return spatial.keypoints_to_flat(
-                spatial.transform_keypoints(pos, quat, self.local_keypoints)
-            )
+            if keypoints is None:
+                keypoints = spatial.transform_keypoints(pos, quat, self.local_keypoints)
+            return spatial.keypoints_to_flat(keypoints)
         return np.concatenate([pos, quat], axis=-1)
 
-    def _observations(self) -> dict:
+    def _observations(self, true_keypoints: np.ndarray | None = None) -> dict:
+        """``true_keypoints``, if given, are ``_true_keypoints()`` of the current state."""
         n = self.num_envs
         if self._kin is None:
             self._kin = physics.fingertip_kinematics(self.state.joint_pos, self.state.joint_vel, self.pcfg.hand)
@@ -531,7 +546,7 @@ class CubeReposeTask(EpisodicTask):
 
         actor_true = np.concatenate(
             [self.state.joint_pos, self.state.joint_vel,
-             self._pose_blocks(self.state.obj_pos, self.state.obj_quat), goal_block,
+             self._pose_blocks(self.state.obj_pos, self.state.obj_quat, true_keypoints), goal_block,
              self.last_action_torque],
             axis=-1,
         )

@@ -11,11 +11,14 @@ randomizations: ablation arms are paired by construction.
 ``evaluate`` splits the trials into contiguous shards, one per core this
 process may run on (``os.sched_getaffinity``; restrict it with ``taskset``),
 and steps each shard's envs in a forked process at one BLAS thread; the
-calling process steps the first shard itself.  Env ids are global and the
-policy's inference runs in fixed-size row blocks (``nets.INFER_ROWS``), so
-each trial's bits do not depend on the shard it ran in: every report is
-byte-equal for any shard count.  The shard count is no part of the run's
-config or identity.
+calling process steps the first shard itself.  Env ids are global, and the
+policy's inference gives a row the same bits in any batch (``MLP.__call__``
+runs the multiple of ``nets.INFER_ROWS`` rows as one forward and pads only
+the tail to one block), so each trial's bits do not depend on the shard it
+ran in: every report is byte-equal for any shard count.  Shard bounds fall
+on multiples of ``INFER_ROWS``, so only the last shard has a tail, and it is
+the batch's own.  The shard count is no part of the run's config or
+identity.
 
 The protocols take the resolved ``EngineConfig`` and read the trial count,
 evaluation seed, task and physics from it; every one runs with

@@ -21,16 +21,19 @@ block or less is one iteration of the same calls.  The weight and bias
 gradients reduce over rows and stay full-batch.
 
 Inference (``MLP.__call__``, behind the policy's actions and the value
-estimates) runs the forward pass on zero-padded blocks of a fixed
-``INFER_ROWS`` rows.  BLAS picks its kernel by the row count, and a kernel
-for few rows can add in another order than one for many, so a full-batch
-forward gives a row other bits at 64 rows than at 4096.  Fixed-size blocks
-give each row the same bits whatever the batch it arrives in: one
-observation, an evaluation shard, or a whole rollout (for one numpy and
-BLAS build, at any BLAS thread count).  At 256 rows the blocks give the
-same bits as a full 4096-row forward of the cube nets.  The training
-``forward``, whose cache feeds ``backward``, stays full-batch: blocking it
-cost 17% at 16384 rows on a 2-vCPU Xeon.
+estimates) runs the batch's first ``n - n % INFER_ROWS`` rows as one
+forward pass and zero-pads only the tail to one block of ``INFER_ROWS``
+rows.  BLAS picks its kernel by the row count, and a kernel for few rows
+can add in another order than one for many, so a plain forward gives a row
+other bits at 64 rows than at 4096.  The OpenBLAS build in use computes a
+row the same way at every multiple of 256 rows (at any BLAS thread count);
+that is a measured property of the build, not a promise of BLAS, and
+``tests/test_partition.py`` checks it from 256 to 64 * 256 rows for both
+nets.  So each row gets the same bits whatever the batch it arrives in:
+one observation, an evaluation shard, or a whole rollout.  Evaluation
+shards start on multiples of ``INFER_ROWS`` (``harness.shard_bounds``), so
+a shard's tail is the batch's tail.  The training ``forward``, whose cache
+feeds ``backward``, takes the batch as it comes.
 
 Initialization is orthogonal (QR of a keyed Gaussian draw) with gain
 sqrt(2) for hidden layers; output layers take an explicit ``final_gain``
@@ -149,17 +152,19 @@ class MLP:
         return h, cache
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Inference: ``forward``'s output, run in zero-padded blocks of
-        ``INFER_ROWS`` rows, so a row's bits do not depend on the batch."""
+        """Inference: ``forward``'s output, with the rows past the last
+        multiple of ``INFER_ROWS`` zero-padded to one block of that many, so
+        a row's bits do not depend on the batch (see the module docstring)."""
         x = np.ascontiguousarray(x, dtype=self.dtype)
         n = x.shape[0]
+        aligned = n - n % INFER_ROWS
         out = np.empty((n, self.sizes[-1]), dtype=self.dtype)
-        for start in range(0, n, INFER_ROWS):
-            block = x[start : start + INFER_ROWS]
-            m = len(block)
-            if m < INFER_ROWS:
-                block = np.concatenate([block, np.zeros((INFER_ROWS - m, x.shape[1]), self.dtype)])
-            out[start : start + m] = self.forward(block)[0][:m]
+        if aligned:
+            out[:aligned] = self.forward(x[:aligned])[0]
+        if aligned < n:
+            tail = np.zeros((INFER_ROWS, x.shape[1]), dtype=self.dtype)
+            tail[: n - aligned] = x[aligned:]
+            out[aligned:] = self.forward(tail)[0][: n - aligned]
         return out
 
     def backward(self, cache: list[np.ndarray], dout: np.ndarray) -> list[np.ndarray]:
@@ -173,8 +178,11 @@ class MLP:
             grads[2 * li] = delta.T @ h
             grads[2 * li + 1] = delta.sum(axis=0)
             if li > 0:
-                # h is the previous layer's activation; delta is fresh from the matmul
-                delta = delta @ self.weights[li]
+                # h is the previous layer's activation; delta is a fresh product.
+                # A one-wide delta (the value head) makes it an outer product,
+                # which OpenBLAS runs slower as a K=1 GEMM than numpy's multiply
+                w = self.weights[li]
+                delta = delta * w if delta.shape[1] == 1 else delta @ w
                 mul_elu_grad_(delta, h)
         return grads
 
@@ -195,7 +203,8 @@ class RunningNorm:
         if n == 0:
             return
         batch_mean = x.mean(axis=0)
-        batch_m2 = ((x - batch_mean) ** 2).sum(axis=0)
+        dev = x - batch_mean
+        batch_m2 = np.square(dev, out=dev).sum(axis=0)
         delta = batch_mean - self.mean
         total = self.count + n
         self.mean += delta * (n / total)
@@ -207,8 +216,13 @@ class RunningNorm:
         return np.sqrt(np.maximum(self.m2 / self.count, 1e-8))
 
     def normalize(self, x: np.ndarray) -> np.ndarray:
-        z = (np.asarray(x) - self.mean) / self.std
-        return np.clip(z, -self.clip, self.clip)
+        """clip((x - mean) / std): one float64 copy of ``x``, then in place.
+        numpy promotes ``x`` to float64 element by element in the textbook
+        expression too, so the copy gives the same bits."""
+        z = np.array(x, dtype=np.float64)
+        z -= self.mean
+        z /= self.std
+        return np.clip(z, -self.clip, self.clip, out=z)
 
     def denormalize(self, z: np.ndarray) -> np.ndarray:
         return np.asarray(z) * self.std + self.mean

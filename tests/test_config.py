@@ -212,6 +212,20 @@ def test_values_that_used_to_train_or_crash_are_config_errors(outroot, capsys, e
     assert not any(outroot.iterdir())
 
 
+HUGE = "1" + "0" * 400  # a JSON integer past the largest float
+
+
+@pytest.mark.parametrize("expr, want", [
+    (f"physics.dt={HUGE}", "physics.dt: expected a finite number, got an integer too large"),
+    (f"dr.object_scale_range=[1,{HUGE}]", "dr.object_scale_range: expected a finite number"),
+    (f"run.seed={HUGE}", "run: seed must be an integer in [0, 2**64)"),
+], ids=["float-leaf", "float-element", "int-leaf"])
+def test_an_integer_too_large_for_its_leaf_is_a_config_error(outroot, capsys, expr, want):
+    assert run_cli("train", *TINY, "--set", expr, "--dry-run") == EXIT_CONFIG
+    assert want in capsys.readouterr().err
+    assert not any(outroot.iterdir())
+
+
 @pytest.mark.parametrize("key, value", [
     ("ppo.max_grad_norm", 0), ("ppo.max_grad_norm", -1), ("harness.eval_trials", 0),
     ("run.checkpoint_interval", 0),

@@ -541,8 +541,9 @@ def test_goal_keypoints_follow_the_goal_pose(monkeypatch):
     uncached = env_mod.object_goal_reward
     calls = []
 
-    def checked(obj_pos, obj_quat, goal_pos, goal_quat, cfg, local, goal_keypoints):
-        got = uncached(obj_pos, obj_quat, goal_pos, goal_quat, cfg, local, goal_keypoints)
+    def checked(obj_pos, obj_quat, goal_pos, goal_quat, cfg, local, goal_keypoints, obj_keypoints):
+        got = uncached(obj_pos, obj_quat, goal_pos, goal_quat, cfg, local, goal_keypoints,
+                       obj_keypoints)
         assert got.tobytes() == uncached(obj_pos, obj_quat, goal_pos, goal_quat, cfg, local).tobytes()
         calls.append(len(got))
         return got
@@ -571,6 +572,36 @@ def test_goal_keypoints_follow_the_goal_pose(monkeypatch):
     act = rng.uniform(rng.stream_key(23, np.arange(8), 12, 66), 9, -1, 1)
     assert np.array_equal(a.step(act)[1], b.step(act)[1])
     assert calls == [8] * 14
+
+
+@pytest.mark.parametrize("obs_variant, reward_variant, full_calls", [
+    ("keypoints", "keypoints", 2), ("pos_quat", "keypoints", 1), ("keypoints", "pos_quat", 2),
+])
+def test_step_transforms_the_true_pose_once(monkeypatch, obs_variant, reward_variant, full_calls):
+    # the reward and the critic share one transform of the true pose (the
+    # actor's held pose is the other); the step's observations are still
+    # those of its end state, reset envs included
+    real, sizes = spatial.transform_keypoints, []
+
+    def counting(pos, quat, local):
+        sizes.append(len(pos))
+        return real(pos, quat, local)
+
+    monkeypatch.setattr(spatial, "transform_keypoints", counting)
+    t = make_task(8, seed=6, dr_enabled=True, episode_length=5, obs_variant=obs_variant,
+                  reward_variant=reward_variant)
+    t.reset_all()
+    for i in range(12):  # env 3 faults at step 8, the others reset after steps 5 and 10
+        act = rng.uniform(rng.stream_key(23, np.arange(8), i, 66), 9, -1, 1)
+        if i == 7:
+            act[3, 0] = np.nan
+        sizes.clear()
+        obs, _, done, _ = t.step(act)
+        if not done.any():
+            assert sizes == [8] * full_calls
+        fresh = t._observations()
+        for k in ("actor", "critic"):
+            assert obs[k].tobytes() == fresh[k].tobytes(), (i, k)
 
 
 def test_nan_action_faults_and_recovers():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from blas_threads import loaded_blas_threads, run_check
 
-from tricube import cli, harness, rng
+from tricube import cli, harness, nets, rng
 from tricube.domrand import DRConfig
 from tricube.env import CubeReposeTask, TaskConfig, actor_obs_dim, critic_obs_dim
 from tricube.physics import ExternalForceConfig
@@ -162,6 +162,28 @@ def check_act_rows(threads: int) -> None:
         assert agent.act(obs["actor"][:m])[0].tobytes() == actions[:m].tobytes()
 
 
+# batches of k * INFER_ROWS rows whose rows must carry the bytes they carry alone
+ROW_BLOCKS = (1, 2, 3, 4, 5, 8, 16, 31, 32, 64)
+
+
+def check_net_rows(threads: int) -> None:
+    """Each row of the policy and the value net gets the bytes it gets alone
+    inside k * 256 rows for every k in ``ROW_BLOCKS``, and inside 64 * 256
+    rows plus a ragged tail of 77."""
+    assert loaded_blas_threads() in (None, threads)
+    agent = trained_scale_agent()
+    most = ROW_BLOCKS[-1] * nets.INFER_ROWS + 77
+    for net in (agent.policy.trunk, agent.value.trunk):
+        x = rng.normal(rng.stream_key(31, np.arange(most), 0, 80), net.sizes[0]).astype(np.float32)
+        whole = net(x)
+        assert np.abs(whole).max() > 0.1
+        for i in (0, 1, 255, 256, 4095, 8191, 16383, 16384, most - 1):
+            assert net(x[i : i + 1]).tobytes() == whole[i : i + 1].tobytes(), (net.sizes, i)
+        for k in ROW_BLOCKS:
+            m = k * nets.INFER_ROWS
+            assert net(x[:m]).tobytes() == whole[:m].tobytes(), (net.sizes, k)
+
+
 def check_eval_prefix(threads: int) -> None:
     """``evaluate`` on 64 trials is the first 64 of 1024, trial by trial,
     and 1024 trials give one report for 1 and 2 shards."""
@@ -208,7 +230,7 @@ def check_reports_for_one_and_two_shards(threads: int, root: str) -> None:
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("check", ["check_act_rows", "check_eval_prefix"])
+@pytest.mark.parametrize("check", ["check_act_rows", "check_net_rows", "check_eval_prefix"])
 def test_invariance_at_blas_threads(check, threads):
     run_check(threads, "test_partition", check, threads)
 

@@ -545,6 +545,33 @@ def test_update_with_reference_mlp_gives_identical_parameters(block_bytes, monke
     assert all(same_bytes(g, w) for g, w in zip(got, want))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_value_head_backward_matches_reference_bytes(dtype):
+    # a one-wide output makes the first delta product an outer product
+    check_mlp_matches_reference([6, 16, 16, 1], 32, dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_running_norm_gives_the_textbook_bytes_and_leaves_its_input(dtype):
+    norm = nets.RunningNorm(7, clip=2.0)
+    for i in range(3):
+        x = (3.0 * rng.normal(rng.stream_key(49, np.arange(50), i, 78), 7) + 1.0).astype(dtype)
+        x_before = x.copy()
+        count, mean, m2 = norm.count, norm.mean.copy(), norm.m2.copy()
+        norm.update(x)
+        xd = np.asarray(x, dtype=np.float64)
+        batch_mean = xd.mean(axis=0)
+        delta = batch_mean - mean
+        total = count + 50
+        assert same_bytes(norm.mean, mean + delta * (50 / total))
+        want_m2 = m2 + (((xd - batch_mean) ** 2).sum(axis=0) + delta * delta * (count * 50 / total))
+        assert same_bytes(norm.m2, want_m2)
+        z = norm.normalize(x)
+        assert same_bytes(z, np.clip((x - norm.mean) / norm.std, -2.0, 2.0))
+        assert np.any(np.abs(z) == 2.0)  # the clip bites
+        assert same_bytes(x, x_before) and not np.shares_memory(z, x)
+
+
 def test_mlp_init_is_deterministic_and_orthogonal():
     a = MLP([10, 32, 4], seed_words=(5, 1), dtype=np.float64)
     b = MLP([10, 32, 4], seed_words=(5, 1), dtype=np.float64)
