@@ -176,18 +176,25 @@ def _leaves(tree: dict, prefix: str = "") -> dict:
     return out
 
 
-def check_checkpoint(path: str, cfg: EngineConfig, keys) -> tuple[dict, dict]:
-    """The tensors and manifest of ``path``, which must be a readable
-    checkpoint whose stored config equals ``run_identity(cfg)`` on every
-    key that ``keys`` selects.  A missing file is a configuration error,
-    anything else an incompatibility."""
+def output_path(cfg: EngineConfig) -> str:
+    """The run's output directory: a relative ``run.output_dir`` lands under
+    ``TRICUBE_OUT``, an absolute one stays."""
+    return os.path.join(os.environ.get("TRICUBE_OUT", "."), cfg.run.output_dir)
+
+
+def check_checkpoint(path: str, cfg: EngineConfig, keys, load) -> dict:
+    """The manifest of ``path``, which must be a readable checkpoint whose
+    stored config equals ``run_identity(cfg)`` on every key that ``keys``
+    selects and whose tensors ``load(tensors, manifest)`` takes without a
+    ``ValueError``.  A missing file is a configuration error, anything else
+    an incompatibility."""
     if not os.path.exists(path):
         raise ConfigError(f"checkpoint not found: {path}")
     try:
         tensors, meta = read_checkpoint(path)
     except ValueError as err:
         raise IncompatibilityError(str(err)) from err
-    if "config" not in meta:
+    if not isinstance(meta.get("config"), dict):
         raise IncompatibilityError(f"{path} records no config (not written by tricube train)")
     stored, configured = _leaves(meta["config"]), _leaves(run_identity(cfg))
     diffs = [
@@ -197,7 +204,11 @@ def check_checkpoint(path: str, cfg: EngineConfig, keys) -> tuple[dict, dict]:
     ]
     if diffs:
         raise IncompatibilityError(f"{path} does not fit the configuration: " + ", ".join(diffs))
-    return tensors, meta
+    try:
+        load(tensors, meta)
+    except ValueError as err:
+        raise IncompatibilityError(f"{path}: {err}") from err
+    return meta
 
 
 def load_agent_checkpoint(path: str, cfg: EngineConfig) -> tuple[PPOAgent, str]:
@@ -205,7 +216,7 @@ def load_agent_checkpoint(path: str, cfg: EngineConfig) -> tuple[PPOAgent, str]:
     checkpoint file's hash."""
     require_cube_task(cfg)
     agent = build_agent_for(cfg)
-    agent.load_tensors(check_checkpoint(path, cfg, agent_keys)[0])
+    check_checkpoint(path, cfg, agent_keys, lambda tensors, meta: agent.load_tensors(tensors))
     return agent, harness.hash_file(path)
 
 
@@ -218,13 +229,14 @@ READ_KEYS = ("checkpoint", "checkpoint_hash")
 
 
 def check_train(args, cfg: EngineConfig) -> dict:
-    """A resume reads its checkpoint, which must fit the config on every
-    resume key."""
+    """The run's trainer.  A resume loads its checkpoint into it, which must
+    fit the config on every resume key."""
+    trainer = build_trainer(cfg, output_path(cfg))
     if not args.resume:
-        return {}
-    tensors, meta = check_checkpoint(args.resume, cfg, resume_keys)
-    return {"checkpoint": args.resume, "checkpoint_hash": harness.hash_file(args.resume),
-            "tensors": tensors, "meta": meta}
+        return {"trainer": trainer}
+    meta = check_checkpoint(args.resume, cfg, resume_keys, trainer.load_checkpoint)
+    return {"trainer": trainer, "checkpoint": args.resume,
+            "checkpoint_hash": harness.hash_file(args.resume), "meta": meta}
 
 
 def check_cube_task(args, cfg: EngineConfig) -> dict:
@@ -260,14 +272,13 @@ def cmd_train(args, cfg: EngineConfig, out: OutputDir, read: dict) -> dict:
                             if os.path.exists(p)):
         raise ConfigError(f"{out.path} already holds a run: resume it from one of its "
                           "checkpoints or train into another directory")
-    trainer = build_trainer(cfg, out.path)
+    trainer = read["trainer"]
     if args.resume:
         if same_dir:
             try:
                 trainer.truncate_logs(read["meta"]["log_lines"])
             except ValueError as err:
                 raise IncompatibilityError(str(err)) from err
-        trainer.load_checkpoint(read["tensors"], read["meta"])
         print(f"resumed from {args.resume} at step {trainer.agent.global_step}")
     out.write_json("config.json", to_dict(cfg))
 
@@ -387,6 +398,27 @@ def cmd_objects(args, cfg: EngineConfig, out: OutputDir, read: dict) -> dict:
 # ------------------------------------------------------------------ plot
 
 
+def read_json(path: str, what: str, lines: bool = False):
+    """The JSON value in file ``path``, or with ``lines`` the list of the
+    values on its lines.  A missing file, or text that is not JSON, is a
+    configuration error naming the file and the line."""
+    if not os.path.exists(path):
+        raise ConfigError(f"{what} not found: {path}")
+    with open(path, "rb") as f:
+        chunks = f.read().splitlines() if lines else [f.read()]
+    values = []
+    for i, chunk in enumerate(chunks, 1):
+        try:
+            values.append(json.loads(chunk))
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"{path}, line {i if lines else err.lineno}: invalid JSON "
+                              f"({err.msg})") from err
+        except UnicodeDecodeError as err:
+            line = i + chunk[:err.start].count(b"\n")
+            raise ConfigError(f"{path}, line {line}: undecodable text ({err.reason})") from err
+    return values if lines else values[0]
+
+
 def plot_figures(args, cfg: EngineConfig) -> dict:
     """The figures to draw, by file name, from the input files on the
     command line; a missing or empty input is a configuration error."""
@@ -394,10 +426,7 @@ def plot_figures(args, cfg: EngineConfig) -> dict:
     if args.metrics:
         series_steps, series_wall = [], []
         for metrics in args.metrics:
-            if not os.path.exists(metrics):
-                raise ConfigError(f"metrics file not found: {metrics}")
-            with open(metrics) as f:
-                recs = [json.loads(line) for line in f]
+            recs = read_json(metrics, "metrics file", lines=True)
             recs = [r for r in recs if r.get("success_rate") is not None]
             if not recs:
                 raise ConfigError(f"{metrics}: no iterations with completed episodes")
@@ -407,8 +436,8 @@ def plot_figures(args, cfg: EngineConfig) -> dict:
             series_steps.append((label, xs, ys))
             timing = os.path.join(os.path.dirname(metrics), "timing.jsonl")
             if os.path.exists(timing):
-                with open(timing) as f:
-                    secs = {r["iteration"]: r["seconds"] for r in map(json.loads, f)}
+                secs = {r["iteration"]: r["seconds"]
+                        for r in read_json(timing, "timing file", lines=True)}
                 cum, acc = {}, 0.0
                 for it in sorted(secs):
                     acc += secs[it]
@@ -423,10 +452,7 @@ def plot_figures(args, cfg: EngineConfig) -> dict:
                 series_wall, title="training success", xlabel="wallclock (s)",
                 ylabel="success rate")
     if args.sweep_file:
-        if not os.path.exists(args.sweep_file):
-            raise ConfigError(f"sweep file not found: {args.sweep_file}")
-        with open(args.sweep_file) as f:
-            pts = [json.loads(line) for line in f]
+        pts = read_json(args.sweep_file, "sweep file", lines=True)
         if not pts:
             raise ConfigError(f"{args.sweep_file}: empty sweep file")
         param = pts[0]["parameter"]
@@ -440,10 +466,7 @@ def plot_figures(args, cfg: EngineConfig) -> dict:
             xlabel=f"object {param} factor", ylabel="success rate",
         )
     if args.heatmap_file:
-        if not os.path.exists(args.heatmap_file):
-            raise ConfigError(f"heatmap file not found: {args.heatmap_file}")
-        with open(args.heatmap_file) as f:
-            data = json.load(f)
+        data = read_json(args.heatmap_file, "heatmap file")
         figures["threshold_heatmap.svg"] = svgplot.heatmap(
             np.array(data["success_matrix"]),
             x_labels=[f"{d:g}°" for d in data["rot_thresholds_deg"]],
@@ -520,9 +543,7 @@ def main(argv=None) -> int:
             print(json.dumps(to_dict(cfg), sort_keys=True, indent=2))
             return EXIT_OK
         read = args.check(args, cfg)
-        # a relative run.output_dir lands under TRICUBE_OUT, an absolute one stays
-        path = os.path.join(os.environ.get("TRICUBE_OUT", "."), cfg.run.output_dir)
-        with OutputDir(path) as out:
+        with OutputDir(output_path(cfg)) as out:
             extra = args.fn(args, cfg, out, read)
             out.write_manifest(cfg, args.command, **extra,
                                **{k: read[k] for k in READ_KEYS if k in read})

@@ -30,27 +30,28 @@ a sum along a contiguous corner axis would add them as a tree; and each
 accumulation into a zero total (forces, torques, wrenches) stays a
 ``0 + x`` or ``0 - x``.
 
-Contact work follows the pairs that can touch, not the batch.  A broad
-phase keeps the (fingertip, env) pairs with |tip - x| < tip_r + R + 1 mm,
-where R bounds the scaled object (the norm of a box's half extents, a
-sphere's radius): the separation is at least |tip - x| - R, and the 1 mm
-covers the rounding of the rotated offset.  Only those pairs, gathered in
-finger-major order, run the narrow phase and the force terms; the table
-terms run only on the tips below the table and, after the corner heights,
-on the box corners below it.  The result is scattered back with
-``np.add.at``, which adds in pair order from +0.0, so each per-env sum adds
-its fingers or corners in the dense order.  The bits are the dense
-computation's: a skipped pair added an exact +0.0 or -0.0 to a sum that
-starts from +0.0 and so is never -0.0, which leaves it unchanged; its joint
-torque was +0.0 (``_dot`` starts from +0.0); and adding it to the wrench
-total left that unchanged too.
+Contact work follows the pairs that can touch, not the batch.  Each substep
+runs three contact phases, the methods of ``_Contacts``: ``tip_object`` on
+the (fingertip, env) pairs with |tip - x| < tip_r + R + 1 mm, where R bounds
+the scaled object (the norm of a box's half extents, a sphere's radius; the
+separation is at least |tip - x| - R, and the 1 mm covers the rounding of
+the rotated offset); ``tip_table`` on the tips below the table; and
+``object_table`` on the sphere's bottom point or, after the corner heights,
+the box corners below it.  The two table phases share one law for the plane
+z = 0, ``_plane_force``.  A phase gathers its pairs in row-major order and
+scatters its result back with ``np.add.at``, which adds in pair order from
++0.0, so each per-env sum adds its fingers or corners in the dense order.
+The bits are the dense computation's: a skipped pair added an exact +0.0 or
+-0.0 to a sum that starts from +0.0 and so is never -0.0, which leaves it
+unchanged; its joint torque was +0.0 (``_dot`` starts from +0.0); and adding
+it to the wrench total left that unchanged too.
 
 The kinematics follow the pairs too.  Each substep computes the tip
 centers of every pair, which the broad phase and the table test read, but
 the velocity terms (tip velocities and joint frames) only at the pairs of
-the tip-object and tip-table branches (``FingertipKin.at``), from inputs
-gathered there.  Their formula is elementwise, so each term has the bits a
-dense pass would give it.
+the two fingertip phases (``FingertipKin.at``), from inputs gathered there.
+Their formula is elementwise, so each term has the bits a dense pass would
+give it.
 """
 
 from __future__ import annotations
@@ -545,6 +546,138 @@ def _limit_speed(v: tuple, v_max: float) -> tuple:
     return tuple(c * k for c in v)
 
 
+def _plane_force(pen, v: tuple, k, c, mu, eps: float) -> tuple:
+    """Force of the table plane z = 0 on points ``pen`` below it that move at
+    ``v``: a spring-damper normal force along +z that never pulls, plus tanh
+    friction against the horizontal velocity."""
+    fn = np.maximum(0.0, k * pen - c * v[2])
+    fric = _tanh_friction((v[0], v[1], 0.0), fn, mu, eps)
+    return (0.0 + fric[0], 0.0 + fric[1], fn + fric[2])
+
+
+class _Contacts:
+    """The contact forces of one control step, from its per-env constants,
+    (N,) arrays.  Each substep ``clear``s the totals; each phase then selects
+    its pairs, gathers its inputs there and adds into the totals: the object's
+    force and torque (a phase with no pairs leaves them as they are), the
+    joint torques, and the fingertip wrenches, which sum over the substeps."""
+
+    def __init__(self, n: int, params: EnvParams, cfg: PhysicsConfig):
+        c = cfg.contact
+        self.n, self.tip_r, self.eps = n, cfg.hand.fingertip_radius, c.friction_smoothing_vel
+        # mass-proportional constants keep the stiff-spring stability limit
+        # and the resting penetration independent of mass randomization
+        scale_fac = params.mass_factor if c.mass_scaled else np.ones(n)
+        self.k_obj, self.c_obj = c.stiffness * scale_fac, c.damping * scale_fac
+        self.k_tip, self.c_tip = c.stiffness, c.damping
+        self.mu_obj = cfg.object.friction * params.object_friction_factor
+        self.mu_table = c.table_friction * params.table_friction_factor
+        self.half = _rows(object_half_extents(cfg, params))
+        self.is_sphere = cfg.object.kind == "sphere"
+        if self.is_sphere:
+            self.radius = bound = cfg.object.radius * params.scale
+        else:  # (8, N) corner offsets in the body frame
+            self.corners = tuple(spatial._CORNER_SIGNS[:, i, None] * self.half[i] for i in range(3))
+            bound = _norm(self.half)
+        # broad phase: a tip can touch the object only within this distance of
+        # its center, as separation >= |tip - x| - bound; 1 mm covers rounding
+        self.reach_sq = (self.tip_r + bound + 1e-3) ** 2
+        self.wrench = np.zeros((6, N_FINGERS * n))  # [axis, finger * N + env]
+        self.joint_tau = np.empty(N_JOINTS * n)  # [joint * N + env]
+
+    def clear(self) -> None:
+        self.force = self.torque = (0.0, 0.0, 0.0)
+        self.joint_tau.fill(0.0)
+
+    def tip_object(self, kin: FingertipKin, x, rot, v, w) -> None:
+        """Fingertips against the object, on the (finger, env) pairs in reach."""
+        n, tip_r = self.n, self.tip_r
+        rel = _sub(kin.tip, x)
+        pair = np.flatnonzero(rel[0] * rel[0] + rel[1] * rel[1] + rel[2] * rel[2] < self.reach_sq)
+        if not pair.size:
+            return
+        f, e = _split(pair, n)
+        kin_p = kin.at(pair)
+        rot_p = tuple(_take(row, e) for row in rot)
+        x_p = _take(x, e)
+        d_local = _rot_t(rot_p, _take(rel, pair))  # R^T (c - x)
+        if self.is_sphere:
+            radius_p = self.radius[e]
+            dist = _norm(d_local)
+            near = dist > 1e-12
+            safe = np.where(near, dist, 1.0)
+            n_local = tuple(np.where(near, c / safe, z) for c, z in zip(d_local, (0.0, 0.0, 1.0)))
+            separation = dist - radius_p
+            surf_local = tuple(c * radius_p for c in n_local)
+        else:
+            surf_local, n_local, separation = _point_in_box_normal(d_local, _take(self.half, e))
+        pen = tip_r - separation
+        normal = _rot(rot_p, n_local)  # cube -> tip
+        p_c = _add(_rot(rot_p, surf_local), x_p)
+        arm, lever = _sub(p_c, kin_p.tip), _sub(p_c, x_p)
+        v_tip = _add(kin_p.tip_vel, _cross(kin_p.tip_angvel, arm))
+        v_rel = _sub(v_tip, _add(_take(v, e), _cross(_take(w, e), lever)))
+        v_n = _dot(v_rel, normal)
+        fn = np.where(pen > 0.0, np.maximum(0.0, self.k_obj[e] * pen - self.c_obj[e] * v_n), 0.0)
+        vt = tuple(c - v_n * nc for c, nc in zip(v_rel, normal))
+        f_tip = _add(tuple(fn * nc for nc in normal), _tanh_friction(vt, fn, self.mu_obj[e], self.eps))
+        self.force = _sub(self.force, (_env_sum(e, c, n) for c in f_tip))
+        self.torque = _sub(self.torque, (_env_sum(e, c, n) for c in _cross(lever, f_tip)))
+        self._add_tip_forces(kin_p, f, pair, p_c, f_tip, arm)
+
+    def tip_table(self, kin: FingertipKin) -> None:
+        """Fingertips against the table, on the tips below its surface."""
+        pen = self.tip_r - kin.tip[2]
+        pair = np.flatnonzero(pen > 0.0)
+        if not pair.size:
+            return
+        f, e = _split(pair, self.n)
+        kin_p = kin.at(pair)
+        tip = kin_p.tip
+        p_c = (tip[0], tip[1], tip[2] - self.tip_r)
+        arm = _sub(p_c, tip)
+        v_tip = _add(kin_p.tip_vel, _cross(kin_p.tip_angvel, arm))
+        force = _plane_force(pen.ravel()[pair], v_tip, self.k_tip, self.c_tip, self.mu_table[e],
+                             self.eps)
+        self._add_tip_forces(kin_p, f, pair, p_c, force, arm)
+
+    def object_table(self, x, rot, v, w) -> None:
+        """The object against the table, on its points below the surface."""
+        if self.is_sphere:  # one point, the bottom one at z - r
+            pen, r_z = (self.radius - x[2])[None], -self.radius[None]
+        else:  # only the corners' heights first: the z row of R @ corner
+            r_z = _rot((rot[2],), self.corners)[0]
+            pen = -(x[2] + r_z)
+        pair = np.flatnonzero(pen > 0.0)
+        if not pair.size:
+            return
+        n = self.n
+        e = _split(pair, n)[1]
+        r_pts = (0.0, 0.0) if self.is_sphere else _rot(
+            (_take(rot[0], e), _take(rot[1], e)), _take(self.corners, pair))
+        r_pts += (r_z.ravel()[pair],)
+        v_pt = _add(_take(v, e), _cross(_take(w, e), r_pts))
+        force = _plane_force(pen.ravel()[pair], v_pt, self.k_obj[e], self.c_obj[e],
+                             self.mu_table[e], self.eps)
+        self.force = _add(self.force, (_env_sum(e, c, n) for c in force))
+        self.torque = _add(self.torque, (_env_sum(e, c, n) for c in _cross(r_pts, force)))
+
+    def _add_tip_forces(self, kin, f, pair, point, force, arm) -> None:
+        """Add fingertip forces at ``point`` on (finger, env) pairs ``pair`` to
+        the joint torques, through the contact-point Jacobian, and wrenches."""
+        # (finger, env) pairs are unique in a phase, so each np.add.at adds
+        # a pair's torque or wrench to its own total once
+        n = self.n
+        tau = _joint_torques(kin, point, force)
+        joint = pair + 2 * n * f  # (3 finger + k) * N + env, less k * N
+        for k in range(3):
+            np.add.at(self.joint_tau[k * n:], joint, tau[k])
+        torque = _cross(arm, force)
+        for i in range(3):
+            np.add.at(self.wrench[i], pair, force[i])
+            np.add.at(self.wrench[3 + i], pair, torque[i])
+
+
 def step(state: SimState, torques: np.ndarray, params: EnvParams, cfg: PhysicsConfig) -> SimState:
     """Advance every env by one control step of ``cfg.dt`` seconds.
 
@@ -568,135 +701,25 @@ def step(state: SimState, torques: np.ndarray, params: EnvParams, cfg: PhysicsCo
     hand = cfg.hand
     dt_sub = cfg.dt / cfg.n_substeps
     torques = np.clip(torques, -hand.max_torque, hand.max_torque)
-    tip_r = hand.fingertip_radius
-
-    # the env axis is last: per-env values are (N,), and they broadcast
-    # against the (3, N) fingers, the (8, N) corners and the (9, N) joints.
-    # Mass-proportional contact constants keep the stiff-spring stability
-    # limit and the resting penetration independent of mass randomization
-    scale_fac = params.mass_factor if cfg.contact.mass_scaled else np.ones(n)
-    k_obj = cfg.contact.stiffness * scale_fac
-    c_obj = cfg.contact.damping * scale_fac
-    eps_v = cfg.contact.friction_smoothing_vel
-    mu_obj = cfg.object.friction * params.object_friction_factor
-    mu_table = cfg.contact.table_friction * params.table_friction_factor
-
+    contacts = _Contacts(n, params, cfg)
     m = object_mass(cfg, params)
     inertia_b = _rows(object_inertia_body(cfg, params))
-    half = _rows(object_half_extents(cfg, params))
     ext = _rows(params.ext_force)
-    is_sphere = cfg.object.kind == "sphere"
-    if is_sphere:
-        radius = cfg.object.radius * params.scale
-        bound = radius
-    else:  # (8, N) corner offsets in the body frame
-        corners_b = tuple(spatial._CORNER_SIGNS[:, i, None] * half[i] for i in range(3))
-        bound = _norm(half)
-    # broad phase: a tip can touch the object only within this distance of
-    # its center, as separation >= |tip - x| - bound; 1 mm covers rounding
-    reach_sq = (tip_r + bound + 1e-3) ** 2
 
     q, qd, tau_cmd = (np.ascontiguousarray(a.T) for a in (out.joint_pos, out.joint_vel, torques))
     x, quat, v, w = map(_rows, (out.obj_pos, out.obj_quat, out.obj_linvel, out.obj_angvel))
     inertia_j = np.tile(np.asarray(hand.joint_inertia), N_FINGERS)[:, None]  # (9, 1)
 
-    wrench_acc = np.zeros((6, N_FINGERS * n))  # [axis, finger * N + env]
-    joint_tau_contact = np.empty(N_JOINTS * n)  # [joint * N + env], zeroed per substep
-
-    def add_contacts(kin, f, pair, point, force, arm):
-        # (finger, env) pairs are unique in a branch, so each np.add.at adds
-        # a pair's torque or wrench to its own total once
-        tau = _joint_torques(kin, point, force)
-        joint = pair + 2 * n * f  # (3 finger + k) * N + env, less k * N
-        for k in range(3):
-            np.add.at(joint_tau_contact[k * n:], joint, tau[k])
-        torque = _cross(arm, force)
-        for i in range(3):
-            np.add.at(wrench_acc[i], pair, force[i])
-            np.add.at(wrench_acc[3 + i], pair, torque[i])
-
     for _ in range(cfg.n_substeps):
         kin = fingertip_kinematics(q.T, qd.T, hand)
-        tips = kin.tip
         rot = spatial.quat_to_mat_parts(quat)
+        contacts.clear()
+        contacts.tip_object(kin, x, rot, v, w)
+        contacts.tip_table(kin)
+        contacts.object_table(x, rot, v, w)
 
-        obj_force = obj_torque = (0.0, 0.0, 0.0)
-        joint_tau_contact.fill(0.0)
-
-        # ---- fingertip vs object, on the (finger, env) pairs in reach
-        rel = _sub(tips, x)
-        pair = np.flatnonzero(rel[0] * rel[0] + rel[1] * rel[1] + rel[2] * rel[2] < reach_sq)
-        if pair.size:
-            f, e = _split(pair, n)
-            kin_p = kin.at(pair)
-            rot_p = tuple(_take(row, e) for row in rot)
-            x_p = _take(x, e)
-            d_local = _rot_t(rot_p, _take(rel, pair))  # R^T (c - x)
-            if is_sphere:
-                radius_p = radius[e]
-                dist = _norm(d_local)
-                near = dist > 1e-12
-                safe = np.where(near, dist, 1.0)
-                n_local = tuple(np.where(near, c / safe, z) for c, z in zip(d_local, (0.0, 0.0, 1.0)))
-                separation = dist - radius_p
-                surf_local = tuple(c * radius_p for c in n_local)
-            else:
-                surf_local, n_local, separation = _point_in_box_normal(d_local, _take(half, e))
-            pen = tip_r - separation
-            normal = _rot(rot_p, n_local)  # cube -> tip
-            p_c = _add(_rot(rot_p, surf_local), x_p)
-            arm, lever = _sub(p_c, kin_p.tip), _sub(p_c, x_p)
-            v_tip = _add(kin_p.tip_vel, _cross(kin_p.tip_angvel, arm))
-            v_rel = _sub(v_tip, _add(_take(v, e), _cross(_take(w, e), lever)))
-            v_n = _dot(v_rel, normal)
-            fn = np.where(pen > 0.0, np.maximum(0.0, k_obj[e] * pen - c_obj[e] * v_n), 0.0)
-            vt = tuple(c - v_n * nc for c, nc in zip(v_rel, normal))
-            f_tip = _add(tuple(fn * nc for nc in normal), _tanh_friction(vt, fn, mu_obj[e], eps_v))
-            obj_force = tuple(0.0 - _env_sum(e, c, n) for c in f_tip)
-            obj_torque = tuple(0.0 - _env_sum(e, c, n) for c in _cross(lever, f_tip))
-            # map to finger joints through the contact-point Jacobian
-            add_contacts(kin_p, f, pair, p_c, f_tip, arm)
-
-        # ---- fingertip vs table, on the tips below its surface
-        pen_t = tip_r - tips[2]
-        pair = np.flatnonzero(pen_t > 0.0)
-        if pair.size:
-            f, e = _split(pair, n)
-            kin_p = kin.at(pair)
-            tip_p = kin_p.tip
-            p_ct = (tip_p[0], tip_p[1], tip_p[2] - tip_r)
-            arm = _sub(p_ct, tip_p)
-            v_tip_t = _add(kin_p.tip_vel, _cross(kin_p.tip_angvel, arm))
-            fn_t = cfg.contact.stiffness * pen_t.ravel()[pair] - cfg.contact.damping * v_tip_t[2]
-            fn_t = np.maximum(0.0, fn_t)
-            fric = _tanh_friction((v_tip_t[0], v_tip_t[1], 0.0), fn_t, mu_table[e], eps_v)
-            f_tab = (0.0 + fric[0], 0.0 + fric[1], fn_t + fric[2])
-            add_contacts(kin_p, f, pair, p_ct, f_tab, arm)
-
-        # ---- object vs table, on the points below its surface
-        if is_sphere:  # one point, the bottom one at z - r
-            pen_o = (radius - x[2])[None]
-            r_z = -radius[None]
-        else:  # only the corners' heights first
-            r_z = _rot((rot[2],), corners_b)[0]  # the z row of R @ corner
-            pen_o = -(x[2] + r_z)
-        pair = np.flatnonzero(pen_o > 0.0)
-        if pair.size:
-            e = _split(pair, n)[1]
-            if is_sphere:
-                r_xy = (0.0, 0.0)
-            else:
-                r_xy = _rot((_take(rot[0], e), _take(rot[1], e)), _take(corners_b, pair))
-            r_pts = (*r_xy, r_z.ravel()[pair])
-            v_pt = _add(_take(v, e), _cross(_take(w, e), r_pts))
-            fn_o = np.maximum(0.0, k_obj[e] * pen_o.ravel()[pair] - c_obj[e] * v_pt[2])
-            fric = _tanh_friction((v_pt[0], v_pt[1], 0.0), fn_o, mu_table[e], eps_v)
-            f_o = (0.0 + fric[0], 0.0 + fric[1], fn_o + fric[2])
-            obj_force = _add(obj_force, (_env_sum(e, c, n) for c in f_o))
-            obj_torque = _add(obj_torque, (_env_sum(e, c, n) for c in _cross(r_pts, f_o)))
-
-        # ---- integrate joints (diagonal inertia, semi-implicit Euler)
-        tau = tau_cmd - hand.joint_damping * qd + joint_tau_contact.reshape(N_JOINTS, n)
+        # joints: diagonal inertia, semi-implicit Euler
+        tau = tau_cmd - hand.joint_damping * qd + contacts.joint_tau.reshape(N_JOINTS, n)
         qd = qd + dt_sub * tau / inertia_j
         qd = np.clip(qd, -hand.max_joint_vel, hand.max_joint_vel)
         q = q + dt_sub * qd
@@ -706,14 +729,14 @@ def step(state: SimState, torques: np.ndarray, params: EnvParams, cfg: PhysicsCo
         qd = np.where(below & (qd < 0.0), 0.0, qd)
         qd = np.where(above & (qd > 0.0), 0.0, qd)
 
-        # ---- integrate object
-        f0, f1, f2 = _add(obj_force, ext)
+        # the object
+        f0, f1, f2 = _add(contacts.force, ext)
         obj_force = (f0, f1, f2 - m * cfg.gravity)
         v = tuple(c + dt_sub * f / m for c, f in zip(v, obj_force))
         # angular dynamics in the body frame, where the inertia is diagonal:
         # I_b dw_b = tau_b - w_b x (I_b w_b)
         w_b = _rot_t(rot, w)
-        tau_b = _rot_t(rot, obj_torque)
+        tau_b = _rot_t(rot, contacts.torque)
         gyro = _cross(w_b, tuple(i * c for i, c in zip(inertia_b, w_b)))
         dw_b = tuple((t - g) / i for t, g, i in zip(tau_b, gyro, inertia_b))
         w = tuple(c + dt_sub * d for c, d in zip(w, _rot(rot, dw_b)))
@@ -727,7 +750,7 @@ def step(state: SimState, torques: np.ndarray, params: EnvParams, cfg: PhysicsCo
     out.obj_pos, out.obj_quat, out.obj_linvel, out.obj_angvel = (
         np.stack(c, axis=1) for c in (x, quat, v, w)
     )
-    out.fingertip_wrench = np.ascontiguousarray(wrench_acc.reshape(6, N_FINGERS, n).T) / cfg.n_substeps
+    out.fingertip_wrench = np.ascontiguousarray(contacts.wrench.reshape(6, N_FINGERS, n).T) / cfg.n_substeps
     out.step_count = state.step_count + 1
     return out
 

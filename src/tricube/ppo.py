@@ -22,6 +22,7 @@ then the raw tensor bytes, little-endian, in directory order.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -407,6 +408,9 @@ class PPOAgent:
         write_checkpoint(path, tensors, meta)
 
     def load_tensors(self, tensors: dict) -> None:
+        """Copy the checkpoint's tensors into this agent's; ``ValueError``
+        before any copy if one is missing or of another dtype or shape."""
+        check_tensors(tensors, self._net_tensors())
         for i, p in enumerate(self.policy.trunk.parameters()):
             p[:] = tensors[f"policy.p{i}"]
         self.policy.log_std[:] = tensors["policy.log_std"]
@@ -476,6 +480,35 @@ def write_checkpoint(path: str, tensors: dict, meta: dict) -> None:
     os.replace(tmp, path)
 
 
+def _tensor_entry(path: str, entry) -> tuple:
+    """(name, dtype, shape, offset, nbytes) of one tensor directory entry,
+    which must describe a plain array whose bytes fill its extent."""
+    try:
+        name, shape = entry["name"], tuple(entry["shape"])
+        dtype, offset, nbytes = np.dtype(entry["dtype"]), entry["offset"], entry["nbytes"]
+        sizes = (offset, nbytes, *shape)
+        ok = (isinstance(name, str) and isinstance(entry["dtype"], str)
+              and all(type(i) is int and i >= 0 for i in sizes)
+              and nbytes == dtype.itemsize * math.prod(shape))
+    except (TypeError, KeyError, ValueError):
+        ok = False
+    if not ok:
+        raise ValueError(f"{path}: malformed checkpoint tensor entry {json.dumps(entry)[:200]}")
+    return name, dtype, shape, offset, nbytes
+
+
+def check_tensors(tensors: dict, expected: dict) -> None:
+    """Raise ``ValueError`` unless ``tensors`` holds every tensor of
+    ``expected`` with its dtype and shape."""
+    for name, want in expected.items():
+        got = tensors.get(name)
+        if got is None:
+            raise ValueError(f"the checkpoint holds no tensor {name!r}")
+        if got.dtype != want.dtype or got.shape != want.shape:
+            raise ValueError(f"tensor {name!r} is {got.dtype} {got.shape} in the checkpoint; "
+                             f"the configured run needs {want.dtype} {want.shape}")
+
+
 def read_checkpoint(path: str) -> tuple[dict, dict]:
     with open(path, "rb") as f:
         magic = f.read(8)
@@ -495,16 +528,21 @@ def read_checkpoint(path: str) -> tuple[dict, dict]:
         except ValueError as err:  # UnicodeDecodeError or JSONDecodeError
             raise ValueError(f"{path}: unreadable checkpoint manifest: {err}") from err
         payload = f.read()
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: the checkpoint manifest is a JSON {type(manifest).__name__}, "
+                         "not an object")
     if manifest.get("format_version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {manifest.get('format_version')}")
+    entries = manifest.get("tensors")
+    if not isinstance(entries, list):
+        raise ValueError(f"{path}: the checkpoint manifest holds no tensor directory")
     tensors = {}
-    for entry in manifest["tensors"]:
-        end = entry["offset"] + entry["nbytes"]
+    for entry in entries:
+        name, dtype, shape, offset, nbytes = _tensor_entry(path, entry)
+        end = offset + nbytes
         if end > len(payload):
-            raise ValueError(f"{path}: truncated checkpoint: tensor {entry['name']!r} ends at "
+            raise ValueError(f"{path}: truncated checkpoint: tensor {name!r} ends at "
                              f"payload byte {end}, but the payload holds {len(payload)} bytes")
-        raw = payload[entry["offset"] : end]
-        arr = np.frombuffer(raw, dtype=np.dtype(entry["dtype"])).reshape(entry["shape"])
-        tensors[entry["name"]] = arr.copy()
+        tensors[name] = np.frombuffer(payload[offset:end], dtype=dtype).reshape(shape).copy()
     meta = {k: v for k, v in manifest.items() if k != "tensors"}
     return tensors, meta

@@ -28,7 +28,7 @@ import numpy as np
 from . import rng
 from .config import EngineConfig, config_hash, run_identity
 from .env import CubeReposeTask
-from .ppo import PPOAgent, gae, lr_schedule
+from .ppo import PPOAgent, check_tensors, gae, lr_schedule
 from .reach import ReachTask
 
 LOGS = ("metrics.jsonl", "timing.jsonl", "episodes.jsonl")
@@ -212,13 +212,17 @@ class Trainer:
 
     def load_checkpoint(self, tensors: dict, meta: dict) -> None:
         """Continue from the tensors and manifest ``ppo.read_checkpoint``
-        returned."""
+        returned; ``ValueError`` before any change if a counter is not a
+        count, or a tensor the agent or the task needs is missing or of another
+        dtype or shape."""
+        counters = meta.get("iteration"), meta.get("global_step")
+        if not all(type(c) is int and c >= 0 for c in counters):
+            raise ValueError(f"the checkpoint's iteration and global step are {counters}")
+        check_tensors(tensors, {f"env.{k}": v for k, v in self.task.state_dict().items()})
         self.agent.load_tensors(tensors)
-        self.agent.iteration = meta["iteration"]
-        self.agent.global_step = meta["global_step"]
-        env_state = {k[len("env."):]: v for k, v in tensors.items() if k.startswith("env.")}
-        if env_state:
-            self.obs = self.task.load_state_dict(env_state)
+        self.agent.iteration, self.agent.global_step = counters
+        self.obs = self.task.load_state_dict(
+            {k[len("env."):]: v for k, v in tensors.items() if k.startswith("env.")})
 
     def truncate_logs(self, log_lines: dict) -> None:
         """Cut each log back to the line count a checkpoint recorded, so a

@@ -514,6 +514,67 @@ def test_plot_missing_input(outroot):
     assert run_cli("plot", "--out", "ply") == EXIT_CONFIG  # nothing to do
 
 
+def test_malformed_plot_input_is_a_config_error(outroot, capsys):
+    bad_lines = outroot / "bad.jsonl"
+    bad_lines.write_text('{"global_step": 1, "success_rate": 0.5}\n{"global_step": 2,\n')
+    bad_json = outroot / "bad.json"
+    bad_json.write_text('{"success_matrix": [[1.0],\n [0.5],,]}\n')
+    for flag, path, line in (("--metrics", bad_lines, 2), ("--sweep-file", bad_lines, 2),
+                             ("--heatmap-file", bad_json, 2)):
+        assert run_cli("plot", "--out", "pl", flag, str(path)) == EXIT_CONFIG
+        assert f"{path}, line {line}: invalid JSON" in capsys.readouterr().err
+    assert sorted(p.name for p in outroot.iterdir()) == ["bad.json", "bad.jsonl"]
+
+
+def edit_manifest(src, dst, edit) -> None:
+    """Copy checkpoint ``src`` to ``dst`` with its JSON manifest replaced by
+    ``edit(manifest)``; the tensor bytes stay as they are."""
+    raw = src.read_bytes()
+    mlen = int(np.frombuffer(raw[8:16], dtype="<u8")[0])
+    mbytes = json.dumps(edit(json.loads(raw[16:16 + mlen]))).encode()
+    dst.write_bytes(raw[:8] + np.array([len(mbytes)], dtype="<u8").tobytes() + mbytes
+                    + raw[16 + mlen:])
+
+
+def edit_entry(name, edit):
+    """A manifest edit that applies ``edit`` to the directory entry ``name``."""
+    return lambda m: {**m, "tensors": [edit(e) if e["name"] == name else e for e in m["tensors"]]}
+
+
+def drop_entry(name):
+    return lambda m: {**m, "tensors": [e for e in m["tensors"] if e["name"] != name]}
+
+
+# manifest edits, the commands that read the edited tensor, and what the
+# refusal names
+BAD_CONTENTS = {
+    "missing tensor": (drop_entry("policy.p0"), ("eval", "train"), "holds no tensor 'policy.p0'"),
+    "missing env tensor": (drop_entry("env.state.joint_pos"), ("train",),
+                           "holds no tensor 'env.state.joint_pos'"),
+    "wrong shape": (edit_entry("policy.p0", lambda e: {**e, "shape": e["shape"][::-1]}),
+                    ("eval", "train"), "tensor 'policy.p0' is float32 (75, 16)"),
+    "manifest list": (lambda m: [m], ("eval", "train"), "manifest is a JSON list"),
+    "no step counter": (lambda m: {k: v for k, v in m.items() if k != "global_step"}, ("train",),
+                        "iteration and global step are"),
+    "unknown dtype": (edit_entry("policy.p0", lambda e: {**e, "dtype": "<q9"}), ("eval", "train"),
+                      "malformed checkpoint tensor entry"),
+}
+
+
+def test_bad_checkpoint_contents_are_incompatible_and_write_nothing(outroot, capsys):
+    assert run_cli("train", "--out", "tr", "--seed", "1", *TINY) == EXIT_OK
+    ckpt = outroot / "tr" / "ckpt_final.tckpt"
+    for case, (edit, commands, what) in BAD_CONTENTS.items():
+        bad = outroot / "bad.tckpt"
+        edit_manifest(ckpt, bad, edit)
+        argv = {"eval": ["eval", "--checkpoint", str(bad), "--trials", "2"],
+                "train": ["train", "--seed", "1", "--resume", str(bad)]}
+        for command in commands:
+            assert run_cli(*argv[command], "--out", "run", *TINY) == EXIT_INCOMPAT, (case, command)
+            assert what in capsys.readouterr().err, (case, command)
+            assert sorted(p.name for p in outroot.iterdir()) == ["bad.tckpt", "tr"], (case, command)
+
+
 # one argument list per command; {ckpt} and {metrics} name a trained run's files
 EVERY_COMMAND = {
     "train": ["train"],

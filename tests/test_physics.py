@@ -364,6 +364,31 @@ def test_velocity_terms_run_only_on_the_pairs_read(monkeypatch):
     assert sizes == [physics.N_FINGERS * n]
 
 
+PHASES = ("tip_object", "tip_table", "object_table")
+
+
+@pytest.mark.parametrize("kind", ["box", "sphere"])
+def test_each_contact_phase_runs_once_per_substep(monkeypatch, kind):
+    # a substep runs its contacts as three named phases, each once, whether
+    # or not it finds pairs to work on
+    calls = []
+    for name in PHASES:
+        def counting(self, *args, _real=getattr(physics._Contacts, name), _name=name):
+            calls.append(_name)
+            return _real(self, *args)
+
+        monkeypatch.setattr(physics._Contacts, name, counting)
+    cfg, n = default_cfg(object=ObjectParams(kind=kind), n_substeps=4), 8
+    params = EnvParams.nominal(n)
+    state = make_rest_state(n, cfg, params)
+    for pressed in (False, True):  # no tip near the object, then one in it
+        if pressed:
+            state.joint_pos[3, 0:3] = [0.0, 0.645, -1.271]
+        calls.clear()
+        state = physics.step(state, np.zeros((n, 9)), params, cfg)
+        assert calls == list(PHASES) * cfg.n_substeps
+
+
 def test_scaled_small_and_heavy_objects_stay_stable():
     cfg = default_cfg()
     n = 4
