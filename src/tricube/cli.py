@@ -276,7 +276,7 @@ def cmd_train(args, cfg: EngineConfig, out: OutputDir, read: dict) -> dict:
     if args.resume:
         if same_dir:
             try:
-                trainer.truncate_logs(read["meta"]["log_lines"])
+                trainer.truncate_logs(read["meta"].get("log_lines"))
             except ValueError as err:
                 raise IncompatibilityError(str(err)) from err
         print(f"resumed from {args.resume} at step {trainer.agent.global_step}")
@@ -419,62 +419,82 @@ def read_json(path: str, what: str, lines: bool = False):
     return values if lines else values[0]
 
 
+@contextlib.contextmanager
+def json_shape(path: str, what: str):
+    """Run the body that reads file ``path``'s JSON; a value of the wrong
+    shape (a missing key, a list for an object, a string for a number) is a
+    configuration error naming the file."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as err:
+        raise ConfigError(f"{path}: not a {what} ({type(err).__name__}: {err})") from err
+
+
 def plot_figures(args, cfg: EngineConfig) -> dict:
     """The figures to draw, by file name, from the input files on the
-    command line; a missing or empty input is a configuration error."""
+    command line; a missing or empty input, or one of the wrong shape, is a
+    configuration error."""
     figures = {}
     if args.metrics:
         series_steps, series_wall = [], []
         for metrics in args.metrics:
-            recs = read_json(metrics, "metrics file", lines=True)
-            recs = [r for r in recs if r.get("success_rate") is not None]
-            if not recs:
-                raise ConfigError(f"{metrics}: no iterations with completed episodes")
-            label = os.path.basename(os.path.dirname(metrics)) or metrics
-            xs = [r["global_step"] for r in recs]
-            ys = [r["success_rate"] for r in recs]
-            series_steps.append((label, xs, ys))
-            timing = os.path.join(os.path.dirname(metrics), "timing.jsonl")
-            if os.path.exists(timing):
-                secs = {r["iteration"]: r["seconds"]
-                        for r in read_json(timing, "timing file", lines=True)}
-                cum, acc = {}, 0.0
-                for it in sorted(secs):
-                    acc += secs[it]
-                    cum[it] = acc
-                series_wall.append(
-                    (label, [cum.get(r["iteration"], 0.0) for r in recs], ys)
-                )
-        figures["success_vs_steps.svg"] = svgplot.line_chart(
-            series_steps, title="training success", xlabel="env steps", ylabel="success rate")
-        if series_wall:
-            figures["success_vs_wallclock.svg"] = svgplot.line_chart(
-                series_wall, title="training success", xlabel="wallclock (s)",
+            with json_shape(metrics, "metrics file"):
+                recs = read_json(metrics, "metrics file", lines=True)
+                recs = [r for r in recs if r.get("success_rate") is not None]
+                if not recs:
+                    raise ConfigError(f"{metrics}: no iterations with completed episodes")
+                label = os.path.basename(os.path.dirname(metrics)) or metrics
+                xs = [r["global_step"] for r in recs]
+                ys = [r["success_rate"] for r in recs]
+                series_steps.append((label, xs, ys))
+                timing = os.path.join(os.path.dirname(metrics), "timing.jsonl")
+                if os.path.exists(timing):
+                    with json_shape(timing, "timing file"):
+                        secs = {r["iteration"]: r["seconds"]
+                                for r in read_json(timing, "timing file", lines=True)}
+                        cum, acc = {}, 0.0
+                        for it in sorted(secs):
+                            acc += secs[it]
+                            cum[it] = acc
+                    series_wall.append(
+                        (label, [cum.get(r["iteration"], 0.0) for r in recs], ys)
+                    )
+        with json_shape(", ".join(args.metrics), "metrics file"):
+            figures["success_vs_steps.svg"] = svgplot.line_chart(
+                series_steps, title="training success", xlabel="env steps",
                 ylabel="success rate")
+            if series_wall:
+                figures["success_vs_wallclock.svg"] = svgplot.line_chart(
+                    series_wall, title="training success", xlabel="wallclock (s)",
+                    ylabel="success rate")
     if args.sweep_file:
-        pts = read_json(args.sweep_file, "sweep file", lines=True)
-        if not pts:
-            raise ConfigError(f"{args.sweep_file}: empty sweep file")
-        param = pts[0]["parameter"]
-        xs = [p["value"] for p in pts]
-        ys = [p["report"]["success_rate"] for p in pts]
-        lo = [p["report"]["ci_lo"] for p in pts]
-        hi = [p["report"]["ci_hi"] for p in pts]
-        figures[f"sweep_{param}.svg"] = svgplot.line_chart(
-            [(param, xs, ys, (lo, hi))],
-            title=f"robustness to object {param}",
-            xlabel=f"object {param} factor", ylabel="success rate",
-        )
+        with json_shape(args.sweep_file, "sweep file"):
+            pts = read_json(args.sweep_file, "sweep file", lines=True)
+            if not pts:
+                raise ConfigError(f"{args.sweep_file}: empty sweep file")
+            param = pts[0]["parameter"]
+            xs = [p["value"] for p in pts]
+            ys = [p["report"]["success_rate"] for p in pts]
+            lo = [p["report"]["ci_lo"] for p in pts]
+            hi = [p["report"]["ci_hi"] for p in pts]
+            figures[f"sweep_{param}.svg"] = svgplot.line_chart(
+                [(param, xs, ys, (lo, hi))],
+                title=f"robustness to object {param}",
+                xlabel=f"object {param} factor", ylabel="success rate",
+            )
     if args.heatmap_file:
-        data = read_json(args.heatmap_file, "heatmap file")
-        figures["threshold_heatmap.svg"] = svgplot.heatmap(
-            np.array(data["success_matrix"]),
-            x_labels=[f"{d:g}°" for d in data["rot_thresholds_deg"]],
-            y_labels=[f"{p:g} m" for p in data["pos_thresholds_m"]],
-            title="success vs thresholds",
-            xlabel="orientation threshold",
-            ylabel="position threshold",
-        )
+        with json_shape(args.heatmap_file, "heatmap file"):
+            data = read_json(args.heatmap_file, "heatmap file")
+            figures["threshold_heatmap.svg"] = svgplot.heatmap(
+                np.array(data["success_matrix"]),
+                x_labels=[f"{d:g}°" for d in data["rot_thresholds_deg"]],
+                y_labels=[f"{p:g} m" for p in data["pos_thresholds_m"]],
+                title="success vs thresholds",
+                xlabel="orientation threshold",
+                ylabel="position threshold",
+            )
     if not figures:
         raise ConfigError("plot: nothing to do (pass --metrics, --sweep-file, or --heatmap-file)")
     return {"figures": figures}

@@ -30,8 +30,6 @@ from __future__ import annotations
 
 import contextlib
 import copy
-import ctypes
-import functools
 import hashlib
 import json
 import math
@@ -46,7 +44,7 @@ from . import config as config_mod
 from .config import TRANSFER_OBJECTS
 from .domrand import DRConfig
 from .env import CubeReposeTask, TaskConfig, check_success
-from .nets import INFER_ROWS
+from .nets import INFER_ROWS, openblas_thread_controls, one_blas_thread
 from .physics import PhysicsConfig
 from .ppo import PPOAgent
 from .trainer import build_trainer
@@ -131,44 +129,13 @@ def shard_bounds(n_trials: int, n_shards: int) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-@functools.cache
-def _openblas_thread_controls():
-    """OpenBLAS's (get, set) thread-count functions as numpy loaded them,
-    or None under another BLAS."""
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:  # numpy 1.x
-        from numpy.core import _multiarray_umath as umath
-    lib = ctypes.CDLL(umath.__file__)  # its symbols resolve through its BLAS
-    for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
-        get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-        set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-        if get and set_:  # int openblas_get_num_threads(void); void ..._set_...(int)
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            return get, set_
-    return None
-
-
-@contextlib.contextmanager
-def one_blas_thread():
-    """Run the body at one OpenBLAS thread, then restore the count."""
-    get, set_ = _openblas_thread_controls()
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
-
-
 def usable_shards() -> int:
     """One shard per core this process may run on, where it can fork and
     can hold each shard's BLAS to one thread (so the shards never run more
     threads than cores); else 1."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
-    if _openblas_thread_controls() is None:
+    if openblas_thread_controls() is None:
         return 1
     return len(os.sched_getaffinity(0))
 
@@ -207,7 +174,7 @@ def run_sharded(run, bounds: list[tuple[int, int]]) -> list:
     Forking, not spawning: a child starts from this process's memory (the
     agent and modules, nothing pickled in or imported again), and the only
     threads here are OpenBLAS's, whose own fork handler stops them before
-    the fork."""
+    the fork.  The nets' helper thread lives only inside a training pass."""
     children: dict[int, int] = {}  # pid -> read end of its pipe
     try:
         for lo, hi in bounds[1:]:

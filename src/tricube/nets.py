@@ -35,12 +35,54 @@ shards start on multiples of ``INFER_ROWS`` (``harness.shard_bounds``), so
 a shard's tail is the batch's tail.  The training ``forward``, whose cache
 feeds ``backward``, takes the batch as it comes.
 
+The training passes, ``forward`` and ``backward``, run on two threads where
+``MLP.split_rows`` says so: when the process has at least 2 OpenBLAS
+threads and the widest activation spans at least two ``_block_rows``
+blocks.  Inference (``__call__``), one-block passes and other BLAS keep one
+thread.  Inside a two-thread pass OpenBLAS is held to one thread, so the
+calling thread and one helper thread share two cores, and the elementwise
+work that otherwise runs on one core (bias plus ELU, the ELU-gradient
+product, the bias sums) runs beside other work.  OpenBLAS's own workers
+cannot take it: they spin for about 0.1 s after each call, so a helper
+beside them shares its core.  For the same reason no GEMM of a two-thread
+pass runs at the full BLAS thread count.
+
+- ``forward`` splits the rows once, at the multiple of ``INFER_ROWS``
+  nearest half of them.  Each thread runs the whole layer chain on its rows,
+  into per-layer buffers the calling thread allocates, so the cache is the
+  same full arrays.  A row's bits do not depend on the rows around it at a
+  multiple of 256 rows (above), so both halves give a one-thread pass's bits.
+- ``backward`` keeps each weight gradient ``delta.T @ h`` one GEMM over all
+  rows.  The helper runs it while the calling thread computes the bias
+  gradient, the next delta and its ELU-gradient product; both finish before
+  the next layer, so no more deltas are alive than in a one-thread pass.
+  Layer 0 has no next delta, so each thread computes half of its weight
+  gradient's output units, each half one GEMM over all rows.
+- Bits: an unsplit pass over a multiple of 32 rows gets the same bits at 1
+  and at 2 BLAS threads.  Over other row counts OpenBLAS can give a weight
+  gradient (which reduces over the rows) and a one-wide output layer other
+  bits at 2 threads than at 1.  Both are measured on the build in use, like
+  the row property above, as is a third: half of a weight gradient's output
+  units get the bits they get in the whole.  A split pass runs every GEMM
+  at one BLAS thread, so it has the bits of a pass at 1 BLAS thread at any
+  row count, and those of an unsplit pass at 2 BLAS threads over a multiple
+  of 32 rows.
+  ``tests/test_nets_threads.py`` checks this for 512 to 16384 rows in
+  float32 and float64.
+- The helper is started per pass and joined on every exit, exceptions
+  included, before the BLAS count is restored; none is alive when
+  ``harness.evaluate`` forks.
+
 Initialization is orthogonal (QR of a keyed Gaussian draw) with gain
 sqrt(2) for hidden layers; output layers take an explicit ``final_gain``
 (small for the policy head so early torques stay near zero).
 """
 
 from __future__ import annotations
+
+import contextlib
+import ctypes
+import functools
 
 import numpy as np
 
@@ -88,6 +130,86 @@ def mul_elu_grad_(delta: np.ndarray, a: np.ndarray) -> np.ndarray:
         d = delta[start : start + rows]
         d *= elu_grad(a[start : start + rows])
     return delta
+
+
+@functools.cache
+def openblas_thread_controls():
+    """OpenBLAS's (get, set) thread-count functions as numpy loaded them,
+    or None under another BLAS."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    lib = ctypes.CDLL(umath.__file__)  # its symbols resolve through its BLAS
+    for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+        get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+        set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+        if get and set_:  # int openblas_get_num_threads(void); void ..._set_...(int)
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+def blas_threads() -> int:
+    """The OpenBLAS thread count now, or 1 under another BLAS."""
+    controls = openblas_thread_controls()
+    return 1 if controls is None else controls[0]()
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body at one OpenBLAS thread, then restore the count."""
+    get, set_ = openblas_thread_controls()
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+class _Done:
+    """A call already made, with a future's ``result()``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def result(self):
+        return self.value
+
+
+def _now(fn, *args) -> _Done:
+    return _Done(fn(*args))
+
+
+@contextlib.contextmanager
+def _beside(engaged: bool):
+    """A ``submit(fn, *args)`` whose return value has ``result()``.  Engaged,
+    it queues the call on one helper thread that runs beside this one, with
+    OpenBLAS held to one thread; on every exit the helper has finished its
+    queue and ended before the BLAS count is restored.  Otherwise it runs
+    the call at once, here."""
+    if not engaged:
+        yield _now
+        return
+    # imported here: it adds about 7 ms to every start of the program
+    from concurrent.futures import ThreadPoolExecutor
+
+    with one_blas_thread(), ThreadPoolExecutor(1, thread_name_prefix="tricube-nets") as pool:
+        yield pool.submit
+
+
+def _matmul_rows(a: np.ndarray, b: np.ndarray, at: int) -> np.ndarray:
+    """``a @ b``, as two GEMMs split at row ``at`` unless it is 0.  OpenBLAS
+    packs a buffer that grows with a GEMM's rows, one per calling thread, so
+    a two-thread pass keeps each of its GEMMs to one side of its row cut."""
+    if not at:
+        return a @ b
+    out = np.empty((a.shape[0], b.shape[1]), dtype=a.dtype)
+    np.matmul(a[:at], b, out[:at])
+    np.matmul(a[at:], b, out[at:])
+    return out
 
 
 def orthogonal_init(shape: tuple, key: np.ndarray, gain: float, dtype) -> np.ndarray:
@@ -139,17 +261,46 @@ class MLP:
             out.extend([w, b])
         return out
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        h = np.ascontiguousarray(x, dtype=self.dtype)
-        cache = []
-        for li, (w, b) in enumerate(zip(self.weights, self.biases)):
-            cache.append(h)
-            h = h @ w.T  # a fresh buffer, so everything below may run in place
+    def split_rows(self, n: int) -> int:
+        """Where a training pass over ``n`` rows splits them between two
+        threads, or 0 to run on one: only with at least 2 BLAS threads, when
+        the widest activation spans two ``_block_rows`` blocks, and at the
+        multiple of ``INFER_ROWS`` nearest ``n / 2`` (see the module
+        docstring)."""
+        if blas_threads() < 2:
+            return 0
+        widest = np.empty((0, max(self.sizes[1:])), self.dtype)  # an activation's row shape
+        if n < 2 * _block_rows(widest):
+            return 0
+        at = INFER_ROWS * max(1, round(n / (2 * INFER_ROWS)))
+        return at if at < n else 0
+
+    def _forward_rows(self, x: np.ndarray, outs: list[np.ndarray], lo: int, hi: int) -> None:
+        """Every layer on rows ``lo:hi`` of ``x``, into the same rows of ``outs``."""
+        h = x[lo:hi]
+        for li, (w, b, out) in enumerate(zip(self.weights, self.biases, outs)):
+            h = np.matmul(h, w.T, out=out[lo:hi])  # nothing else writes these rows
             if li < self.n_layers - 1:
                 bias_elu_(h, b)
             else:
                 h += b
-        return h, cache
+
+    def forward(self, x: np.ndarray, *, split: bool = True) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The output and the cache ``backward`` takes: each layer's input.
+        The rows run on two threads where ``split_rows`` says so, unless
+        ``split`` is false (as for inference)."""
+        h = np.ascontiguousarray(x, dtype=self.dtype)
+        n = h.shape[0]
+        outs = [np.empty((n, size), dtype=self.dtype) for size in self.sizes[1:]]
+        at = self.split_rows(n) if split else 0
+        if at:
+            with _beside(True) as submit:
+                tail = submit(self._forward_rows, h, outs, at, n)
+                self._forward_rows(h, outs, 0, at)
+            tail.result()
+        else:
+            self._forward_rows(h, outs, 0, n)
+        return outs[-1], [h, *outs[:-1]]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Inference: ``forward``'s output, with the rows past the last
@@ -160,30 +311,46 @@ class MLP:
         aligned = n - n % INFER_ROWS
         out = np.empty((n, self.sizes[-1]), dtype=self.dtype)
         if aligned:
-            out[:aligned] = self.forward(x[:aligned])[0]
+            out[:aligned] = self.forward(x[:aligned], split=False)[0]
         if aligned < n:
             tail = np.zeros((INFER_ROWS, x.shape[1]), dtype=self.dtype)
             tail[: n - aligned] = x[aligned:]
-            out[aligned:] = self.forward(tail)[0][: n - aligned]
+            out[aligned:] = self.forward(tail, split=False)[0][: n - aligned]
         return out
 
     def backward(self, cache: list[np.ndarray], dout: np.ndarray) -> list[np.ndarray]:
         """Parameter gradients, ordered like ``parameters()``, of a scalar
         loss given d loss / d output.  Neither ``cache`` nor ``dout`` is
-        modified."""
+        modified.  Where ``split_rows`` splits the rows, the weight
+        gradients run on a helper thread beside the bias gradients and the
+        backpropagated deltas."""
         grads = [None] * (2 * self.n_layers)
         delta = np.ascontiguousarray(dout, dtype=self.dtype)
-        for li in reversed(range(self.n_layers)):
-            h = cache[li]
-            grads[2 * li] = delta.T @ h
-            grads[2 * li + 1] = delta.sum(axis=0)
-            if li > 0:
+        at = self.split_rows(delta.shape[0])
+        with _beside(at > 0) as submit:
+            for li in reversed(range(1, self.n_layers)):
+                h = cache[li]
+                # this thread allocates, so the helper's malloc arena stays small
+                grads[2 * li] = np.empty((delta.shape[1], h.shape[1]), dtype=self.dtype)
+                dw = submit(np.matmul, delta.T, h, grads[2 * li])  # reads delta, never writes it
+                grads[2 * li + 1] = delta.sum(axis=0)
                 # h is the previous layer's activation; delta is a fresh product.
                 # A one-wide delta (the value head) makes it an outer product,
                 # which OpenBLAS runs slower as a K=1 GEMM than numpy's multiply
                 w = self.weights[li]
-                delta = delta * w if delta.shape[1] == 1 else delta @ w
+                delta = delta * w if delta.shape[1] == 1 else _matmul_rows(delta, w, at)
                 mul_elu_grad_(delta, h)
+                dw.result()  # done before the next layer, so at most two deltas are alive
+            # layer 0 has no next delta to compute beside its weight gradient,
+            # so each thread takes half of its output units
+            h, units = cache[0], delta.shape[1]
+            cut = units // 2 if at else 0
+            grads[0] = np.empty((units, h.shape[1]), dtype=self.dtype)
+            top = submit(np.matmul, delta[:, :cut].T, h, grads[0][:cut]) if cut else None
+            np.matmul(delta[:, cut:].T, h, grads[0][cut:])
+            grads[1] = delta.sum(axis=0)
+            if top:
+                top.result()
         return grads
 
 

@@ -224,13 +224,20 @@ class Trainer:
         self.obs = self.task.load_state_dict(
             {k[len("env."):]: v for k, v in tensors.items() if k.startswith("env.")})
 
-    def truncate_logs(self, log_lines: dict) -> None:
+    def truncate_logs(self, log_lines) -> None:
         """Cut each log back to the line count a checkpoint recorded, so a
         resume in the same directory continues after the checkpoint's last
-        record.  A log shorter than its count raises ``ValueError`` before
-        any log is cut."""
+        record.  ``log_lines`` that is not a dict, a count that is missing or
+        not a non-negative int, and a log shorter than its count raise
+        ``ValueError`` before any log is cut."""
+        if not isinstance(log_lines, dict):
+            raise ValueError(
+                f"the checkpoint's log_lines is {log_lines!r}, not a dict of line counts")
         for name, path in self._logs.items():
-            keep, have = log_lines[name], _count_lines(path)
+            keep, have = log_lines.get(name), _count_lines(path)
+            if type(keep) is not int or keep < 0:
+                raise ValueError(
+                    f"the checkpoint's log_lines[{name!r}] is {keep!r}, not a line count")
             if have < keep:
                 raise ValueError(f"{path} holds {have} lines; the checkpoint recorded {keep}")
         for name, path in self._logs.items():

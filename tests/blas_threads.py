@@ -33,7 +33,7 @@ def run_check(threads: int, module: str, func: str, *args) -> None:
 
 def loaded_blas_threads() -> int | None:
     """The thread count of the OpenBLAS that numpy loaded, or None."""
-    from tricube import harness
+    from tricube import nets
 
-    controls = harness._openblas_thread_controls()
+    controls = nets.openblas_thread_controls()
     return None if controls is None else int(controls[0]())

@@ -125,6 +125,30 @@ def test_same_directory_resume_refuses_a_log_shorter_than_recorded(outroot, caps
     assert "holds 1 lines; the checkpoint recorded 3" in capsys.readouterr().err
 
 
+def test_same_directory_resume_refuses_malformed_log_lines(outroot, capsys):
+    assert run_cli("train", "--out", "tr", "--seed", "8", *TINY) == EXIT_OK
+    before = {p.name: p.read_bytes() for p in (outroot / "tr").iterdir()}
+    bad = outroot / "tr" / "bad.tckpt"
+    cases = {
+        "no log_lines": (lambda m: {k: v for k, v in m.items() if k != "log_lines"},
+                         "log_lines is None, not a dict"),
+        "a list": (lambda m: {**m, "log_lines": [3, 3, 3]}, "log_lines is [3, 3, 3], not a dict"),
+        "a missing count": (lambda m: {**m, "log_lines": {"metrics.jsonl": 3}},
+                            "log_lines['timing.jsonl'] is None, not a line count"),
+        "a float count": (lambda m: {**m, "log_lines": {**m["log_lines"], "metrics.jsonl": 3.0}},
+                          "log_lines['metrics.jsonl'] is 3.0, not a line count"),
+        "a negative count": (lambda m: {**m, "log_lines": {**m["log_lines"], "episodes.jsonl": -1}},
+                             "log_lines['episodes.jsonl'] is -1, not a line count"),
+    }
+    for case, (edit, what) in cases.items():
+        edit_manifest(outroot / "tr" / "ckpt_final.tckpt", bad, edit)
+        assert run_cli("train", "--out", "tr", "--seed", "8", *TINY,
+                       "--resume", str(bad)) == EXIT_INCOMPAT, case
+        assert what in capsys.readouterr().err, case
+        bad.unlink()
+        assert {p.name: p.read_bytes() for p in (outroot / "tr").iterdir()} == before, case
+
+
 def test_fresh_train_into_a_directory_holding_a_run_is_refused(outroot, capsys):
     assert run_cli("train", "--out", "a", "--seed", "1", *TINY) == EXIT_OK
     before = {p.name: p.read_bytes() for p in (outroot / "a").iterdir()}
@@ -524,6 +548,30 @@ def test_malformed_plot_input_is_a_config_error(outroot, capsys):
         assert run_cli("plot", "--out", "pl", flag, str(path)) == EXIT_CONFIG
         assert f"{path}, line {line}: invalid JSON" in capsys.readouterr().err
     assert sorted(p.name for p in outroot.iterdir()) == ["bad.json", "bad.jsonl"]
+
+
+def test_plot_input_of_the_wrong_shape_is_a_config_error(outroot, capsys):
+    inputs = {
+        "--metrics": ('[{"global_step": 1, "success_rate": 0.5}]\n', "not a metrics file"),
+        "--heatmap-file": ('{"rot_thresholds_deg": [10], "pos_thresholds_m": [0.02]}\n',
+                           "not a heatmap file (KeyError: 'success_matrix')"),
+        "--sweep-file": ('{"parameter": "mass", "value": 1.0}\n',
+                         "not a sweep file (KeyError: 'report')"),
+    }
+    for i, (flag, (text, what)) in enumerate(inputs.items()):
+        path = outroot / f"in{i}.json"
+        path.write_text(text)
+        assert run_cli("plot", "--out", "pl", flag, str(path)) == EXIT_CONFIG, flag
+        assert f"{path}: {what}" in capsys.readouterr().err, flag
+    # a timing file beside the metrics is named when it is the one of the wrong shape
+    (outroot / "run").mkdir()
+    (outroot / "run" / "metrics.jsonl").write_text(
+        '{"iteration": 0, "global_step": 1, "success_rate": 0.5}\n')
+    (outroot / "run" / "timing.jsonl").write_text('{"iteration": 0}\n')
+    assert run_cli("plot", "--out", "pl", "--metrics", str(outroot / "run" / "metrics.jsonl")) \
+        == EXIT_CONFIG
+    assert f"{outroot / 'run' / 'timing.jsonl'}: not a timing file" in capsys.readouterr().err
+    assert sorted(p.name for p in outroot.iterdir()) == ["in0.json", "in1.json", "in2.json", "run"]
 
 
 def edit_manifest(src, dst, edit) -> None:
