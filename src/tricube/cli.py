@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 import time
@@ -432,10 +433,22 @@ def json_shape(path: str, what: str):
         raise ConfigError(f"{path}: not a {what} ({type(err).__name__}: {err})") from err
 
 
+def json_numbers(values) -> list:
+    """``values``, each a finite JSON number; else a ``ValueError`` (inside
+    ``json_shape``, a configuration error naming the file)."""
+    values = list(values)
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+            raise ValueError(f"{v!r} is not a number")
+    return values
+
+
 def plot_figures(args, cfg: EngineConfig) -> dict:
     """The figures to draw, by file name, from the input files on the
     command line; a missing or empty input, or one of the wrong shape, is a
-    configuration error."""
+    configuration error.  Each input is read and checked inside its own
+    ``json_shape``; the figures are drawn outside it, so a fault in
+    ``svgplot`` stays an internal error."""
     figures = {}
     if args.metrics:
         series_steps, series_wall = [], []
@@ -446,13 +459,13 @@ def plot_figures(args, cfg: EngineConfig) -> dict:
                 if not recs:
                     raise ConfigError(f"{metrics}: no iterations with completed episodes")
                 label = os.path.basename(os.path.dirname(metrics)) or metrics
-                xs = [r["global_step"] for r in recs]
-                ys = [r["success_rate"] for r in recs]
+                xs = json_numbers(r["global_step"] for r in recs)
+                ys = json_numbers(r["success_rate"] for r in recs)
                 series_steps.append((label, xs, ys))
                 timing = os.path.join(os.path.dirname(metrics), "timing.jsonl")
                 if os.path.exists(timing):
                     with json_shape(timing, "timing file"):
-                        secs = {r["iteration"]: r["seconds"]
+                        secs = {r["iteration"]: json_numbers([r["seconds"]])[0]
                                 for r in read_json(timing, "timing file", lines=True)}
                         cum, acc = {}, 0.0
                         for it in sorted(secs):
@@ -461,40 +474,46 @@ def plot_figures(args, cfg: EngineConfig) -> dict:
                     series_wall.append(
                         (label, [cum.get(r["iteration"], 0.0) for r in recs], ys)
                     )
-        with json_shape(", ".join(args.metrics), "metrics file"):
-            figures["success_vs_steps.svg"] = svgplot.line_chart(
-                series_steps, title="training success", xlabel="env steps",
+        figures["success_vs_steps.svg"] = svgplot.line_chart(
+            series_steps, title="training success", xlabel="env steps", ylabel="success rate")
+        if series_wall:
+            figures["success_vs_wallclock.svg"] = svgplot.line_chart(
+                series_wall, title="training success", xlabel="wallclock (s)",
                 ylabel="success rate")
-            if series_wall:
-                figures["success_vs_wallclock.svg"] = svgplot.line_chart(
-                    series_wall, title="training success", xlabel="wallclock (s)",
-                    ylabel="success rate")
     if args.sweep_file:
         with json_shape(args.sweep_file, "sweep file"):
             pts = read_json(args.sweep_file, "sweep file", lines=True)
             if not pts:
                 raise ConfigError(f"{args.sweep_file}: empty sweep file")
             param = pts[0]["parameter"]
-            xs = [p["value"] for p in pts]
-            ys = [p["report"]["success_rate"] for p in pts]
-            lo = [p["report"]["ci_lo"] for p in pts]
-            hi = [p["report"]["ci_hi"] for p in pts]
-            figures[f"sweep_{param}.svg"] = svgplot.line_chart(
-                [(param, xs, ys, (lo, hi))],
-                title=f"robustness to object {param}",
-                xlabel=f"object {param} factor", ylabel="success rate",
-            )
+            if not isinstance(param, str):
+                raise TypeError(f"parameter {param!r} is not a string")
+            xs = json_numbers(p["value"] for p in pts)
+            ys = json_numbers(p["report"]["success_rate"] for p in pts)
+            lo = json_numbers(p["report"]["ci_lo"] for p in pts)
+            hi = json_numbers(p["report"]["ci_hi"] for p in pts)
+        figures[f"sweep_{param}.svg"] = svgplot.line_chart(
+            [(param, xs, ys, (lo, hi))],
+            title=f"robustness to object {param}",
+            xlabel=f"object {param} factor", ylabel="success rate",
+        )
     if args.heatmap_file:
         with json_shape(args.heatmap_file, "heatmap file"):
             data = read_json(args.heatmap_file, "heatmap file")
-            figures["threshold_heatmap.svg"] = svgplot.heatmap(
-                np.array(data["success_matrix"]),
-                x_labels=[f"{d:g}°" for d in data["rot_thresholds_deg"]],
-                y_labels=[f"{p:g} m" for p in data["pos_thresholds_m"]],
-                title="success vs thresholds",
-                xlabel="orientation threshold",
-                ylabel="position threshold",
-            )
+            rot = json_numbers(data["rot_thresholds_deg"])
+            pos = json_numbers(data["pos_thresholds_m"])
+            matrix = [json_numbers(row) for row in data["success_matrix"]]
+            if not (rot and pos) or [len(row) for row in matrix] != [len(rot)] * len(pos):
+                raise ValueError(f"success_matrix is not {len(pos)} x {len(rot)} "
+                                 "(pos_thresholds_m x rot_thresholds_deg)")
+        figures["threshold_heatmap.svg"] = svgplot.heatmap(
+            np.array(matrix),
+            x_labels=[f"{d:g}°" for d in rot],
+            y_labels=[f"{p:g} m" for p in pos],
+            title="success vs thresholds",
+            xlabel="orientation threshold",
+            ylabel="position threshold",
+        )
     if not figures:
         raise ConfigError("plot: nothing to do (pass --metrics, --sweep-file, or --heatmap-file)")
     return {"figures": figures}

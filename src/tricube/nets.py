@@ -37,15 +37,21 @@ feeds ``backward``, takes the batch as it comes.
 
 The training passes, ``forward`` and ``backward``, run on two threads where
 ``MLP.split_rows`` says so: when the process has at least 2 OpenBLAS
-threads and the widest activation spans at least two ``_block_rows``
-blocks.  Inference (``__call__``), one-block passes and other BLAS keep one
-thread.  Inside a two-thread pass OpenBLAS is held to one thread, so the
-calling thread and one helper thread share two cores, and the elementwise
-work that otherwise runs on one core (bias plus ELU, the ELU-gradient
-product, the bias sums) runs beside other work.  OpenBLAS's own workers
-cannot take it: they spin for about 0.1 s after each call, so a helper
-beside them shares its core.  For the same reason no GEMM of a two-thread
-pass runs at the full BLAS thread count.
+threads and the widest activation holds at least ``SPLIT_BYTES`` (2 MiB).
+Inference (``__call__``), smaller passes and other BLAS keep one thread.
+Inside a two-thread pass OpenBLAS is held to one thread, so the calling
+thread and one helper thread share two cores, and the elementwise work that
+otherwise runs on one core (bias plus ELU, the ELU-gradient product, the
+bias sums) runs beside other work.  OpenBLAS's own workers cannot take it:
+they spin for about 0.1 s after each call, so a helper beside them shares
+its core.  For the same reason no GEMM of a two-thread pass runs at the
+full BLAS thread count.  ``SPLIT_BYTES`` is where a split pass stops
+losing to an unsplit one at 2 BLAS threads.  On a 2-vCPU Xeon, a forward
+and backward of the paper's nets took, split against unsplit, x1.13 with a
+0.5 MiB widest activation, x0.98 to x1.08 at 1 MiB, x0.90 to x1.00 at
+2 MiB and x0.87 to x0.92 at 4 MiB and more; the smoke profile's nets at
+their 1920-row minibatch (under 1 MiB) took x1.12 and x1.25 split, and its
+training iterations about a tenth longer.
 
 - ``forward`` splits the rows once, at the multiple of ``INFER_ROWS``
   nearest half of them.  Each thread runs the whole layer chain on its rows,
@@ -107,6 +113,7 @@ def elu_grad(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 BLOCK_BYTES = 1 << 20
 INFER_ROWS = 256
+SPLIT_BYTES = 2 << 20
 
 
 def _block_rows(a: np.ndarray) -> int:
@@ -264,13 +271,9 @@ class MLP:
     def split_rows(self, n: int) -> int:
         """Where a training pass over ``n`` rows splits them between two
         threads, or 0 to run on one: only with at least 2 BLAS threads, when
-        the widest activation spans two ``_block_rows`` blocks, and at the
-        multiple of ``INFER_ROWS`` nearest ``n / 2`` (see the module
-        docstring)."""
-        if blas_threads() < 2:
-            return 0
-        widest = np.empty((0, max(self.sizes[1:])), self.dtype)  # an activation's row shape
-        if n < 2 * _block_rows(widest):
+        the widest activation holds ``SPLIT_BYTES``, and at the multiple of
+        ``INFER_ROWS`` nearest ``n / 2`` (see the module docstring)."""
+        if blas_threads() < 2 or n * max(self.sizes[1:]) * self.dtype.itemsize < SPLIT_BYTES:
             return 0
         at = INFER_ROWS * max(1, round(n / (2 * INFER_ROWS)))
         return at if at < n else 0
@@ -305,7 +308,10 @@ class MLP:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Inference: ``forward``'s output, with the rows past the last
         multiple of ``INFER_ROWS`` zero-padded to one block of that many, so
-        a row's bits do not depend on the batch (see the module docstring)."""
+        a row's bits do not depend on the batch (see the module docstring).
+        It goes through ``forward``, on one thread, because profilers time
+        inference by wrapping ``MLP.forward`` (``perfbench``'s
+        ``nets.MLP.forward`` spans on every workload, evaluation included)."""
         x = np.ascontiguousarray(x, dtype=self.dtype)
         n = x.shape[0]
         aligned = n - n % INFER_ROWS

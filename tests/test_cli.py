@@ -558,11 +558,33 @@ def test_plot_input_of_the_wrong_shape_is_a_config_error(outroot, capsys):
         "--sweep-file": ('{"parameter": "mass", "value": 1.0}\n',
                          "not a sweep file (KeyError: 'report')"),
     }
-    for i, (flag, (text, what)) in enumerate(inputs.items()):
+    # values the figures draw that are not numbers, or a matrix of the wrong shape
+    report = '"report": {"success_rate": 0.5, "ci_lo": 0.4, "ci_hi": 0.6}'
+    bad_values = [
+        ("--metrics", '{"global_step": 1, "success_rate": "half"}\n',
+         "not a metrics file (ValueError: 'half' is not a number)"),
+        ("--sweep-file", '{"parameter": "mass", "value": NaN, %s}\n' % report,
+         "not a sweep file (ValueError: nan is not a number)"),
+        ("--heatmap-file", '{"rot_thresholds_deg": [10, 20], "pos_thresholds_m": [0.02], '
+         '"success_matrix": [[0.5]]}\n', "not a heatmap file (ValueError: success_matrix is "
+         "not 1 x 2"),
+        ("--heatmap-file", '{"rot_thresholds_deg": [10], "pos_thresholds_m": [0.02], '
+         '"success_matrix": [[true]]}\n', "not a heatmap file (ValueError: True is not"),
+    ]
+    cases = [(flag, text, what) for flag, (text, what) in inputs.items()] + bad_values
+    for i, (flag, text, what) in enumerate(cases):
         path = outroot / f"in{i}.json"
         path.write_text(text)
         assert run_cli("plot", "--out", "pl", flag, str(path)) == EXIT_CONFIG, flag
         assert f"{path}: {what}" in capsys.readouterr().err, flag
+    # with two --metrics files, the error names the one of the wrong shape
+    good = outroot / "good.jsonl"
+    good.write_text('{"global_step": 1, "success_rate": 0.5}\n')
+    assert run_cli("plot", "--out", "pl", "--metrics", str(good), str(outroot / "in3.json")) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{outroot / 'in3.json'}: not a metrics file" in err and str(good) not in err
+    good.unlink()
     # a timing file beside the metrics is named when it is the one of the wrong shape
     (outroot / "run").mkdir()
     (outroot / "run" / "metrics.jsonl").write_text(
@@ -571,7 +593,20 @@ def test_plot_input_of_the_wrong_shape_is_a_config_error(outroot, capsys):
     assert run_cli("plot", "--out", "pl", "--metrics", str(outroot / "run" / "metrics.jsonl")) \
         == EXIT_CONFIG
     assert f"{outroot / 'run' / 'timing.jsonl'}: not a timing file" in capsys.readouterr().err
-    assert sorted(p.name for p in outroot.iterdir()) == ["in0.json", "in1.json", "in2.json", "run"]
+    assert sorted(p.name for p in outroot.iterdir()) == [f"in{i}.json" for i in range(7)] + ["run"]
+
+
+def test_plot_renderer_faults_stay_internal_errors(outroot, monkeypatch):
+    """A fault in svgplot on valid input is not blamed on the input file."""
+    from tricube import svgplot
+
+    def broken(*args, **kwargs):
+        raise ValueError("renderer fault")
+
+    monkeypatch.setattr(svgplot, "line_chart", broken)
+    metrics = outroot / "metrics.jsonl"
+    metrics.write_text('{"global_step": 1, "success_rate": 0.5}\n')
+    assert run_cli("plot", "--out", "pl", "--metrics", str(metrics)) == EXIT_RUNTIME
 
 
 def edit_manifest(src, dst, edit) -> None:

@@ -1,13 +1,14 @@
 """The training passes on two threads (see the ``nets`` module docstring).
 
 At two or more BLAS threads, ``MLP.forward`` and ``MLP.backward`` share a
-pass that spans two row blocks between the calling thread and one helper
-thread.  The ``check_*`` functions run in a fresh process at two BLAS
-threads (see blas_threads.py).  They compare that path's bytes with the
-same pass at one BLAS thread, where it never engages, and with the one-
-thread path at two BLAS threads; they check that a failure in either thread
-leaves no thread and the BLAS count as it was; and that an evaluation
-forked after a threaded update reports what a fresh process reports.
+pass whose widest activation holds ``nets.SPLIT_BYTES`` between the
+calling thread and one helper thread.  The ``check_*`` functions run in a
+fresh process at two BLAS threads (see blas_threads.py).  They compare
+that path's bytes with the same pass at one BLAS thread, where it never
+engages, and with the one-thread path at two BLAS threads; they check
+that a failure in either thread leaves no thread and the BLAS count as it
+was; and that an evaluation forked after a threaded update reports what a
+fresh process reports.
 """
 
 import json
@@ -25,7 +26,7 @@ from tricube.ppo import PPOAgent, PPOConfig
 ROWS = (512, 1000, 1920, 4173, 16384)
 # where split_rows cuts each net's rows at 2 BLAS threads; a missing entry
 # runs on one thread.  The policy's widest layer is 256, the value's 512, so
-# a block is 1 MiB / (width * itemsize) rows and two blocks engage the path
+# the path engages from 2 MiB / (width * itemsize) rows
 SPLITS = {
     ("policy", "float32"): {4173: 2048, 16384: 8192},
     ("policy", "float64"): {1920: 1024, 4173: 2048, 16384: 8192},
