@@ -324,8 +324,6 @@ def robustness_sweep(
     """
     if parameter not in ("scale", "mass"):
         raise ValueError(f"sweep parameter must be 'scale' or 'mass', got {parameter!r}")
-    if len(grid) == 0:
-        raise ValueError("sweep grid is empty")
     h, cfg_hash, nominal = cfg.harness, config_mod.config_hash(cfg), cfg.physics.object
     out = []
     for value in grid:
@@ -372,10 +370,6 @@ def zero_shot_objects(
     tcfg = replace(cfg.task, keypoint_half_extents=kp_half)
     out = {}
     for name in object_names:
-        if name not in TRANSFER_OBJECTS:
-            raise ValueError(
-                f"unsupported object {name!r}; known: {sorted(TRANSFER_OBJECTS)}"
-            )
         obj = replace(TRANSFER_OBJECTS[name], mass=nominal.mass, friction=nominal.friction)
         out[name] = evaluate(
             agent, h.eval_trials, h.eval_seed, task=tcfg, phys=replace(cfg.physics, object=obj),

@@ -35,6 +35,16 @@ shards start on multiples of ``INFER_ROWS`` (``harness.shard_bounds``), so
 a shard's tail is the batch's tail.  The training ``forward``, whose cache
 feeds ``backward``, takes the batch as it comes.
 
+``MLP.infer_beside`` runs the same row ranges (``_inference_rows``) through
+a ``_beside`` submit, so an inference can run on a helper thread beside
+other work; ``Trainer.collect_rollout`` runs its value forward that way.
+The calling thread pads the input and allocates every activation, because
+a helper's own malloc arena would keep the pages of what it allocated.  The
+helper runs ``_forward_rows`` alone, which calls nothing a profiler wraps:
+``perfbench``'s tracer keeps one span stack per process, so a wrapped call
+on the helper would nest its span inside whatever span the calling thread
+has open.
+
 The training passes, ``forward`` and ``backward``, run on two threads where
 ``MLP.split_rows`` says so: when the process has at least 2 OpenBLAS
 threads and the widest activation holds at least ``SPLIT_BYTES`` (2 MiB).
@@ -75,9 +85,9 @@ training iterations about a tenth longer.
   of 32 rows.
   ``tests/test_nets_threads.py`` checks this for 512 to 16384 rows in
   float32 and float64.
-- The helper is started per pass and joined on every exit, exceptions
-  included, before the BLAS count is restored; none is alive when
-  ``harness.evaluate`` forks.
+- The helper is started per pass (per rollout in ``Trainer.collect_rollout``)
+  and joined on every exit, exceptions included, before the BLAS count is
+  restored; none is alive when ``harness.evaluate`` forks.
 
 Initialization is orthogonal (QR of a keyed Gaussian draw) with gain
 sqrt(2) for hidden layers; output layers take an explicit ``final_gain``
@@ -305,24 +315,46 @@ class MLP:
             self._forward_rows(h, outs, 0, n)
         return outs[-1], [h, *outs[:-1]]
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Inference: ``forward``'s output, with the rows past the last
-        multiple of ``INFER_ROWS`` zero-padded to one block of that many, so
-        a row's bits do not depend on the batch (see the module docstring).
-        It goes through ``forward``, on one thread, because profilers time
-        inference by wrapping ``MLP.forward`` (``perfbench``'s
-        ``nets.MLP.forward`` spans on every workload, evaluation included)."""
+    def _inference_rows(self, x: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
+        """``x`` as inference runs it, and the row ranges it runs as one
+        forward pass each: the rows up to the last multiple of ``INFER_ROWS``,
+        then the rest zero-padded to one block of that many, so a row's bits
+        do not depend on the batch (see the module docstring)."""
         x = np.ascontiguousarray(x, dtype=self.dtype)
         n = x.shape[0]
         aligned = n - n % INFER_ROWS
-        out = np.empty((n, self.sizes[-1]), dtype=self.dtype)
-        if aligned:
-            out[:aligned] = self.forward(x[:aligned], split=False)[0]
         if aligned < n:
-            tail = np.zeros((INFER_ROWS, x.shape[1]), dtype=self.dtype)
-            tail[: n - aligned] = x[aligned:]
-            out[aligned:] = self.forward(tail, split=False)[0][: n - aligned]
-        return out
+            x = np.concatenate([x, np.zeros((aligned + INFER_ROWS - n, x.shape[1]), self.dtype)])
+        return x, [(lo, hi) for lo, hi in ((0, aligned), (aligned, x.shape[0])) if lo < hi]
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """Inference: ``forward``'s output over ``_inference_rows``.  It goes
+        through ``forward``, on one thread, because profilers time inference
+        by wrapping ``MLP.forward`` (``perfbench``'s ``nets.MLP.forward``
+        spans on every workload, evaluation included)."""
+        padded, bounds = self._inference_rows(x)
+        out = np.empty((padded.shape[0], self.sizes[-1]), dtype=self.dtype)
+        for lo, hi in bounds:
+            out[lo:hi] = self.forward(padded[lo:hi], split=False)[0]
+        return out[: len(x)]
+
+    def infer_beside(self, x: np.ndarray, submit):
+        """``self(x)`` with its layers run by ``submit`` (``_beside``'s),
+        which may run them on a helper thread.  This thread pads the input
+        and allocates every activation; the helper runs ``_forward_rows``
+        alone (see the module docstring).  Returns a function that waits for
+        the rows and returns the output."""
+        n, (padded, bounds) = len(x), self._inference_rows(x)
+        outs = [np.empty((padded.shape[0], size), dtype=self.dtype) for size in self.sizes[1:]]
+        parts = [submit(self._forward_rows, padded, outs, lo, hi) for lo, hi in bounds]
+        out = outs[-1]  # the result keeps this alone; the hidden layers die with the calls
+
+        def result() -> np.ndarray:
+            for part in parts:
+                part.result()
+            return out[:n]
+
+        return result
 
     def backward(self, cache: list[np.ndarray], dout: np.ndarray) -> list[np.ndarray]:
         """Parameter gradients, ordered like ``parameters()``, of a scalar

@@ -244,7 +244,17 @@ class PPOAgent:
 
     def predict_values(self, critic_obs_prepped: np.ndarray) -> np.ndarray:
         """Value estimates on prepped observations, in return units."""
-        v = self.value(critic_obs_prepped).astype(np.float64)
+        return self._in_return_units(self.value(critic_obs_prepped))
+
+    def values_beside(self, critic_obs_prepped: np.ndarray, submit):
+        """``predict_values`` with the value forward run by ``submit`` (see
+        ``nets.MLP.infer_beside``); returns a function that waits for it and
+        returns the values."""
+        outputs = self.value.trunk.infer_beside(critic_obs_prepped, submit)
+        return lambda: self._in_return_units(outputs()[:, 0])
+
+    def _in_return_units(self, v: np.ndarray) -> np.ndarray:
+        v = v.astype(np.float64)
         if self.cfg.normalize_value:
             v = self.norm_value.denormalize(v[:, None])[:, 0]
         return v

@@ -7,6 +7,18 @@ deterministic for a fixed seed; wall-clock quantities (steps/sec, elapsed
 time) go to ``timing.jsonl`` so two same-seed runs produce byte-identical
 metrics.
 
+The critic's values feed only GAE, never the action.  So at 2 or more BLAS
+threads (the thread test of ``MLP.split_rows``) the rollout holds OpenBLAS at
+one thread over its step loop and runs each step's value forward on one helper
+thread (``nets._beside``), beside that step's actor-observation prep,
+``policy.act`` and ``task.step``; the loop joins it after ``task.step`` and
+writes the step's values.  The calling thread keeps ``prep_critic_obs``,
+whose ``RunningNorm.update`` a profiler wraps, and allocates the forward's
+buffers (``MLP.infer_beside``).  The bootstrap values after the loop run at
+the full thread count.  A row's inference bits do not depend on the BLAS
+thread count (see ``nets``), so neither do the rollout's.  At one BLAS
+thread the same calls run in turn on the calling thread.
+
 Checkpoints embed the full training state: network and optimizer tensors,
 environment state arrays, and the integer counters that key every random
 stream.  Resuming from a checkpoint therefore continues the exact
@@ -25,7 +37,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import rng
+from . import nets, rng
 from .config import EngineConfig, config_hash, run_identity
 from .env import CubeReposeTask
 from .ppo import PPOAgent, check_tensors, gae, lr_schedule
@@ -115,21 +127,27 @@ class Trainer:
         if self.obs is None:
             self.obs = task.reset_all()
         obs = self.obs
-        for t in range(h):
-            a_obs = agent.prep_actor_obs(obs["actor"], update=True)
-            c_obs = agent.prep_critic_obs(obs["critic"], update=True)
-            key = rng.stream_key(self.seed, task.env_ids, agent.global_step + t * n, rng.CH_POLICY_SAMPLE)
-            act, logp = agent.policy.act(a_obs, stochastic=True, key=key)
-            actor_obs[t] = a_obs
-            critic_obs[t] = c_obs
-            actions[t] = act
-            logps[t] = logp
-            values[t] = agent.predict_values(c_obs)
-            obs, rew, done, info = task.step(act)
-            rewards[t] = rew
-            dones[t] = done
-            for name, arr in info.get("reward_components", {}).items():
-                comp_sums[name] = comp_sums.get(name, 0.0) + float(np.mean(arr))
+        # at 2 or more BLAS threads each step's value forward runs on a helper
+        # thread beside the policy and the env step, with OpenBLAS held to one
+        # thread (see the module docstring)
+        with nets._beside(nets.blas_threads() >= 2) as submit:
+            for t in range(h):
+                c_obs = agent.prep_critic_obs(obs["critic"], update=True)
+                step_values = agent.values_beside(c_obs, submit)
+                a_obs = agent.prep_actor_obs(obs["actor"], update=True)
+                key = rng.stream_key(self.seed, task.env_ids, agent.global_step + t * n,
+                                     rng.CH_POLICY_SAMPLE)
+                act, logp = agent.policy.act(a_obs, stochastic=True, key=key)
+                actor_obs[t] = a_obs
+                critic_obs[t] = c_obs
+                actions[t] = act
+                logps[t] = logp
+                obs, rew, done, info = task.step(act)
+                values[t] = step_values()
+                rewards[t] = rew
+                dones[t] = done
+                for name, arr in info.get("reward_components", {}).items():
+                    comp_sums[name] = comp_sums.get(name, 0.0) + float(np.mean(arr))
         self.obs = obs
         bootstrap = agent.predict_values(agent.prep_critic_obs(obs["critic"]))
 

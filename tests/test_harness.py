@@ -228,8 +228,9 @@ def test_robustness_sweep_reproducible_and_validated():
     assert [p["report"].to_json() for p in a] == [p["report"].to_json() for p in b]
     with pytest.raises(ValueError):
         robustness_sweep(agent, eval_config(4, 9), "friction", [1.0])
-    with pytest.raises(ValueError):
-        robustness_sweep(agent, eval_config(4, 9), "scale", [])
+    # an empty grid never reaches the sweep: the config refuses it
+    with pytest.raises(config.ConfigError, match="sweep_scale_grid must be non-empty"):
+        config.resolve("paper", set_exprs=["harness.sweep_scale_grid=[]"])
 
 
 # ------------------------------------------------------------------ zero-shot
@@ -243,8 +244,9 @@ def test_zero_shot_runs_and_rejects_unknown():
     assert set(reports) == {"cube_6.5cm", "ball_r3.75cm", "cuboid_2x8x2cm"}
     for rep in reports.values():
         assert rep.n_trials == 8
-    with pytest.raises(ValueError, match="unsupported object"):
-        zero_shot_objects(agent, eval_config(4, 11), ["ycb_mug"])
+    # an unknown object never reaches the protocol: the config refuses it
+    with pytest.raises(config.ConfigError, match="transfer_objects must be one of"):
+        config.resolve("paper", set_exprs=['harness.transfer_objects=["ycb_mug"]'])
 
 
 def test_zero_shot_training_cube_equals_nominal_eval():

@@ -14,6 +14,7 @@ import pytest
 from blas_threads import loaded_blas_threads, run_check
 
 from tricube import cli, harness, nets, rng
+from tricube import trainer as trainer_mod
 from tricube.domrand import DRConfig
 from tricube.env import CubeReposeTask, TaskConfig, actor_obs_dim, critic_obs_dim
 from tricube.physics import ExternalForceConfig
@@ -80,7 +81,7 @@ def rollout_rows(n: int, offset: int) -> dict:
     agent = PPOAgent(task.actor_dim, task.critic_dim, task.action_dim, cfg, seed=2)
     trainer = Trainer(task, agent, total_steps=n, seed=5)
     rows = {"rewards": [], "dones": [], "values": []}
-    step, predict = task.step, agent.predict_values
+    step, real_gae = task.step, trainer_mod.gae
 
     def recording_step(act):
         out = step(act)
@@ -88,13 +89,16 @@ def rollout_rows(n: int, offset: int) -> dict:
         rows["dones"].append(out[2])
         return out
 
-    def recording_values(obs):
-        rows["values"].append(predict(obs))
-        return rows["values"][-1]
+    def recording_gae(rewards, values, dones, bootstrap, *args):
+        rows["values"] += [*values, bootstrap]  # the step's, then the bootstrap's
+        return real_gae(rewards, values, dones, bootstrap, *args)
 
-    task.step, agent.predict_values = recording_step, recording_values
-    batch = trainer.collect_rollout()[0]
-    rows = {k: np.concatenate(v) for k, v in rows.items()}  # the step's, then the bootstrap's
+    task.step, trainer_mod.gae = recording_step, recording_gae
+    try:
+        batch = trainer.collect_rollout()[0]
+    finally:
+        trainer_mod.gae = real_gae
+    rows = {k: np.concatenate(v) for k, v in rows.items()}
     return {**rows, "actions": batch["actions"], "logp": batch["logp"]}
 
 
