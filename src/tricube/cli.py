@@ -27,7 +27,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, config as config_mod, harness, svgplot
+from . import __version__, config as config_mod, harness, nets, svgplot
 from .config import ConfigError, EngineConfig, config_hash, run_identity, to_dict
 from .ppo import PPOAgent, read_checkpoint
 from .trainer import LOGS, build_agent_for, build_trainer
@@ -119,6 +119,7 @@ class OutputDir:
             "started_at": self._started,
             "finished_at": _now(),
             "wallclock_sec": time.perf_counter() - self._t0,
+            "blas": nets.blas_build(),
         }
         manifest.update(extra)
         return self.write_json("manifest.json", manifest)

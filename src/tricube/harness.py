@@ -174,7 +174,9 @@ def run_sharded(run, bounds: list[tuple[int, int]]) -> list:
     Forking, not spawning: a child starts from this process's memory (the
     agent and modules, nothing pickled in or imported again), and the only
     threads here are OpenBLAS's, whose own fork handler stops them before
-    the fork.  The nets' helper thread lives only inside a training pass."""
+    the fork.  The nets' helper thread lives only inside a two-thread
+    ``MLP`` pass or a rollout's step loop, and ``evaluate`` runs its
+    shards at one BLAS thread, where no pass starts one."""
     children: dict[int, int] = {}  # pid -> read end of its pipe
     try:
         for lo, hi in bounds[1:]:

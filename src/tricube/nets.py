@@ -21,47 +21,47 @@ block or less is one iteration of the same calls.  The weight and bias
 gradients reduce over rows and stay full-batch.
 
 Inference (``MLP.__call__``, behind the policy's actions and the value
-estimates) runs the batch's first ``n - n % INFER_ROWS`` rows as one
-forward pass and zero-pads only the tail to one block of ``INFER_ROWS``
-rows.  BLAS picks its kernel by the row count, and a kernel for few rows
-can add in another order than one for many, so a plain forward gives a row
-other bits at 64 rows than at 4096.  The OpenBLAS build in use computes a
-row the same way at every multiple of 256 rows (at any BLAS thread count);
-that is a measured property of the build, not a promise of BLAS, and
-``tests/test_partition.py`` checks it from 256 to 64 * 256 rows for both
-nets.  So each row gets the same bits whatever the batch it arrives in:
-one observation, an evaluation shard, or a whole rollout.  Evaluation
-shards start on multiples of ``INFER_ROWS`` (``harness.shard_bounds``), so
-a shard's tail is the batch's tail.  The training ``forward``, whose cache
-feeds ``backward``, takes the batch as it comes.
+estimates) zero-pads the batch to a multiple of ``INFER_ROWS`` rows
+(``MLP._padded``) and runs it as one ``forward``.  BLAS picks its kernel by
+the row count, and a kernel for few rows can add in another order than one
+for many, so a plain forward gives a row other bits at 64 rows than at 4096.
+The OpenBLAS build in use computes a row the same way at every multiple of
+256 rows (at any BLAS thread count); that is a measured property of the
+build's kernel, not a promise of BLAS, and ``tests/test_partition.py``
+checks it from 256 to 64 * 256 rows for both nets.  So each row gets the
+same bits whatever the batch it arrives in: one observation, an evaluation
+shard, or a whole rollout.  Evaluation shards start on multiples of
+``INFER_ROWS`` (``harness.shard_bounds``), so a shard's tail is the batch's
+tail.  The training ``forward``, whose cache feeds ``backward``, takes the
+batch as it comes.
 
-``MLP.infer_beside`` runs the same row ranges (``_inference_rows``) through
-a ``_beside`` submit, so an inference can run on a helper thread beside
-other work; ``Trainer.collect_rollout`` runs its value forward that way.
-The calling thread pads the input and allocates every activation, because
-a helper's own malloc arena would keep the pages of what it allocated.  The
-helper runs ``_forward_rows`` alone, which calls nothing a profiler wraps:
+``MLP.infer_beside`` runs the same padded rows through a ``_beside``
+submit, so an inference can run on a helper thread beside other work;
+``Trainer.collect_rollout`` runs its value forward that way.  The calling
+thread pads the input and allocates every activation, because a helper's
+own malloc arena would keep the pages of what it allocated.  The helper
+runs ``_forward_rows`` alone, which calls nothing a profiler wraps:
 ``perfbench``'s tracer keeps one span stack per process, so a wrapped call
 on the helper would nest its span inside whatever span the calling thread
 has open.
 
-The training passes, ``forward`` and ``backward``, run on two threads where
-``MLP.split_rows`` says so: when the process has at least 2 OpenBLAS
-threads and the widest activation holds at least ``SPLIT_BYTES`` (2 MiB).
-Inference (``__call__``), smaller passes and other BLAS keep one thread.
-Inside a two-thread pass OpenBLAS is held to one thread, so the calling
-thread and one helper thread share two cores, and the elementwise work that
-otherwise runs on one core (bias plus ELU, the ELU-gradient product, the
-bias sums) runs beside other work.  OpenBLAS's own workers cannot take it:
-they spin for about 0.1 s after each call, so a helper beside them shares
-its core.  For the same reason no GEMM of a two-thread pass runs at the
-full BLAS thread count.  ``SPLIT_BYTES`` is where a split pass stops
-losing to an unsplit one at 2 BLAS threads.  On a 2-vCPU Xeon, a forward
-and backward of the paper's nets took, split against unsplit, x1.13 with a
-0.5 MiB widest activation, x0.98 to x1.08 at 1 MiB, x0.90 to x1.00 at
-2 MiB and x0.87 to x0.92 at 4 MiB and more; the smoke profile's nets at
-their 1920-row minibatch (under 1 MiB) took x1.12 and x1.25 split, and its
-training iterations about a tenth longer.
+``forward`` and ``backward`` run on two threads where ``MLP.split_rows``
+says so: when the process has at least 2 OpenBLAS threads and the widest
+activation holds at least ``SPLIT_BYTES`` (2 MiB).  Inference follows the
+same rule, since it is a ``forward``; smaller passes and other BLAS keep
+one thread.  Inside a two-thread pass OpenBLAS is held to one thread, so
+the calling thread and one helper thread share two cores, and the
+elementwise work that otherwise runs on one core (bias plus ELU, the
+ELU-gradient product, the bias sums) runs beside other work.  OpenBLAS's
+own workers cannot take it: they spin for about 0.1 s after each call, so a
+helper beside them shares its core.  For the same reason no GEMM of a
+two-thread pass runs at the full BLAS thread count.  ``SPLIT_BYTES`` is
+where a split pass stops losing to an unsplit one at 2 BLAS threads.  On a
+2-vCPU Xeon, a forward and backward of the paper's nets took, split against
+unsplit, x1.13 with a 0.5 MiB widest activation, x0.98 to x1.08 at 1 MiB,
+x0.90 to x1.00 at 2 MiB and x0.87 to x0.92 at 4 MiB and more; the smoke
+profile's nets at their 1920-row minibatch (under 1 MiB) took x1.12 and
+x1.25 split, and its training iterations about a tenth longer.
 
 - ``forward`` splits the rows once, at the multiple of ``INFER_ROWS``
   nearest half of them.  Each thread runs the whole layer chain on its rows,
@@ -74,15 +74,15 @@ training iterations about a tenth longer.
   the next layer, so no more deltas are alive than in a one-thread pass.
   Layer 0 has no next delta, so each thread computes half of its weight
   gradient's output units, each half one GEMM over all rows.
-- Bits: an unsplit pass over a multiple of 32 rows gets the same bits at 1
-  and at 2 BLAS threads.  Over other row counts OpenBLAS can give a weight
+- Bits: every pass has the bits of a pass at 1 BLAS thread, at any row
+  count and any BLAS thread count.  A split pass runs every GEMM at one
+  BLAS thread; so does an unsplit pass over a row count that is not a
+  multiple of 32, because over such counts OpenBLAS can give a weight
   gradient (which reduces over the rows) and a one-wide output layer other
-  bits at 2 threads than at 1.  Both are measured on the build in use, like
-  the row property above, as is a third: half of a weight gradient's output
-  units get the bits they get in the whole.  A split pass runs every GEMM
-  at one BLAS thread, so it has the bits of a pass at 1 BLAS thread at any
-  row count, and those of an unsplit pass at 2 BLAS threads over a multiple
-  of 32 rows.
+  bits at 2 threads than at 1.  Over a multiple of 32 rows an unsplit pass
+  gets the same bits at 1 and at 2 BLAS threads.  Both are measured on the
+  build in use, like the row property above, as is a third: half of a
+  weight gradient's output units get the bits they get in the whole.
   ``tests/test_nets_threads.py`` checks this for 512 to 16384 rows in
   float32 and float64.
 - The helper is started per pass (per rollout in ``Trainer.collect_rollout``)
@@ -150,22 +150,44 @@ def mul_elu_grad_(delta: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def openblas_thread_controls():
-    """OpenBLAS's (get, set) thread-count functions as numpy loaded them,
-    or None under another BLAS."""
+def _openblas() -> dict | None:
+    """The OpenBLAS functions this module calls, as numpy loaded them, by
+    their names without the build's prefix and suffix; None under another
+    BLAS."""
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:  # numpy 1.x
         from numpy.core import _multiarray_umath as umath
     lib = ctypes.CDLL(umath.__file__)  # its symbols resolve through its BLAS
+    signatures = {"get_num_threads": ([], ctypes.c_int), "set_num_threads": ([ctypes.c_int], None),
+                  "get_config": ([], ctypes.c_char_p), "get_corename": ([], ctypes.c_char_p)}
     for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
-        get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-        set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-        if get and set_:  # int openblas_get_num_threads(void); void ..._set_...(int)
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            return get, set_
+        if getattr(lib, f"{prefix}_get_num_threads{suffix}", None):
+            fns = {}
+            for name, (argtypes, restype) in signatures.items():
+                fn = fns[name] = getattr(lib, f"{prefix}_{name}{suffix}")
+                fn.argtypes, fn.restype = argtypes, restype
+            return fns
     return None
+
+
+def openblas_thread_controls():
+    """OpenBLAS's (get, set) thread-count functions as numpy loaded them,
+    or None under another BLAS."""
+    fns = _openblas()
+    return None if fns is None else (fns["get_num_threads"], fns["set_num_threads"])
+
+
+def blas_build() -> dict:
+    """OpenBLAS's build string, the core type whose kernels it runs on this
+    CPU and its thread count, each None under another BLAS.  A
+    ``DYNAMIC_ARCH`` build picks the core type at start-up, and a row's bits
+    rest on its kernel (see the module docstring)."""
+    fns = _openblas()
+    if fns is None:
+        return dict.fromkeys(("config", "corename", "threads"))
+    return {"config": fns["get_config"]().decode(), "corename": fns["get_corename"]().decode(),
+            "threads": fns["get_num_threads"]()}
 
 
 def blas_threads() -> int:
@@ -186,27 +208,18 @@ def one_blas_thread():
         set_(before)
 
 
-class _Done:
-    """A call already made, with a future's ``result()``."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def result(self):
-        return self.value
-
-
-def _now(fn, *args) -> _Done:
-    return _Done(fn(*args))
+def _now(fn, *args):
+    value = fn(*args)
+    return lambda: value
 
 
 @contextlib.contextmanager
 def _beside(engaged: bool):
-    """A ``submit(fn, *args)`` whose return value has ``result()``.  Engaged,
-    it queues the call on one helper thread that runs beside this one, with
-    OpenBLAS held to one thread; on every exit the helper has finished its
-    queue and ended before the BLAS count is restored.  Otherwise it runs
-    the call at once, here."""
+    """A ``submit(fn, *args)`` that returns a function which waits for the
+    call and returns its value.  Engaged, it queues the call on one helper
+    thread that runs beside this one, with OpenBLAS held to one thread; on
+    every exit the helper has finished its queue and ended before the BLAS
+    count is restored.  Otherwise it runs the call at once, here."""
     if not engaged:
         yield _now
         return
@@ -214,7 +227,7 @@ def _beside(engaged: bool):
     from concurrent.futures import ThreadPoolExecutor
 
     with one_blas_thread(), ThreadPoolExecutor(1, thread_name_prefix="tricube-nets") as pool:
-        yield pool.submit
+        yield lambda fn, *args: pool.submit(fn, *args).result
 
 
 def _matmul_rows(a: np.ndarray, b: np.ndarray, at: int) -> np.ndarray:
@@ -279,14 +292,25 @@ class MLP:
         return out
 
     def split_rows(self, n: int) -> int:
-        """Where a training pass over ``n`` rows splits them between two
-        threads, or 0 to run on one: only with at least 2 BLAS threads, when
-        the widest activation holds ``SPLIT_BYTES``, and at the multiple of
+        """Where a pass over ``n`` rows splits them between two threads, or 0
+        to run on one: only with at least 2 BLAS threads, when the widest
+        activation holds ``SPLIT_BYTES``, and at the multiple of
         ``INFER_ROWS`` nearest ``n / 2`` (see the module docstring)."""
         if blas_threads() < 2 or n * max(self.sizes[1:]) * self.dtype.itemsize < SPLIT_BYTES:
             return 0
         at = INFER_ROWS * max(1, round(n / (2 * INFER_ROWS)))
         return at if at < n else 0
+
+    @contextlib.contextmanager
+    def _pass(self, n: int):
+        """``(at, submit)`` for a pass over ``n`` rows: ``split_rows``'s cut,
+        and a ``_beside`` submit engaged if it cuts.  An unsplit pass over a
+        row count that is not a multiple of 32 runs at one BLAS thread (see
+        the module docstring)."""
+        at = self.split_rows(n)
+        hold = not at and n % 32 and blas_threads() >= 2
+        with one_blas_thread() if hold else contextlib.nullcontext(), _beside(at > 0) as submit:
+            yield at, submit
 
     def _forward_rows(self, x: np.ndarray, outs: list[np.ndarray], lo: int, hi: int) -> None:
         """Every layer on rows ``lo:hi`` of ``x``, into the same rows of ``outs``."""
@@ -298,45 +322,32 @@ class MLP:
             else:
                 h += b
 
-    def forward(self, x: np.ndarray, *, split: bool = True) -> tuple[np.ndarray, list[np.ndarray]]:
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """The output and the cache ``backward`` takes: each layer's input.
-        The rows run on two threads where ``split_rows`` says so, unless
-        ``split`` is false (as for inference)."""
+        The rows run on two threads where ``split_rows`` says so."""
         h = np.ascontiguousarray(x, dtype=self.dtype)
         n = h.shape[0]
         outs = [np.empty((n, size), dtype=self.dtype) for size in self.sizes[1:]]
-        at = self.split_rows(n) if split else 0
-        if at:
-            with _beside(True) as submit:
-                tail = submit(self._forward_rows, h, outs, at, n)
+        with self._pass(n) as (at, submit):
+            rest = submit(self._forward_rows, h, outs, at, n)  # all rows, here, if at is 0
+            if at:
                 self._forward_rows(h, outs, 0, at)
-            tail.result()
-        else:
-            self._forward_rows(h, outs, 0, n)
+            rest()
         return outs[-1], [h, *outs[:-1]]
 
-    def _inference_rows(self, x: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
-        """``x`` as inference runs it, and the row ranges it runs as one
-        forward pass each: the rows up to the last multiple of ``INFER_ROWS``,
-        then the rest zero-padded to one block of that many, so a row's bits
-        do not depend on the batch (see the module docstring)."""
+    def _padded(self, x: np.ndarray) -> np.ndarray:
+        """``x`` zero-padded to a multiple of ``INFER_ROWS`` rows, so a row's
+        inference bits do not depend on the batch (see the module docstring)."""
         x = np.ascontiguousarray(x, dtype=self.dtype)
-        n = x.shape[0]
-        aligned = n - n % INFER_ROWS
-        if aligned < n:
-            x = np.concatenate([x, np.zeros((aligned + INFER_ROWS - n, x.shape[1]), self.dtype)])
-        return x, [(lo, hi) for lo, hi in ((0, aligned), (aligned, x.shape[0])) if lo < hi]
+        pad = -len(x) % INFER_ROWS
+        return np.concatenate([x, np.zeros((pad, x.shape[1]), self.dtype)]) if pad else x
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Inference: ``forward``'s output over ``_inference_rows``.  It goes
-        through ``forward``, on one thread, because profilers time inference
-        by wrapping ``MLP.forward`` (``perfbench``'s ``nets.MLP.forward``
-        spans on every workload, evaluation included)."""
-        padded, bounds = self._inference_rows(x)
-        out = np.empty((padded.shape[0], self.sizes[-1]), dtype=self.dtype)
-        for lo, hi in bounds:
-            out[lo:hi] = self.forward(padded[lo:hi], split=False)[0]
-        return out[: len(x)]
+        """Inference: ``forward``'s output over the ``_padded`` rows.  It goes
+        through ``forward`` because profilers time inference by wrapping
+        ``MLP.forward`` (``perfbench``'s ``nets.MLP.forward`` spans on every
+        workload, evaluation included)."""
+        return self.forward(self._padded(x))[0][: len(x)]
 
     def infer_beside(self, x: np.ndarray, submit):
         """``self(x)`` with its layers run by ``submit`` (``_beside``'s),
@@ -344,15 +355,14 @@ class MLP:
         and allocates every activation; the helper runs ``_forward_rows``
         alone (see the module docstring).  Returns a function that waits for
         the rows and returns the output."""
-        n, (padded, bounds) = len(x), self._inference_rows(x)
-        outs = [np.empty((padded.shape[0], size), dtype=self.dtype) for size in self.sizes[1:]]
-        parts = [submit(self._forward_rows, padded, outs, lo, hi) for lo, hi in bounds]
-        out = outs[-1]  # the result keeps this alone; the hidden layers die with the calls
+        padded = self._padded(x)
+        outs = [np.empty((len(padded), size), dtype=self.dtype) for size in self.sizes[1:]]
+        done = submit(self._forward_rows, padded, outs, 0, len(padded))
+        out = outs[-1][: len(x)]  # the result keeps this alone; the hidden layers die with the call
 
         def result() -> np.ndarray:
-            for part in parts:
-                part.result()
-            return out[:n]
+            done()
+            return out
 
         return result
 
@@ -364,8 +374,7 @@ class MLP:
         backpropagated deltas."""
         grads = [None] * (2 * self.n_layers)
         delta = np.ascontiguousarray(dout, dtype=self.dtype)
-        at = self.split_rows(delta.shape[0])
-        with _beside(at > 0) as submit:
+        with self._pass(delta.shape[0]) as (at, submit):
             for li in reversed(range(1, self.n_layers)):
                 h = cache[li]
                 # this thread allocates, so the helper's malloc arena stays small
@@ -378,7 +387,7 @@ class MLP:
                 w = self.weights[li]
                 delta = delta * w if delta.shape[1] == 1 else _matmul_rows(delta, w, at)
                 mul_elu_grad_(delta, h)
-                dw.result()  # done before the next layer, so at most two deltas are alive
+                dw()  # done before the next layer, so at most two deltas are alive
             # layer 0 has no next delta to compute beside its weight gradient,
             # so each thread takes half of its output units
             h, units = cache[0], delta.shape[1]
@@ -388,7 +397,7 @@ class MLP:
             np.matmul(delta[:, cut:].T, h, grads[0][cut:])
             grads[1] = delta.sum(axis=0)
             if top:
-                top.result()
+                top()
         return grads
 
 

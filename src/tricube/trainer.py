@@ -14,9 +14,10 @@ thread (``nets._beside``), beside that step's actor-observation prep,
 ``policy.act`` and ``task.step``; the loop joins it after ``task.step`` and
 writes the step's values.  The calling thread keeps ``prep_critic_obs``,
 whose ``RunningNorm.update`` a profiler wraps, and allocates the forward's
-buffers (``MLP.infer_beside``).  The bootstrap values after the loop run at
-the full thread count.  A row's inference bits do not depend on the BLAS
-thread count (see ``nets``), so neither do the rollout's.  At one BLAS
+buffers (``MLP.infer_beside``).  The bootstrap values after the loop are an
+inference like any other, split between two threads where
+``MLP.split_rows`` says so.  A row's inference bits do not depend on the
+BLAS thread count (see ``nets``), so neither do the rollout's.  At one BLAS
 thread the same calls run in turn on the calling thread.
 
 Checkpoints embed the full training state: network and optimizer tensors,

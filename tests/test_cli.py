@@ -71,6 +71,29 @@ def test_train_writes_artifacts(outroot):
     assert {p.name for p in outroot.iterdir()} == {"runA"}
 
 
+def test_the_manifest_names_the_blas_build_and_the_checkpoint_does_not(outroot, monkeypatch):
+    from tricube import nets
+    from tricube.ppo import read_checkpoint
+
+    assert run_cli("train", "--out", "a", "--seed", "3", *TINY) == EXIT_OK
+    blas = json.loads((outroot / "a" / "manifest.json").read_text())["blas"]
+    controls = nets.openblas_thread_controls()
+    if controls is None:
+        assert blas == {"config": None, "corename": None, "threads": None}
+    else:
+        assert blas["threads"] == controls[0]() >= 1
+        assert blas["corename"] and blas["corename"] in blas["config"]
+        assert blas["config"].startswith("OpenBLAS")
+    # under another BLAS each entry is null; the checkpoint bytes stay the same
+    monkeypatch.setattr(nets, "_openblas", lambda: None)
+    assert run_cli("train", "--out", "b", "--seed", "3", *TINY) == EXIT_OK
+    blas = json.loads((outroot / "b" / "manifest.json").read_text())["blas"]
+    assert blas == {"config": None, "corename": None, "threads": None}
+    ckpt_a, ckpt_b = (outroot / d / "ckpt_final.tckpt" for d in ("a", "b"))
+    assert ckpt_a.read_bytes() == ckpt_b.read_bytes()
+    assert "blas" not in json.dumps(read_checkpoint(str(ckpt_a))[1])
+
+
 def test_same_seed_trains_identical_metrics(outroot):
     assert run_cli("train", "--out", "r1", "--seed", "5", *TINY) == EXIT_OK
     assert run_cli("train", "--out", "r2", "--seed", "5", *TINY) == EXIT_OK

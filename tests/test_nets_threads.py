@@ -63,7 +63,7 @@ def other_threads() -> list:
 def check_passes(threads: int) -> None:
     """For every row count in ``ROWS``, in float32 and float64, each net's
     forward output, cache and gradients: split where ``SPLITS`` says, and
-    byte-equal on two threads and at 1 BLAS thread."""
+    byte-equal on two threads, unsplit and at 1 BLAS thread."""
     assert loaded_blas_threads() in (None, threads)
     engages = nets.blas_threads() >= 2
     seen = []  # (lo, hi, on the main thread) of each forward row range
@@ -93,16 +93,9 @@ def check_passes(threads: int) -> None:
                 nets.MLP.split_rows = lambda self, n: 0
                 serial = pass_bytes(net, x, dout)
                 nets.MLP.split_rows = real_split
-                # a split pass runs every GEMM at one BLAS thread, so it
-                # matches the pass at 1 BLAS thread at any row count; the
-                # unsplit pass at 2 BLAS threads matches both only where the
-                # rows are a multiple of 32 (see the nets module docstring)
-                if at:
-                    assert two == one, (name, dtype, n)
-                else:
-                    assert two == serial, (name, dtype, n)
-                if n % 32 == 0:
-                    assert two == one == serial, (name, dtype, n)
+                # every pass has the bits of a pass at 1 BLAS thread, split
+                # or not, at any row count (see the nets module docstring)
+                assert two == one == serial, (name, dtype, n)
     nets.MLP._forward_rows = real_rows
 
 

@@ -538,7 +538,7 @@ def test_update_with_reference_mlp_gives_identical_parameters(block_bytes, monke
 
     got_stats, got = run(MLP.forward, MLP.backward)
     ref_stats, want = run(
-        lambda self, x, split=True: ReferenceMLP(self).forward(x),
+        lambda self, x: ReferenceMLP(self).forward(x),
         lambda self, cache, dout: ReferenceMLP(self).backward(cache, dout),
     )
     assert got_stats == ref_stats

@@ -39,11 +39,12 @@ def rollout(n: int, out_dir: str | None = None) -> tuple[Trainer, dict]:
 
 
 def check_rollout_bits(threads: int, path: str) -> None:
-    """At 300 envs (a padded inference tail) and at 512, the digests of one
-    rollout's batch and of the episode records it drained; the first call
-    writes them to ``path``, the next compares with them.  The helper
-    thread's rows start late, so a rollout that read them before they are
-    done would store other values."""
+    """At 300 envs (a padded inference tail), at 512 and at 1031 (a padded
+    tail, and a bootstrap value forward that splits at 2 BLAS threads), the
+    digests of one rollout's batch and of the episode records it drained;
+    the first call writes them to ``path``, the next compares with them.
+    The helper thread's rows start late, so a rollout that read them before
+    they are done would store other values."""
     assert loaded_blas_threads() in (None, threads)
     forward_rows = nets.MLP._forward_rows
 
@@ -54,10 +55,12 @@ def check_rollout_bits(threads: int, path: str) -> None:
 
     nets.MLP._forward_rows = late_rows
     digests = {}
-    for n in (300, 512):
+    for n in (300, 512, 1031):
         out_dir = f"{path}-{threads}-{n}"
         os.mkdir(out_dir)
-        batch = rollout(n, out_dir)[1]
+        trainer, batch = rollout(n, out_dir)
+        if n == 1031 and nets.blas_threads() >= 2:  # 1280 padded rows, 2.5 MiB
+            assert trainer.agent.value.trunk.split_rows(1280) == 512
         with open(os.path.join(out_dir, "episodes.jsonl"), "rb") as f:
             episodes = f.read()
         assert episodes.count(b"\n") == n  # every env ended one episode
