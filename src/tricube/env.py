@@ -209,7 +209,9 @@ class EpisodicTask:
     """The episode bookkeeping every vectorized task shares: per-env step,
     episode and return counters, the aggregate step count, end-of-episode
     records with auto-reset, and the checkpoint arrays ``STATE_FIELDS``
-    (plus ``total_steps``) under ``STATE_PREFIX``.
+    (plus ``total_steps``) under ``STATE_PREFIX``.  ``total_steps`` is a
+    1-element array, so ``_arrays`` can hand out every checkpointed array
+    live for a load to fill.
 
     The batch holds envs ``env_offset`` to ``env_offset + num_envs - 1``
     of a larger one: ``env_ids`` maps a local index to its global env id,
@@ -231,7 +233,7 @@ class EpisodicTask:
         self.episode_step = np.zeros(num_envs, dtype=np.int64)
         self.episode_idx = np.full(num_envs, -1, dtype=np.int64)
         self.episode_return = np.zeros(num_envs)
-        self.total_steps = 0  # aggregate env steps
+        self.total_steps = np.zeros(1, np.int64)  # aggregate env steps
         self._episode_records: list[dict] = []
         self.env_ids = np.arange(env_offset, env_offset + num_envs)
 
@@ -270,19 +272,23 @@ class EpisodicTask:
         self._episode_records = []
         return out
 
-    def state_dict(self) -> dict:
+    def _arrays(self) -> dict:
+        """The checkpointed arrays by name, live: a load copies into them."""
         p = self.STATE_PREFIX
-        arrays = {f"{p}.{name}": getattr(self, name).copy() for name in self.STATE_FIELDS}
-        arrays[f"{p}.total_steps"] = np.array([self.total_steps], dtype=np.int64)
+        arrays = {f"{p}.{name}": getattr(self, name) for name in self.STATE_FIELDS}
+        arrays[f"{p}.total_steps"] = self.total_steps
         return arrays
+
+    def state_dict(self) -> dict:
+        """A copy of the checkpointed arrays."""
+        return {k: v.copy() for k, v in self._arrays().items()}
 
     def load_state_dict(self, arrays: dict) -> dict:
         """Restore the arrays ``state_dict`` returned; returns the
-        observations of the restored state."""
-        p = self.STATE_PREFIX
-        for name in self.STATE_FIELDS:
-            getattr(self, name)[:] = arrays[f"{p}.{name}"]
-        self.total_steps = int(arrays[f"{p}.total_steps"][0])
+        observations of the restored state.  ``ValueError`` before any
+        change if one is missing or of another dtype or shape."""
+        from .ppo import load_into  # not at the top: env imports before nets (CHANGES.md)
+        load_into(self._arrays(), arrays)
         return self._observations()
 
 
@@ -450,7 +456,7 @@ class CubeReposeTask(EpisodicTask):
 
         reach_raw = fingertip_to_object(prev_tips, prev_obj_pos, kin.pos, self.state.obj_pos)
         # the cutoff counts this step's env steps
-        reach = reach_raw if self.total_steps + n <= self.cfg.reach_cutoff_steps else np.zeros(n)
+        reach = reach_raw if self.total_steps[0] + n <= self.cfg.reach_cutoff_steps else np.zeros(n)
         vel_pen = np.sum(kin.linvel**2, axis=(-1, -2))
         # the object's true corners, shared by the reward and the critic
         needs_kps = "keypoints" in (self.cfg.reward_variant, self.cfg.obs_variant)
@@ -567,20 +573,16 @@ class CubeReposeTask(EpisodicTask):
 
     # ------------------------------------------------------------- plumbing
 
-    def state_dict(self) -> dict:
+    def _arrays(self) -> dict:
         """Physics state and params as ``state.*`` and ``params.*``, then the
         task arrays."""
-        arrays = {}
-        for prefix, obj in (("state", self.state), ("params", self.params)):
-            for name, arr in vars(obj).items():
-                arrays[f"{prefix}.{name}"] = arr.copy()
-        return {**arrays, **super().state_dict()}
+        arrays = {f"{prefix}.{name}": arr
+                  for prefix, obj in (("state", self.state), ("params", self.params))
+                  for name, arr in vars(obj).items()}
+        return {**arrays, **super()._arrays()}
 
     def load_state_dict(self, arrays: dict) -> dict:
-        for prefix, obj in (("state", self.state), ("params", self.params)):
-            for name in vars(obj):
-                getattr(obj, name)[:] = arrays[f"{prefix}.{name}"]
-        self._kin = None
+        self._kin = None  # a cache: recomputed from the state, loaded or not
         obs = super().load_state_dict(arrays)
         self.goal_keypoints = self._goal_keypoints()
         return obs

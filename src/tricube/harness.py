@@ -29,7 +29,6 @@ and trial count, and re-running a report spec reproduces it byte for byte.
 from __future__ import annotations
 
 import contextlib
-import copy
 import hashlib
 import json
 import math
@@ -241,7 +240,7 @@ def evaluate(
     No trials give rates and a mean return of 0.0.  The report carries the
     two hashes it is handed: ``config.config_hash`` of the run's resolved
     config and the checkpoint file's."""
-    tcfg = copy.deepcopy(task) if task else TaskConfig()
+    tcfg = task or TaskConfig()
     dr = dr or DRConfig(enabled=False)
     n_shards = usable_shards()
     if n_trials * tcfg.episode_length > tcfg.reach_cutoff_steps:

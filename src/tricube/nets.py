@@ -403,10 +403,12 @@ class MLP:
 
 class RunningNorm:
     """Streaming per-dimension mean/variance (Welford batch merge) used to
-    normalize observations and value targets during training."""
+    normalize observations and value targets during training.  The count
+    is a 1-element array, so ``state_tensors`` can hand out every array
+    live for a checkpoint load to fill."""
 
     def __init__(self, dim: int, clip: float = 10.0):
-        self.count = 1e-4
+        self.count = np.full(1, 1e-4)
         self.mean = np.zeros(dim, dtype=np.float64)
         self.m2 = np.zeros(dim, dtype=np.float64)
         self.clip = clip
@@ -420,14 +422,15 @@ class RunningNorm:
         dev = x - batch_mean
         batch_m2 = np.square(dev, out=dev).sum(axis=0)
         delta = batch_mean - self.mean
-        total = self.count + n
+        count = float(self.count[0])
+        total = count + n
         self.mean += delta * (n / total)
-        self.m2 += batch_m2 + delta * delta * (self.count * n / total)
-        self.count = total
+        self.m2 += batch_m2 + delta * delta * (count * n / total)
+        self.count[0] = total
 
     @property
     def std(self) -> np.ndarray:
-        return np.sqrt(np.maximum(self.m2 / self.count, 1e-8))
+        return np.sqrt(np.maximum(self.m2 / float(self.count[0]), 1e-8))
 
     def normalize(self, x: np.ndarray) -> np.ndarray:
         """clip((x - mean) / std): one float64 copy of ``x``, then in place.
@@ -442,31 +445,27 @@ class RunningNorm:
         return np.asarray(z) * self.std + self.mean
 
     def state_tensors(self, prefix: str) -> dict:
-        return {
-            f"{prefix}.count": np.array([self.count], dtype=np.float64),
-            f"{prefix}.mean": self.mean,
-            f"{prefix}.m2": self.m2,
-        }
-
-    def load_state_tensors(self, prefix: str, tensors: dict) -> None:
-        self.count = float(tensors[f"{prefix}.count"][0])
-        self.mean[:] = tensors[f"{prefix}.mean"]
-        self.m2[:] = tensors[f"{prefix}.m2"]
+        return {f"{prefix}.count": self.count, f"{prefix}.mean": self.mean, f"{prefix}.m2": self.m2}
 
 
 class Adam:
-    """Standard first-order adaptive-moment optimizer over a parameter list."""
+    """Standard first-order adaptive-moment optimizer over a parameter list.
+    The step count is a 1-element array, so ``state_tensors`` can hand out
+    every array live for a checkpoint load to fill."""
 
     def __init__(self, params: list[np.ndarray], beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.t = 0
+        self.t = np.zeros(1, np.int64)
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray], lr: float) -> None:
-        self.t += 1
-        b1t = 1.0 - self.beta1**self.t
-        b2t = 1.0 - self.beta2**self.t
+        # a Python int exponent keeps b1t a float: an array or numpy scalar
+        # would promote the float32 update to float64
+        t = int(self.t[0]) + 1
+        self.t[0] = t
+        b1t = 1.0 - self.beta1**t
+        b2t = 1.0 - self.beta2**t
         for p, g, m, v in zip(params, grads, self.m, self.v):
             g = g.astype(p.dtype, copy=False)
             m *= self.beta1
@@ -476,14 +475,8 @@ class Adam:
             p -= (lr / b1t) * m / (np.sqrt(v / b2t) + self.eps)
 
     def state_tensors(self, prefix: str) -> dict:
-        out = {f"{prefix}.t": np.array([self.t], dtype=np.int64)}
+        out = {f"{prefix}.t": self.t}
         for i, (m, v) in enumerate(zip(self.m, self.v)):
             out[f"{prefix}.m{i}"] = m
             out[f"{prefix}.v{i}"] = v
         return out
-
-    def load_state_tensors(self, prefix: str, tensors: dict) -> None:
-        self.t = int(tensors[f"{prefix}.t"][0])
-        for i in range(len(self.m)):
-            self.m[i][:] = tensors[f"{prefix}.m{i}"]
-            self.v[i][:] = tensors[f"{prefix}.v{i}"]

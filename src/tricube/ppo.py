@@ -374,6 +374,7 @@ class PPOAgent:
     # ----------------------------------------------------------- checkpoints
 
     def _net_tensors(self) -> dict:
+        """The checkpointed arrays by name, live: a load copies into them."""
         tensors = {}
         for i, p in enumerate(self.policy.trunk.parameters()):
             tensors[f"policy.p{i}"] = p
@@ -420,17 +421,7 @@ class PPOAgent:
     def load_tensors(self, tensors: dict) -> None:
         """Copy the checkpoint's tensors into this agent's; ``ValueError``
         before any copy if one is missing or of another dtype or shape."""
-        check_tensors(tensors, self._net_tensors())
-        for i, p in enumerate(self.policy.trunk.parameters()):
-            p[:] = tensors[f"policy.p{i}"]
-        self.policy.log_std[:] = tensors["policy.log_std"]
-        for i, p in enumerate(self.value.trunk.parameters()):
-            p[:] = tensors[f"value.p{i}"]
-        self.opt_policy.load_state_tensors("opt_policy", tensors)
-        self.opt_value.load_state_tensors("opt_value", tensors)
-        self.norm_actor.load_state_tensors("norm_actor", tensors)
-        self.norm_critic.load_state_tensors("norm_critic", tensors)
-        self.norm_value.load_state_tensors("norm_value", tensors)
+        load_into(self._net_tensors(), tensors)
 
     @classmethod
     def from_checkpoint(cls, path: str, dtype=np.float32) -> tuple["PPOAgent", dict, dict]:
@@ -517,6 +508,14 @@ def check_tensors(tensors: dict, expected: dict) -> None:
         if got.dtype != want.dtype or got.shape != want.shape:
             raise ValueError(f"tensor {name!r} is {got.dtype} {got.shape} in the checkpoint; "
                              f"the configured run needs {want.dtype} {want.shape}")
+
+
+def load_into(live: dict, tensors: dict) -> None:
+    """Copy each of ``tensors`` into the live array of its name in ``live``;
+    ``ValueError`` before any copy unless ``check_tensors`` passes."""
+    check_tensors(tensors, live)
+    for name, arr in live.items():
+        arr[...] = tensors[name]
 
 
 def read_checkpoint(path: str) -> tuple[dict, dict]:

@@ -6,6 +6,8 @@ from tricube import physics, rng, spatial
 from tricube.domrand import DRConfig
 from tricube.env import CubeReposeTask, TaskConfig, actor_layout, critic_layout
 from tricube.physics import HandModel, PhysicsConfig
+from tricube.ppo import PPOAgent, PPOConfig
+from tricube.reach import ReachTask
 
 
 def make_task(n=8, seed=0, dr_enabled=False, **task_kw):
@@ -535,6 +537,56 @@ def test_state_dict_round_trip_resumes_exactly():
         o, r, d, _ = b.step(act)
         assert np.array_equal(o["actor"], cont_obs[k][0])
         assert np.array_equal(r, cont_obs[k][1])
+
+
+def perturbed(arrays):
+    """A copy of ``arrays`` with every element changed."""
+    return {k: ~v if v.dtype == bool else v + 1 for k, v in arrays.items()}
+
+
+def stepped(task):
+    task.reset_all()
+    for i in range(3):
+        task.step(rng.uniform(rng.stream_key(24, np.arange(4), i, 66), task.action_dim, -1, 1))
+    return task
+
+
+@pytest.mark.parametrize("make, table, load", [
+    (lambda: PPOAgent(5, 7, 2, PPOConfig(policy_hidden=(8, 8), value_hidden=(8,)), seed=1),
+     PPOAgent._net_tensors, PPOAgent.load_tensors),
+    (lambda: stepped(make_task(4, seed=2, dr_enabled=True)),
+     CubeReposeTask._arrays, CubeReposeTask.load_state_dict),
+    (lambda: stepped(ReachTask(4, seed=2)), ReachTask._arrays, ReachTask.load_state_dict),
+], ids=["agent", "cube", "reach"])
+def test_every_checkpointed_array_is_live(make, table, load):
+    # a load fills the table's arrays: an entry that is a temporary would
+    # take its value and drop it, and reading the table back would show it
+    obj = make()
+    before = {k: v.copy() for k, v in table(obj).items()}
+    want = perturbed(before)
+    load(obj, want)
+    got = table(obj)
+    assert got.keys() == want.keys()
+    for k, v in got.items():
+        assert v.dtype == want[k].dtype and v.tobytes() == want[k].tobytes(), k
+        assert v.tobytes() != before[k].tobytes(), k
+
+
+@pytest.mark.parametrize("fault", ["missing", "shape"])
+def test_a_refused_task_load_changes_nothing(fault):
+    t = stepped(make_task(4, seed=3, dr_enabled=True))
+    before = {k: v.tobytes() for k, v in t.state_dict().items()}
+    goal_keypoints = t.goal_keypoints.tobytes()
+    arrays = perturbed(t.state_dict())
+    last = list(arrays)[-1]  # every other array would be copied before it
+    if fault == "missing":
+        del arrays[last]
+    else:
+        arrays[last] = np.zeros(2, arrays[last].dtype)
+    with pytest.raises(ValueError, match=last):
+        t.load_state_dict(arrays)
+    assert {k: v.tobytes() for k, v in t.state_dict().items()} == before
+    assert t.goal_keypoints.tobytes() == goal_keypoints
 
 
 def test_goal_keypoints_follow_the_goal_pose(monkeypatch):

@@ -557,7 +557,7 @@ def test_running_norm_gives_the_textbook_bytes_and_leaves_its_input(dtype):
     for i in range(3):
         x = (3.0 * rng.normal(rng.stream_key(49, np.arange(50), i, 78), 7) + 1.0).astype(dtype)
         x_before = x.copy()
-        count, mean, m2 = norm.count, norm.mean.copy(), norm.m2.copy()
+        count, mean, m2 = norm.count.copy(), norm.mean.copy(), norm.m2.copy()
         norm.update(x)
         xd = np.asarray(x, dtype=np.float64)
         batch_mean = xd.mean(axis=0)

@@ -54,8 +54,9 @@ def test_episode_rollover_and_records():
 
 
 def test_determinism_and_state_dict():
-    a = ReachTask(8, seed=5)
-    b = ReachTask(8, seed=5)
+    cfg = ReachConfig(episode_length=25)
+    a = ReachTask(8, seed=5, cfg=cfg)
+    b = ReachTask(8, seed=5, cfg=cfg)
     oa, ob = a.reset_all(), b.reset_all()
     assert np.array_equal(oa["actor"], ob["actor"])
     acts = np.linspace(-1, 1, 16).reshape(8, 2)
@@ -65,11 +66,19 @@ def test_determinism_and_state_dict():
     assert np.array_equal(oa["actor"], ob["actor"])
     assert np.array_equal(ra, rb)
 
+    # the snapshot is a copy: stepping ``a`` past an episode end leaves it
     snap = a.state_dict()
-    oa2, _, _, _ = a.step(acts)
-    b.load_state_dict(snap)
-    ob2, _, _, _ = b.step(acts)
-    assert np.array_equal(oa2["actor"], ob2["actor"])
+    kept = {k: v.tobytes() for k, v in snap.items()}
+    cont = [a.step(acts) for _ in range(10)]
+    assert any(done.any() for _, _, done, _ in cont)
+    c = ReachTask(8, seed=5, cfg=cfg)
+    c.reset_all()
+    c.load_state_dict(snap)
+    assert {k: v.tobytes() for k, v in c.state_dict().items()} == kept
+    for oa2, ra2, da2, _ in cont:
+        oc2, rc2, dc2, _ = c.step(acts)
+        assert np.array_equal(oa2["actor"], oc2["actor"])
+        assert np.array_equal(ra2, rc2) and np.array_equal(da2, dc2)
 
 
 def test_nan_actions_treated_as_zero():
