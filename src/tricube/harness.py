@@ -173,9 +173,10 @@ def run_sharded(run, bounds: list[tuple[int, int]]) -> list:
     Forking, not spawning: a child starts from this process's memory (the
     agent and modules, nothing pickled in or imported again), and the only
     threads here are OpenBLAS's, whose own fork handler stops them before
-    the fork.  The nets' helper thread lives only inside a two-thread
-    ``MLP`` pass or a rollout's step loop, and ``evaluate`` runs its
-    shards at one BLAS thread, where no pass starts one."""
+    the fork.  The nets' helper thread lives only inside a split ``MLP``
+    pass or a rollout's step loop at 2 or more BLAS threads, and
+    ``evaluate`` runs its shards at one BLAS thread, where no pass starts
+    one."""
     children: dict[int, int] = {}  # pid -> read end of its pipe
     try:
         for lo, hi in bounds[1:]:
@@ -224,7 +225,7 @@ def evaluate(
     agent: PPOAgent,
     n_trials: int,
     eval_seed: int,
-    task: TaskConfig | None = None,
+    task: TaskConfig,
     phys: PhysicsConfig | None = None,
     dr: DRConfig | None = None,
     checkpoint_hash: str = "",
@@ -240,23 +241,22 @@ def evaluate(
     No trials give rates and a mean return of 0.0.  The report carries the
     two hashes it is handed: ``config.config_hash`` of the run's resolved
     config and the checkpoint file's."""
-    tcfg = task or TaskConfig()
     dr = dr or DRConfig(enabled=False)
     n_shards = usable_shards()
-    if n_trials * tcfg.episode_length > tcfg.reach_cutoff_steps:
+    if n_trials * task.episode_length > task.reach_cutoff_steps:
         # the reach cutoff would fall inside the evaluation; it counts the
         # steps of one batch, so only one batch reproduces it
         n_shards = 1
     bounds = shard_bounds(n_trials, n_shards)
     with one_blas_thread() if len(bounds) > 1 else contextlib.nullcontext():
         shards = run_sharded(
-            lambda lo, hi: episode_records(agent, lo, hi, eval_seed, tcfg, phys, dr), bounds)
+            lambda lo, hi: episode_records(agent, lo, hi, eval_seed, task, phys, dr), bounds)
     records = [r for shard in shards for r in shard]
     pos_err = np.array([r["final_pos_err"] for r in records])
     rot_err = np.array([r["final_rot_err"] for r in records])
     fault = np.array([r["fault"] for r in records], dtype=bool)
     combined, pos_rate, rot_rate = success_breakdown(
-        pos_err, rot_err, tcfg.success_pos_threshold, tcfg.success_rot_threshold, fault
+        pos_err, rot_err, task.success_pos_threshold, task.success_rot_threshold, fault
     )
     k = int(round(combined * n_trials))
     lo, hi = wilson_interval(k, n_trials)

@@ -26,14 +26,14 @@ estimates) zero-pads the batch to a multiple of ``INFER_ROWS`` rows
 the row count, and a kernel for few rows can add in another order than one
 for many, so a plain forward gives a row other bits at 64 rows than at 4096.
 The OpenBLAS build in use computes a row the same way at every multiple of
-256 rows (at any BLAS thread count); that is a measured property of the
-build's kernel, not a promise of BLAS, and ``tests/test_partition.py``
-checks it from 256 to 64 * 256 rows for both nets.  So each row gets the
-same bits whatever the batch it arrives in: one observation, an evaluation
-shard, or a whole rollout.  Evaluation shards start on multiples of
-``INFER_ROWS`` (``harness.shard_bounds``), so a shard's tail is the batch's
-tail.  The training ``forward``, whose cache feeds ``backward``, takes the
-batch as it comes.
+256 rows; that is a measured property of the build's kernel, not a promise
+of BLAS, and ``tests/test_partition.py`` checks it from 256 to 64 * 256
+rows for both nets.  So each row gets the same bits whatever the batch it
+arrives in: one observation, an evaluation shard, or a whole rollout.
+Evaluation shards start on multiples of ``INFER_ROWS``
+(``harness.shard_bounds``), so a shard's tail is the batch's tail.  The
+training ``forward``, whose cache feeds ``backward``, takes the batch as it
+comes.
 
 ``MLP.infer_beside`` runs the same padded rows through a ``_beside``
 submit, so an inference can run on a helper thread beside other work;
@@ -45,17 +45,19 @@ runs ``_forward_rows`` alone, which calls nothing a profiler wraps:
 on the helper would nest its span inside whatever span the calling thread
 has open.
 
-``forward`` and ``backward`` run on two threads where ``MLP.split_rows``
-says so: when the process has at least 2 OpenBLAS threads and the widest
-activation holds at least ``SPLIT_BYTES`` (2 MiB).  Inference follows the
-same rule, since it is a ``forward``; smaller passes and other BLAS keep
-one thread.  Inside a two-thread pass OpenBLAS is held to one thread, so
-the calling thread and one helper thread share two cores, and the
+A pass's row plan is a function of its rows alone: ``MLP.split_rows`` cuts
+a pass whose widest activation holds at least ``SPLIT_BYTES`` (2 MiB) in
+two, and keeps a smaller one whole.  Inference follows the same rule, since
+it is a ``forward``.  The BLAS thread count picks only where the plan runs,
+never what it computes; ``_beside`` is the one place in ``nets`` and
+``trainer`` that reads it.  With 2 or more OpenBLAS threads every pass runs
+with OpenBLAS held to one thread, and the two halves of a split pass run
+side by side on the calling thread and one helper thread, so the
 elementwise work that otherwise runs on one core (bias plus ELU, the
 ELU-gradient product, the bias sums) runs beside other work.  OpenBLAS's
 own workers cannot take it: they spin for about 0.1 s after each call, so a
-helper beside them shares its core.  For the same reason no GEMM of a
-two-thread pass runs at the full BLAS thread count.  ``SPLIT_BYTES`` is
+helper beside them shares its core.  With one thread, or under another
+BLAS, the halves run in turn on the calling thread.  ``SPLIT_BYTES`` is
 where a split pass stops losing to an unsplit one at 2 BLAS threads.  On a
 2-vCPU Xeon, a forward and backward of the paper's nets took, split against
 unsplit, x1.13 with a 0.5 MiB widest activation, x0.98 to x1.08 at 1 MiB,
@@ -64,27 +66,22 @@ profile's nets at their 1920-row minibatch (under 1 MiB) took x1.12 and
 x1.25 split, and its training iterations about a tenth longer.
 
 - ``forward`` splits the rows once, at the multiple of ``INFER_ROWS``
-  nearest half of them.  Each thread runs the whole layer chain on its rows,
+  nearest half of them.  Each half runs the whole layer chain on its rows,
   into per-layer buffers the calling thread allocates, so the cache is the
-  same full arrays.  A row's bits do not depend on the rows around it at a
-  multiple of 256 rows (above), so both halves give a one-thread pass's bits.
+  same full arrays.
 - ``backward`` keeps each weight gradient ``delta.T @ h`` one GEMM over all
   rows.  The helper runs it while the calling thread computes the bias
-  gradient, the next delta and its ELU-gradient product; both finish before
-  the next layer, so no more deltas are alive than in a one-thread pass.
-  Layer 0 has no next delta, so each thread computes half of its weight
-  gradient's output units, each half one GEMM over all rows.
-- Bits: every pass has the bits of a pass at 1 BLAS thread, at any row
-  count and any BLAS thread count.  A split pass runs every GEMM at one
-  BLAS thread; so does an unsplit pass over a row count that is not a
-  multiple of 32, because over such counts OpenBLAS can give a weight
-  gradient (which reduces over the rows) and a one-wide output layer other
-  bits at 2 threads than at 1.  Over a multiple of 32 rows an unsplit pass
-  gets the same bits at 1 and at 2 BLAS threads.  Both are measured on the
-  build in use, like the row property above, as is a third: half of a
-  weight gradient's output units get the bits they get in the whole.
-  ``tests/test_nets_threads.py`` checks this for 512 to 16384 rows in
-  float32 and float64.
+  gradient, the next delta (split at the same rows) and its ELU-gradient
+  product; both finish before the next layer, so no more deltas are alive
+  than in an unsplit pass.  Layer 0 has no next delta, so each side computes
+  half of its weight gradient's output units, each half one GEMM over all
+  rows.
+- Bits: every GEMM runs at one OpenBLAS thread, and its shapes follow from
+  the pass's rows alone, so a pass gets the same bits at every BLAS thread
+  count, on any kernel, by construction.  ``orthogonal_init`` holds its QR
+  (LAPACK calls BLAS) at one thread too.  ``tests/test_nets_threads.py``
+  checks this for 512 to 16384 rows in float32 and float64 under each
+  OpenBLAS core type the CPU can execute.
 - The helper is started per pass (per rollout in ``Trainer.collect_rollout``)
   and joined on every exit, exceptions included, before the BLAS count is
   restored; none is alive when ``harness.evaluate`` forks.
@@ -214,26 +211,31 @@ def _now(fn, *args):
 
 
 @contextlib.contextmanager
-def _beside(engaged: bool):
+def _beside(wanted: bool):
     """A ``submit(fn, *args)`` that returns a function which waits for the
-    call and returns its value.  Engaged, it queues the call on one helper
-    thread that runs beside this one, with OpenBLAS held to one thread; on
-    every exit the helper has finished its queue and ended before the BLAS
-    count is restored.  Otherwise it runs the call at once, here."""
-    if not engaged:
+    call and returns its value.  With 2 or more OpenBLAS threads the body
+    runs with OpenBLAS held to one thread, and if ``wanted`` the calls queue
+    on one helper thread that runs beside this one; on every exit the helper
+    has finished its queue and ended before the BLAS count is restored.
+    Otherwise each call runs at once, here (see the module docstring)."""
+    if blas_threads() < 2:
         yield _now
         return
-    # imported here: it adds about 7 ms to every start of the program
-    from concurrent.futures import ThreadPoolExecutor
+    with one_blas_thread():
+        if not wanted:
+            yield _now
+            return
+        # imported here: it adds about 7 ms to every start of the program
+        from concurrent.futures import ThreadPoolExecutor
 
-    with one_blas_thread(), ThreadPoolExecutor(1, thread_name_prefix="tricube-nets") as pool:
-        yield lambda fn, *args: pool.submit(fn, *args).result
+        with ThreadPoolExecutor(1, thread_name_prefix="tricube-nets") as pool:
+            yield lambda fn, *args: pool.submit(fn, *args).result
 
 
 def _matmul_rows(a: np.ndarray, b: np.ndarray, at: int) -> np.ndarray:
     """``a @ b``, as two GEMMs split at row ``at`` unless it is 0.  OpenBLAS
     packs a buffer that grows with a GEMM's rows, one per calling thread, so
-    a two-thread pass keeps each of its GEMMs to one side of its row cut."""
+    a split pass keeps each of its GEMMs to one side of its row cut."""
     if not at:
         return a @ b
     out = np.empty((a.shape[0], b.shape[1]), dtype=a.dtype)
@@ -245,7 +247,8 @@ def _matmul_rows(a: np.ndarray, b: np.ndarray, at: int) -> np.ndarray:
 def orthogonal_init(shape: tuple, key: np.ndarray, gain: float, dtype) -> np.ndarray:
     rows, cols = shape
     z = rng.normal(key, rows * cols).reshape(max(rows, cols), min(rows, cols))
-    q, r = np.linalg.qr(z)
+    with _beside(False):  # LAPACK's QR calls BLAS, whose bits can follow the thread count
+        q, r = np.linalg.qr(z)
     q = q * np.sign(np.diag(r))  # fix the sign convention
     if rows < cols:
         q = q.T
@@ -292,25 +295,15 @@ class MLP:
         return out
 
     def split_rows(self, n: int) -> int:
-        """Where a pass over ``n`` rows splits them between two threads, or 0
-        to run on one: only with at least 2 BLAS threads, when the widest
-        activation holds ``SPLIT_BYTES``, and at the multiple of
-        ``INFER_ROWS`` nearest ``n / 2`` (see the module docstring)."""
-        if blas_threads() < 2 or n * max(self.sizes[1:]) * self.dtype.itemsize < SPLIT_BYTES:
+        """Where a pass over ``n`` rows splits them in two, or 0 to keep them
+        whole: when the widest activation holds ``SPLIT_BYTES``, at the
+        multiple of ``INFER_ROWS`` nearest ``n / 2`` (see the module
+        docstring).  The BLAS thread count decides only whether the halves
+        run side by side (``_beside``), never where they split."""
+        if n * max(self.sizes[1:]) * self.dtype.itemsize < SPLIT_BYTES:
             return 0
         at = INFER_ROWS * max(1, round(n / (2 * INFER_ROWS)))
         return at if at < n else 0
-
-    @contextlib.contextmanager
-    def _pass(self, n: int):
-        """``(at, submit)`` for a pass over ``n`` rows: ``split_rows``'s cut,
-        and a ``_beside`` submit engaged if it cuts.  An unsplit pass over a
-        row count that is not a multiple of 32 runs at one BLAS thread (see
-        the module docstring)."""
-        at = self.split_rows(n)
-        hold = not at and n % 32 and blas_threads() >= 2
-        with one_blas_thread() if hold else contextlib.nullcontext(), _beside(at > 0) as submit:
-            yield at, submit
 
     def _forward_rows(self, x: np.ndarray, outs: list[np.ndarray], lo: int, hi: int) -> None:
         """Every layer on rows ``lo:hi`` of ``x``, into the same rows of ``outs``."""
@@ -324,11 +317,12 @@ class MLP:
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """The output and the cache ``backward`` takes: each layer's input.
-        The rows run on two threads where ``split_rows`` says so."""
+        The rows split where ``split_rows`` says so."""
         h = np.ascontiguousarray(x, dtype=self.dtype)
         n = h.shape[0]
         outs = [np.empty((n, size), dtype=self.dtype) for size in self.sizes[1:]]
-        with self._pass(n) as (at, submit):
+        at = self.split_rows(n)
+        with _beside(at > 0) as submit:
             rest = submit(self._forward_rows, h, outs, at, n)  # all rows, here, if at is 0
             if at:
                 self._forward_rows(h, outs, 0, at)
@@ -370,11 +364,12 @@ class MLP:
         """Parameter gradients, ordered like ``parameters()``, of a scalar
         loss given d loss / d output.  Neither ``cache`` nor ``dout`` is
         modified.  Where ``split_rows`` splits the rows, the weight
-        gradients run on a helper thread beside the bias gradients and the
-        backpropagated deltas."""
+        gradients run beside the bias gradients and the backpropagated
+        deltas, on a helper thread at 2 or more BLAS threads."""
         grads = [None] * (2 * self.n_layers)
         delta = np.ascontiguousarray(dout, dtype=self.dtype)
-        with self._pass(delta.shape[0]) as (at, submit):
+        at = self.split_rows(delta.shape[0])
+        with _beside(at > 0) as submit:
             for li in reversed(range(1, self.n_layers)):
                 h = cache[li]
                 # this thread allocates, so the helper's malloc arena stays small

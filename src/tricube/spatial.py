@@ -102,11 +102,6 @@ def quat_rotate_parts(q: tuple, v: tuple) -> tuple:
     return tuple(c + w * tc + u for c, tc, u in zip(v, t, cross_parts(qv, t)))
 
 
-def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rotate vectors v (..., 3) by quaternions q (..., 4)."""
-    return np.stack(quat_rotate_parts(_parts(q), _parts(v)), axis=-1)
-
-
 def quat_to_mat_parts(q: tuple) -> tuple:
     """Rotation matrix as a row-major 3x3 nested tuple of components."""
     x, y, z, w = q

@@ -7,18 +7,18 @@ deterministic for a fixed seed; wall-clock quantities (steps/sec, elapsed
 time) go to ``timing.jsonl`` so two same-seed runs produce byte-identical
 metrics.
 
-The critic's values feed only GAE, never the action.  So at 2 or more BLAS
-threads (the thread test of ``MLP.split_rows``) the rollout holds OpenBLAS at
-one thread over its step loop and runs each step's value forward on one helper
-thread (``nets._beside``), beside that step's actor-observation prep,
-``policy.act`` and ``task.step``; the loop joins it after ``task.step`` and
-writes the step's values.  The calling thread keeps ``prep_critic_obs``,
-whose ``RunningNorm.update`` a profiler wraps, and allocates the forward's
-buffers (``MLP.infer_beside``).  The bootstrap values after the loop are an
-inference like any other, split between two threads where
-``MLP.split_rows`` says so.  A row's inference bits do not depend on the
-BLAS thread count (see ``nets``), so neither do the rollout's.  At one BLAS
-thread the same calls run in turn on the calling thread.
+The critic's values feed only GAE, never the action, so the rollout runs its
+step loop inside one ``nets._beside``: each step's value forward is
+submitted beside that step's actor-observation prep, ``policy.act`` and
+``task.step``, and the loop joins it after ``task.step`` and writes the
+step's values.  The BLAS thread count picks only where the forward runs (see
+``nets``): at 2 or more BLAS threads the loop holds OpenBLAS at one thread
+and the forward runs on one helper thread; at one thread it runs at once on
+the calling thread.  The calling thread keeps ``prep_critic_obs``, whose
+``RunningNorm.update`` a profiler wraps, and allocates the forward's buffers
+(``MLP.infer_beside``).  The bootstrap values after the loop are an
+inference like any other.  Every GEMM runs at one OpenBLAS thread over rows
+that do not depend on the thread count, so neither do the rollout's bits.
 
 Checkpoints embed the full training state: network and optimizer tensors,
 environment state arrays, and the integer counters that key every random
@@ -128,10 +128,9 @@ class Trainer:
         if self.obs is None:
             self.obs = task.reset_all()
         obs = self.obs
-        # at 2 or more BLAS threads each step's value forward runs on a helper
-        # thread beside the policy and the env step, with OpenBLAS held to one
-        # thread (see the module docstring)
-        with nets._beside(nets.blas_threads() >= 2) as submit:
+        # each step's value forward runs beside the policy and the env step,
+        # on a helper thread at 2 or more BLAS threads (see the module docstring)
+        with nets._beside(True) as submit:
             for t in range(h):
                 c_obs = agent.prep_critic_obs(obs["critic"], update=True)
                 step_values = agent.values_beside(c_obs, submit)

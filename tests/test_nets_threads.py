@@ -1,38 +1,43 @@
-"""The training passes on two threads (see the ``nets`` module docstring).
+"""The BLAS thread count picks where a pass runs, never what it computes
+(see the ``nets`` module docstring).
 
-At two or more BLAS threads, ``MLP.forward`` and ``MLP.backward`` share a
-pass whose widest activation holds ``nets.SPLIT_BYTES`` between the
-calling thread and one helper thread.  The ``check_*`` functions run in a
-fresh process at two BLAS threads (see blas_threads.py).  They compare
-that path's bytes with the same pass at one BLAS thread, where it never
-engages, and with the one-thread path at two BLAS threads; they check
-that a failure in either thread leaves no thread and the BLAS count as it
-was; and that an evaluation forked after a threaded update reports what a
-fresh process reports.
+``MLP.split_rows`` cuts a pass whose widest activation holds
+``nets.SPLIT_BYTES`` in two at any BLAS thread count.  At two or more BLAS
+threads the halves run side by side on the calling thread and one helper
+thread, and every GEMM of every pass runs with OpenBLAS held to one thread;
+at one thread the halves run in turn.  The ``check_*`` functions run in a
+fresh process at a given BLAS thread count, under each OpenBLAS core type
+this CPU can execute (see blas_threads.py).  They compare each pass's bytes
+with the same pass under ``one_blas_thread()``; they check that a failure in
+either thread leaves no thread and the BLAS count as it was; that an
+evaluation forked after a threaded update reports what a fresh process
+reports; and that a training run writes the same bytes at 1 and at 2 BLAS
+threads.
 """
 
+import contextlib
 import json
 import os
 import threading
 
 import numpy as np
 import pytest
-from blas_threads import loaded_blas_threads, run_check
+from blas_threads import core_types, loaded_blas_threads, run_check
 
-from tricube import harness, nets, rng
+from tricube import cli, harness, nets, rng
 from tricube.env import TaskConfig, actor_obs_dim, critic_obs_dim
 from tricube.ppo import PPOAgent, PPOConfig
 
-ROWS = (512, 1000, 1920, 4173, 16384)
-# where split_rows cuts each net's rows at 2 BLAS threads; a missing entry
-# runs on one thread.  The policy's widest layer is 256, the value's 512, so
-# the path engages from 2 MiB / (width * itemsize) rows
-SPLITS = {
-    ("policy", "float32"): {4173: 2048, 16384: 8192},
-    ("policy", "float64"): {1920: 1024, 4173: 2048, 16384: 8192},
-    ("value", "float32"): {1920: 1024, 4173: 2048, 16384: 8192},
-    ("value", "float64"): {512: 256, 1000: 512, 1920: 1024, 4173: 2048, 16384: 8192},
-}
+# the row counts of the pass matrix, each with where split_rows cuts it, at
+# any BLAS thread count, once the pass splits at all: the multiple of 256
+# nearest half the rows
+CUTS = {512: 256, 1000: 512, 1024: 512, 1536: 768, 1920: 1024, 2048: 1024, 4096: 2048,
+        4173: 2048, 8192: 4096, 16384: 8192}
+# the fewest of those rows at which each net splits, in float32 and in float64:
+# where its widest activation (256 for the paper policy, 512 for the paper
+# value and both wide nets, 64 and 128 for the smoke nets) reaches 2 MiB
+SPLITS = {"policy": (2048, 1024), "value": (1024, 512), "smoke policy": (8192, 4096),
+          "smoke value": (4096, 2048), "wide policy": (1024, 512), "wide value": (1024, 512)}
 
 
 def paper_agent(dtype=np.float32, **ppo) -> PPOAgent:
@@ -43,6 +48,21 @@ def paper_agent(dtype=np.float32, **ppo) -> PPOAgent:
                      seed=2, dtype=dtype)
     agent.policy.trunk.weights[-1] *= 100.0
     return agent
+
+
+def matrix_nets(dtype) -> dict[str, nets.MLP]:
+    """The nets of ``SPLITS``: the paper's, the smoke profile's, and a
+    reach policy and value with a 512-wide second hidden layer
+    ([12, 32, 512, 2] and [12, 64, 512, 1])."""
+    paper = paper_agent(dtype)
+    out = {"policy": paper.policy.trunk, "value": paper.value.trunk}
+    for name, policy_hidden, value_hidden in (("smoke", (64, 64), (128, 128)),
+                                              ("wide", (32, 512), (64, 512))):
+        agent = PPOAgent(12, 12, 2, PPOConfig(policy_hidden=policy_hidden,
+                                              value_hidden=value_hidden), seed=2, dtype=dtype)
+        agent.policy.trunk.weights[-1] *= 100.0
+        out[f"{name} policy"], out[f"{name} value"] = agent.policy.trunk, agent.value.trunk
+    return out
 
 
 def keyed(n: int, dim: int, word: int, dtype) -> np.ndarray:
@@ -61,42 +81,43 @@ def other_threads() -> list:
 
 
 def check_passes(threads: int) -> None:
-    """For every row count in ``ROWS``, in float32 and float64, each net's
-    forward output, cache and gradients: split where ``SPLITS`` says, and
-    byte-equal on two threads, unsplit and at 1 BLAS thread."""
+    """Each net of ``matrix_nets`` over every row count in ``CUTS``, in
+    float32 and float64: split at ``CUTS`` from ``SPLITS`` on, at any BLAS
+    thread count; every forward row range run at one BLAS thread, the
+    second half on the helper at 2 or more BLAS threads and here at one;
+    and the forward output, cache and gradients byte-equal to the same pass
+    under ``one_blas_thread()``."""
     assert loaded_blas_threads() in (None, threads)
-    engages = nets.blas_threads() >= 2
-    seen = []  # (lo, hi, on the main thread) of each forward row range
-    real_rows, real_split = nets.MLP._forward_rows, nets.MLP.split_rows
+    beside = nets.blas_threads() >= 2
+    seen = []  # (lo, hi, on the main thread, BLAS threads) of each forward row range
+    real_rows = nets.MLP._forward_rows
 
     def record(self, x, outs, lo, hi):
-        seen.append((lo, hi, threading.current_thread() is threading.main_thread()))
+        seen.append((lo, hi, threading.current_thread() is threading.main_thread(),
+                     nets.blas_threads()))
         return real_rows(self, x, outs, lo, hi)
 
     nets.MLP._forward_rows = record
-    for dtype in (np.float32, np.float64):
-        agent = paper_agent(dtype)
-        for name, net in (("policy", agent.policy.trunk), ("value", agent.value.trunk)):
-            for n in ROWS:
-                x = keyed(n, net.sizes[0], 0, dtype)
-                dout = keyed(n, net.sizes[-1], 1, dtype)
-                at = SPLITS[name, np.dtype(dtype).name].get(n, 0) if engages else 0
-                assert net.split_rows(n) == at, (name, dtype, n)
-                seen.clear()
-                two = pass_bytes(net, x, dout)
-                want = [(0, at, True), (at, n, False)] if at else [(0, n, True)]
-                assert sorted(seen) == want, (name, dtype, n)
-                assert other_threads() == []
-                with nets.one_blas_thread():
-                    assert net.split_rows(n) == 0
-                    one = pass_bytes(net, x, dout)
-                nets.MLP.split_rows = lambda self, n: 0
-                serial = pass_bytes(net, x, dout)
-                nets.MLP.split_rows = real_split
-                # every pass has the bits of a pass at 1 BLAS thread, split
-                # or not, at any row count (see the nets module docstring)
-                assert two == one == serial, (name, dtype, n)
-    nets.MLP._forward_rows = real_rows
+    try:
+        for i, dtype in enumerate((np.float32, np.float64)):
+            for name, net in matrix_nets(dtype).items():
+                for n, cut in CUTS.items():
+                    x = keyed(n, net.sizes[0], 0, dtype)
+                    dout = keyed(n, net.sizes[-1], 1, dtype)
+                    at = cut if n >= SPLITS[name][i] else 0
+                    legs = []
+                    for held in (False, True):
+                        with nets.one_blas_thread() if held else contextlib.nullcontext():
+                            assert net.split_rows(n) == at, (name, dtype, n)
+                            seen.clear()
+                            legs.append(pass_bytes(net, x, dout))
+                        here = not beside or held
+                        want = [(0, at, True, 1), (at, n, here, 1)] if at else [(0, n, True, 1)]
+                        assert sorted(seen) == want, (name, dtype, n, held)
+                        assert other_threads() == []
+                    assert legs[0] == legs[1], (name, dtype, n)
+    finally:
+        nets.MLP._forward_rows = real_rows
 
 
 def update_batch(agent: PPOAgent, n: int) -> dict:
@@ -116,15 +137,15 @@ def update_batch(agent: PPOAgent, n: int) -> dict:
 
 def updated_tensors(dtype) -> dict:
     """Every tensor of an agent after one two-epoch update of two 2048-row
-    minibatches, which engage the two-thread path at 2 BLAS threads."""
+    minibatches, whose passes split."""
     agent = paper_agent(dtype, batch_size=4096, minibatch_size=2048, epochs=2)
     agent.update(update_batch(agent, 4096), 3e-4)
     return {k: v.tobytes() for k, v in agent._net_tensors().items()}
 
 
 def check_update(threads: int) -> None:
-    """One ``PPOAgent.update`` leaves the same bytes on two threads as at 1
-    BLAS thread, in float32 and float64."""
+    """One ``PPOAgent.update`` leaves the same bytes as under
+    ``one_blas_thread()``, in float32 and float64."""
     assert loaded_blas_threads() in (None, threads)
     for dtype in (np.float32, np.float64):
         two = updated_tensors(dtype)
@@ -197,20 +218,40 @@ def check_evaluate_after_update(threads: int, path: str, fresh: bool) -> None:
         with open(path + ".json") as f:
             assert evaluation_report(agent) == f.read()
         return
-    if nets.blas_threads() >= 2:  # OpenBLAS: the update's passes split
-        assert agent.policy.trunk.split_rows(2048) and agent.value.trunk.split_rows(2048)
+    assert agent.policy.trunk.split_rows(2048) and agent.value.trunk.split_rows(2048)
     agent.update(update_batch(agent, 4096), 3e-4)
     np.savez(path + ".npz", **agent._net_tensors())
     with open(path + ".json", "w") as f:
         f.write(evaluation_report(agent))
 
 
+def check_train(threads: int, out: str) -> None:
+    """``tricube train`` on the smoke profile with a 512-wide value layer,
+    into ``out``: its 1920-row minibatches split the value net's passes, and
+    its 512-row inferences do not."""
+    assert loaded_blas_threads() in (None, threads)
+    assert cli.main(["train", "--profile", "smoke", "--set", "ppo.value_hidden=[64,512]",
+                     "--set", "run.total_steps=23040", "--out", out]) == 0
+
+
 @pytest.mark.parametrize("check", ["check_passes", "check_update", "check_failures"])
 def test_two_thread_training_passes(check):
-    run_check(2, "test_nets_threads", check, 2)
+    for core in core_types():
+        run_check(2, "test_nets_threads", check, 2, core=core)
 
 
 def test_evaluation_after_a_threaded_update_matches_a_fresh_process(tmp_path):
-    path = str(tmp_path / "updated")
-    run_check(2, "test_nets_threads", "check_evaluate_after_update", 2, path, False)
-    run_check(2, "test_nets_threads", "check_evaluate_after_update", 2, path, True)
+    for core in core_types():
+        path = str(tmp_path / f"updated-{core}")
+        run_check(2, "test_nets_threads", "check_evaluate_after_update", 2, path, False, core=core)
+        run_check(2, "test_nets_threads", "check_evaluate_after_update", 2, path, True, core=core)
+
+
+def test_training_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    written = {}
+    for threads in (1, 2):
+        out = tmp_path / f"threads-{threads}"
+        run_check(threads, "test_nets_threads", "check_train", threads, str(out))
+        written[threads] = [(out / name).read_bytes()
+                            for name in ("metrics.jsonl", "ckpt_final.tckpt")]
+    assert written[1] == written[2]

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from test_spatial import rotate
 
 from tricube import physics, rng, spatial
 from tricube.physics import (
@@ -83,8 +84,8 @@ def test_fk_symmetric_config_is_120_deg_rotation():
     q = np.tile([0.3, 0.7, -1.2], (1, 3))
     kin = physics.fingertip_kinematics(q, None, hand)
     rot120 = spatial.quat_from_axis_angle([0, 0, 1], 2.0 * math.pi / 3.0)
-    assert np.allclose(spatial.quat_rotate(rot120, kin.pos[0, 0]), kin.pos[0, 1], atol=1e-12)
-    assert np.allclose(spatial.quat_rotate(rot120, kin.pos[0, 1]), kin.pos[0, 2], atol=1e-12)
+    assert np.allclose(rotate(rot120, kin.pos[0, 0]), kin.pos[0, 1], atol=1e-12)
+    assert np.allclose(rotate(rot120, kin.pos[0, 1]), kin.pos[0, 2], atol=1e-12)
 
 
 def test_fk_matches_matrix_oracle():

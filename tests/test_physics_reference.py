@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from test_spatial import rotate
 
 from tricube import domrand, physics, rng, spatial
 from tricube.physics import (
@@ -647,7 +648,7 @@ def extreme(case: str, n: int) -> tuple:
     tip = physics.fingertip_kinematics(state.joint_pos, None, cfg.hand).pos[:, 0]
     quat = spatial.quat_from_axis_angle(np.array([1.0, 1.0, 0.0]), 0.4 + 0.01 * ids)
     state.obj_quat = quat
-    state.obj_pos = touching(tip, spatial.quat_rotate(quat, object_half_extents(cfg, params)), gap)
+    state.obj_pos = touching(tip, rotate(quat, object_half_extents(cfg, params)), gap)
     return cfg, state, params, False, True
 
 

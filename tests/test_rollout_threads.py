@@ -4,10 +4,11 @@
 At two or more BLAS threads ``Trainer.collect_rollout`` runs each step's
 value forward on one helper thread, with OpenBLAS held to one thread over
 the step loop.  The ``check_*`` functions run in a fresh process at a given
-BLAS thread count (see blas_threads.py).  They check that a rollout's bytes
-do not depend on the thread count, that a failure in the loop leaves no
-helper thread and the BLAS count as it was, and that everything a profiler
-wraps still runs on the calling thread.
+BLAS thread count, under each OpenBLAS core type this CPU can execute (see
+blas_threads.py).  They check that a rollout's bytes do not depend on the
+thread count, that a failure in the loop leaves no helper thread and the
+BLAS count as it was, and that everything a profiler wraps still runs on
+the calling thread.
 """
 
 import hashlib
@@ -18,7 +19,7 @@ import time
 
 import numpy as np
 import pytest
-from blas_threads import loaded_blas_threads, run_check
+from blas_threads import core_types, loaded_blas_threads, run_check
 from test_nets_threads import other_threads, paper_agent
 
 from tricube import env, nets, ppo, rng
@@ -40,9 +41,9 @@ def rollout(n: int, out_dir: str | None = None) -> tuple[Trainer, dict]:
 
 def check_rollout_bits(threads: int, path: str) -> None:
     """At 300 envs (a padded inference tail), at 512 and at 1031 (a padded
-    tail, and a bootstrap value forward that splits at 2 BLAS threads), the
-    digests of one rollout's batch and of the episode records it drained;
-    the first call writes them to ``path``, the next compares with them.
+    tail, and a bootstrap value forward that splits), the digests of one
+    rollout's batch and of the episode records it drained; the first call
+    writes them to ``path``, the next compares with them.
     The helper thread's rows start late, so a rollout that read them before
     they are done would store other values."""
     assert loaded_blas_threads() in (None, threads)
@@ -59,7 +60,7 @@ def check_rollout_bits(threads: int, path: str) -> None:
         out_dir = f"{path}-{threads}-{n}"
         os.mkdir(out_dir)
         trainer, batch = rollout(n, out_dir)
-        if n == 1031 and nets.blas_threads() >= 2:  # 1280 padded rows, 2.5 MiB
+        if n == 1031:  # 1280 padded rows, 2.5 MiB
             assert trainer.agent.value.trunk.split_rows(1280) == 512
         with open(os.path.join(out_dir, "episodes.jsonl"), "rb") as f:
             episodes = f.read()
@@ -150,11 +151,13 @@ def check_traced_calls_stay_on_the_main_thread(threads: int) -> None:
 
 
 def test_rollout_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    path = str(tmp_path / "digests.json")
-    run_check(1, "test_rollout_threads", "check_rollout_bits", 1, path)
-    run_check(2, "test_rollout_threads", "check_rollout_bits", 2, path)
+    for core in core_types():
+        path = str(tmp_path / f"digests-{core}.json")
+        run_check(1, "test_rollout_threads", "check_rollout_bits", 1, path, core=core)
+        run_check(2, "test_rollout_threads", "check_rollout_bits", 2, path, core=core)
 
 
 @pytest.mark.parametrize("check", ["check_failures", "check_traced_calls_stay_on_the_main_thread"])
 def test_rollout_helper_at_two_blas_threads(check):
-    run_check(2, "test_rollout_threads", check, 2)
+    for core in core_types():
+        run_check(2, "test_rollout_threads", check, 2, core=core)

@@ -18,6 +18,13 @@ def rot_mat(q):
     return np.moveaxis(np.array(rows), (0, 1), (-2, -1))
 
 
+def rotate(q, v):
+    """Vectors v (..., 3) rotated by quaternions q (..., 4), with
+    ``spatial.quat_rotate_parts``."""
+    parts = spatial.quat_rotate_parts(tuple(np.moveaxis(q, -1, 0)), tuple(np.moveaxis(v, -1, 0)))
+    return np.stack(parts, axis=-1)
+
+
 # ---------------------------------------------------------------- keypoints
 
 
@@ -94,8 +101,8 @@ def test_inverse_pose_recovers_local():
     t = rng.normal(rng.stream_key(3, np.arange(100), 3, 98), 3)
     kps = spatial.transform_keypoints(t, q, local)
     q_inv = spatial.quat_conj(q)
-    t_inv = -spatial.quat_rotate(q_inv, t)
-    back = spatial.quat_rotate(q_inv[:, None, :], kps) + t_inv[:, None, :]
+    t_inv = -rotate(q_inv, t)
+    back = rotate(q_inv[:, None, :], kps) + t_inv[:, None, :]
     assert np.max(np.abs(back - local)) < 1e-9
 
 
@@ -244,13 +251,13 @@ def test_quat_mul_matches_matrix_product():
 def test_quat_rotate_matches_matrix():
     q = random_unit_quats(100, seed=43)
     v = rng.normal(rng.stream_key(43, np.arange(100), 6, 98), 3)
-    got = spatial.quat_rotate(q, v)
+    got = rotate(q, v)
     want = np.einsum("nij,nj->ni", rot_mat(q), v)
     assert np.max(np.abs(got - want)) < 1e-12
 
 
 def cross_formula_rotate(q, v):
-    """quat_rotate as it was written on ``np.cross``."""
+    """quat_rotate_parts as it was written on ``np.cross``."""
     t = 2.0 * np.cross(q[..., :3], v)
     return v + q[..., 3:4] * t + np.cross(q[..., :3], t)
 
@@ -265,8 +272,8 @@ def test_quat_rotate_keeps_the_cross_formula_bits():
     local = spatial.box_local_keypoints((0.03, 0.04, 0.05))
     for qq in (q, -q):
         pairs = [
-            (spatial.quat_rotate(qq, v), cross_formula_rotate(qq, v)),
-            (spatial.quat_rotate(qq[:, None, :], local), cross_formula_rotate(qq[:, None, :], local)),
+            (rotate(qq, v), cross_formula_rotate(qq, v)),
+            (rotate(qq[:, None, :], local), cross_formula_rotate(qq[:, None, :], local)),
             (spatial.transform_keypoints(pos, qq, local),
              cross_formula_rotate(spatial.quat_normalize(qq)[:, None, :], local) + pos[:, None, :]),
         ]
