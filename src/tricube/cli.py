@@ -15,7 +15,6 @@ is written.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import math
@@ -27,7 +26,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, config as config_mod, harness, nets, svgplot
+from . import __version__, config as config_mod, harness, nets
 from .config import ConfigError, EngineConfig, config_hash, run_identity, to_dict
 from .ppo import PPOAgent, read_checkpoint
 from .trainer import LOGS, build_agent_for, build_trainer
@@ -184,12 +183,12 @@ def output_path(cfg: EngineConfig) -> str:
     return os.path.join(os.environ.get("TRICUBE_OUT", "."), cfg.run.output_dir)
 
 
-def check_checkpoint(path: str, cfg: EngineConfig, keys, load) -> dict:
-    """The manifest of ``path``, which must be a readable checkpoint whose
-    stored config equals ``run_identity(cfg)`` on every key that ``keys``
-    selects and whose tensors ``load(tensors, manifest)`` takes without a
-    ``ValueError``.  A missing file is a configuration error, anything else
-    an incompatibility."""
+def check_checkpoint(path: str, cfg: EngineConfig, keys, load) -> tuple:
+    """The manifest of ``path`` and what ``load(tensors, manifest)``
+    returned.  ``path`` must be a readable checkpoint whose stored config
+    equals ``run_identity(cfg)`` on every key that ``keys`` selects and
+    whose tensors ``load`` takes without a ``ValueError``.  A missing file
+    is a configuration error, anything else an incompatibility."""
     if not os.path.exists(path):
         raise ConfigError(f"checkpoint not found: {path}")
     try:
@@ -207,18 +206,17 @@ def check_checkpoint(path: str, cfg: EngineConfig, keys, load) -> dict:
     if diffs:
         raise IncompatibilityError(f"{path} does not fit the configuration: " + ", ".join(diffs))
     try:
-        load(tensors, meta)
+        return meta, load(tensors, meta)
     except ValueError as err:
         raise IncompatibilityError(f"{path}: {err}") from err
-    return meta
 
 
 def load_agent_checkpoint(path: str, cfg: EngineConfig) -> tuple[PPOAgent, str]:
-    """The configured agent holding the checkpoint's tensors, and the
-    checkpoint file's hash."""
+    """The configured agent built from the checkpoint's tensors (it draws
+    no parameters), and the checkpoint file's hash."""
     require_cube_task(cfg)
-    agent = build_agent_for(cfg)
-    check_checkpoint(path, cfg, agent_keys, lambda tensors, meta: agent.load_tensors(tensors))
+    _, agent = check_checkpoint(path, cfg, agent_keys,
+                                lambda tensors, meta: build_agent_for(cfg, tensors))
     return agent, harness.hash_file(path)
 
 
@@ -236,7 +234,7 @@ def check_train(args, cfg: EngineConfig) -> dict:
     trainer = build_trainer(cfg, output_path(cfg))
     if not args.resume:
         return {"trainer": trainer}
-    meta = check_checkpoint(args.resume, cfg, resume_keys, trainer.load_checkpoint)
+    meta, _ = check_checkpoint(args.resume, cfg, resume_keys, trainer.load_checkpoint)
     return {"trainer": trainer, "checkpoint": args.resume,
             "checkpoint_hash": harness.hash_file(args.resume), "meta": meta}
 
@@ -294,17 +292,27 @@ def cmd_train(args, cfg: EngineConfig, out: OutputDir, read: dict) -> dict:
         )
     return {
         "final_metrics": final,
-        "throughput": {"env_steps_per_sec": _mean_timing(out.file("timing.jsonl"))},
+        "throughput": _mean_timing(out.file("timing.jsonl")),
         "checkpoints": sorted(f for f in os.listdir(out.path) if f.endswith(".tckpt")),
     }
 
 
-def _mean_timing(path: str):
-    if not os.path.exists(path):
-        return None
-    with open(path) as f:
-        vals = [json.loads(line)["env_steps_per_sec"] for line in f]
-    return float(np.mean(vals)) if vals else None
+TIMING_KEYS = ("env_steps_per_sec", "collect_seconds", "update_seconds")
+
+
+def _mean_timing(path: str) -> dict:
+    """The mean of each of ``TIMING_KEYS`` over the ``timing.jsonl``
+    records that hold it (a resumed run's older records may lack the phase
+    keys), or None where none does."""
+    records = []
+    if os.path.exists(path):
+        with open(path) as f:
+            records = [json.loads(line) for line in f]
+    means = {}
+    for key in TIMING_KEYS:
+        vals = [r[key] for r in records if key in r]
+        means[key] = float(np.mean(vals)) if vals else None
+    return means
 
 
 # ------------------------------------------------------------------ eval
@@ -450,6 +458,8 @@ def plot_figures(args, cfg: EngineConfig) -> dict:
     configuration error.  Each input is read and checked inside its own
     ``json_shape``; the figures are drawn outside it, so a fault in
     ``svgplot`` stays an internal error."""
+    from . import svgplot  # imported here: only the figures need it
+
     figures = {}
     if args.metrics:
         series_steps, series_wall = [], []
@@ -530,6 +540,8 @@ def cmd_plot(args, cfg: EngineConfig, out: OutputDir, read: dict) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # imported here: nothing else in the package needs it
+
     p = argparse.ArgumentParser(
         prog="tricube",
         description="Vectorized 3-finger cube-reposing: training, evaluation, and analysis",

@@ -37,10 +37,13 @@ comes.
 
 ``MLP.infer_beside`` runs the same padded rows through a ``_beside``
 submit, so an inference can run on a helper thread beside other work;
-``Trainer.collect_rollout`` runs its value forward that way.  The calling
-thread pads the input and allocates every activation, because a helper's
-own malloc arena would keep the pages of what it allocated.  The helper
-runs ``_forward_rows`` alone, which calls nothing a profiler wraps:
+``Trainer.collect_rollout`` runs its value forward that way.  It runs the
+rows on ``forward``'s plan (below), both halves of a split in turn on
+whichever thread runs it, so it gives ``MLP.__call__``'s bits on every
+kernel.  The calling thread pads the input and allocates every
+activation, because a helper's own malloc arena would keep the pages of
+what it allocated.  The helper runs ``_forward_rows`` alone, which calls
+nothing a profiler wraps:
 ``perfbench``'s tracer keeps one span stack per process, so a wrapped call
 on the helper would nest its span inside whatever span the calling thread
 has open.
@@ -88,7 +91,9 @@ x1.25 split, and its training iterations about a tenth longer.
 
 Initialization is orthogonal (QR of a keyed Gaussian draw) with gain
 sqrt(2) for hidden layers; output layers take an explicit ``final_gain``
-(small for the policy head so early torques stay near zero).
+(small for the policy head so early torques stay near zero).  A net whose
+parameters a checkpoint supplies skips the draw (``MLP(draw=False)``): its
+parameters start as zeros for the load to fill.
 """
 
 from __future__ import annotations
@@ -262,7 +267,9 @@ class MLP:
     Parameters live in ``self.weights`` / ``self.biases`` (lists, input to
     output).  ``forward`` returns the output plus a cache holding each
     layer's input; ``backward`` consumes it and returns the parameter
-    gradients (no gradient w.r.t. the network input).
+    gradients (no gradient w.r.t. the network input).  With ``draw`` false
+    every parameter is zero, for a checkpoint load to fill: no
+    ``orthogonal_init`` runs.
     """
 
     def __init__(
@@ -271,6 +278,7 @@ class MLP:
         seed_words: tuple = (0,),
         final_gain: float = 1.0,
         dtype=np.float32,
+        draw: bool = True,
     ):
         self.sizes = list(sizes)
         self.dtype = np.dtype(dtype)
@@ -278,9 +286,13 @@ class MLP:
         self.biases: list[np.ndarray] = []
         n_layers = len(sizes) - 1
         for li in range(n_layers):
-            gain = final_gain if li == n_layers - 1 else np.sqrt(2.0)
-            key = rng.stream_key(*seed_words, li, rng.CH_PARAM_INIT)
-            w = orthogonal_init((sizes[li + 1], sizes[li]), key, gain, self.dtype)
+            shape = (sizes[li + 1], sizes[li])
+            if draw:
+                gain = final_gain if li == n_layers - 1 else np.sqrt(2.0)
+                key = rng.stream_key(*seed_words, li, rng.CH_PARAM_INIT)
+                w = orthogonal_init(shape, key, gain, self.dtype)
+            else:
+                w = np.zeros(shape, dtype=self.dtype)
             self.weights.append(w)
             self.biases.append(np.zeros(sizes[li + 1], dtype=self.dtype))
 
@@ -343,15 +355,24 @@ class MLP:
         workload, evaluation included)."""
         return self.forward(self._padded(x))[0][: len(x)]
 
+    def _forward_halves(self, x: np.ndarray, outs: list[np.ndarray], at: int) -> None:
+        """``forward``'s plan for ``x`` split at row ``at`` (0: whole), its
+        halves in turn on this thread."""
+        if at:
+            self._forward_rows(x, outs, 0, at)
+        self._forward_rows(x, outs, at, len(x))
+
     def infer_beside(self, x: np.ndarray, submit):
         """``self(x)`` with its layers run by ``submit`` (``_beside``'s),
-        which may run them on a helper thread.  This thread pads the input
-        and allocates every activation; the helper runs ``_forward_rows``
-        alone (see the module docstring).  Returns a function that waits for
-        the rows and returns the output."""
+        which may run them on a helper thread.  The rows split where
+        ``__call__``'s do, and whichever thread runs them runs both halves
+        in turn, so the output has ``self(x)``'s bits.  This thread pads the
+        input and allocates every activation; the helper runs
+        ``_forward_rows`` alone (see the module docstring).  Returns a
+        function that waits for the rows and returns the output."""
         padded = self._padded(x)
         outs = [np.empty((len(padded), size), dtype=self.dtype) for size in self.sizes[1:]]
-        done = submit(self._forward_rows, padded, outs, 0, len(padded))
+        done = submit(self._forward_halves, padded, outs, self.split_rows(len(padded)))
         out = outs[-1][: len(x)]  # the result keeps this alone; the hidden layers die with the call
 
         def result() -> np.ndarray:

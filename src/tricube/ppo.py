@@ -118,7 +118,8 @@ def gae(
 class GaussianPolicy:
     """Diagonal-Gaussian torque policy: MLP mean, learned global log-std."""
 
-    def __init__(self, obs_dim: int, action_dim: int, cfg: PPOConfig, seed: int = 0, dtype=np.float32):
+    def __init__(self, obs_dim: int, action_dim: int, cfg: PPOConfig, seed: int = 0, dtype=np.float32,
+                 draw: bool = True):
         self.cfg = cfg
         self.obs_dim = obs_dim
         self.action_dim = action_dim
@@ -127,6 +128,7 @@ class GaussianPolicy:
             seed_words=(seed, 1),
             final_gain=0.01,
             dtype=dtype,
+            draw=draw,
         )
         self.log_std = np.full(action_dim, cfg.log_std_init, dtype=dtype)
 
@@ -174,10 +176,12 @@ class GaussianPolicy:
 
 
 class ValueNet:
-    def __init__(self, obs_dim: int, cfg: PPOConfig, seed: int = 0, dtype=np.float32):
+    def __init__(self, obs_dim: int, cfg: PPOConfig, seed: int = 0, dtype=np.float32,
+                 draw: bool = True):
         self.obs_dim = obs_dim
         self.trunk = MLP(
-            [obs_dim, *cfg.value_hidden, 1], seed_words=(seed, 2), final_gain=1.0, dtype=dtype
+            [obs_dim, *cfg.value_hidden, 1], seed_words=(seed, 2), final_gain=1.0, dtype=dtype,
+            draw=draw,
         )
 
     def parameters(self) -> list[np.ndarray]:
@@ -197,7 +201,14 @@ class UpdateStats:
 
 
 class PPOAgent:
-    """Owns the actor, the critic, their optimizers, and the update rule."""
+    """Owns the actor, the critic, their optimizers, and the update rule.
+
+    A fresh agent draws its nets' parameters from ``seed``.  Given a
+    checkpoint's ``tensors`` it draws nothing: the nets start as zeros of
+    their configured shapes and ``load_tensors`` fills every checkpointed
+    array, with its ``ValueError`` for a missing tensor or another dtype or
+    shape.  For the paper's nets the draw is ten QR factorizations, several
+    times the cost of the load itself."""
 
     def __init__(
         self,
@@ -207,12 +218,15 @@ class PPOAgent:
         cfg: PPOConfig | None = None,
         seed: int = 0,
         dtype=np.float32,
+        tensors: dict | None = None,
     ):
         self.cfg = cfg or PPOConfig()
         self.seed = seed
         self.dtype = np.dtype(dtype)
-        self.policy = GaussianPolicy(actor_obs_dim, action_dim, self.cfg, seed=seed, dtype=dtype)
-        self.value = ValueNet(critic_obs_dim, self.cfg, seed=seed, dtype=dtype)
+        draw = tensors is None
+        self.policy = GaussianPolicy(actor_obs_dim, action_dim, self.cfg, seed=seed, dtype=dtype,
+                                     draw=draw)
+        self.value = ValueNet(critic_obs_dim, self.cfg, seed=seed, dtype=dtype, draw=draw)
         self.opt_policy = Adam(self.policy.parameters())
         self.opt_value = Adam(self.value.parameters())
         self.norm_actor = RunningNorm(actor_obs_dim)
@@ -221,6 +235,8 @@ class PPOAgent:
         self.iteration = 0
         self.global_step = 0
         self.dump_dir: str | None = None  # where to drop a batch on non-finite loss
+        if tensors is not None:
+            self.load_tensors(tensors)
 
     # ------------------------------------------------------- obs/value prep
 
@@ -436,8 +452,8 @@ class PPOAgent:
             cfg=PPOConfig(**hp),
             seed=meta["seed"],
             dtype=dtype,
+            tensors=tensors,
         )
-        agent.load_tensors(tensors)
         agent.iteration = meta["iteration"]
         agent.global_step = meta["global_step"]
         return agent, tensors, meta

@@ -3,9 +3,9 @@
 One iteration collects ``horizon = batch_size // num_envs`` steps from the
 vectorized task, runs the PPO update at the scheduled learning rate, and
 appends one JSONL record to ``metrics.jsonl``.  Everything in that file is
-deterministic for a fixed seed; wall-clock quantities (steps/sec, elapsed
-time) go to ``timing.jsonl`` so two same-seed runs produce byte-identical
-metrics.
+deterministic for a fixed seed; wall-clock quantities (elapsed time, its
+collect and update phases, steps/sec) go to ``timing.jsonl`` so two
+same-seed runs produce byte-identical metrics.
 
 The critic's values feed only GAE, never the action, so the rollout runs its
 step loop inside one ``nets._beside``: each step's value forward is
@@ -14,11 +14,15 @@ submitted beside that step's actor-observation prep, ``policy.act`` and
 step's values.  The BLAS thread count picks only where the forward runs (see
 ``nets``): at 2 or more BLAS threads the loop holds OpenBLAS at one thread
 and the forward runs on one helper thread; at one thread it runs at once on
-the calling thread.  The calling thread keeps ``prep_critic_obs``, whose
-``RunningNorm.update`` a profiler wraps, and allocates the forward's buffers
-(``MLP.infer_beside``).  The bootstrap values after the loop are an
-inference like any other.  Every GEMM runs at one OpenBLAS thread over rows
-that do not depend on the thread count, so neither do the rollout's bits.
+the calling thread.  Even the smoke profile's 512-env reach rollout, whose
+value forward is 128 units wide, collects faster with the helper.  Whichever
+thread runs the forward runs its halves in turn (``MLP.infer_beside``),
+with the bits of any other inference over the same rows.  The calling
+thread keeps ``prep_critic_obs``, whose ``RunningNorm.update`` a profiler
+wraps, and allocates the forward's buffers.  The bootstrap values after the
+loop are an inference like any other.  Every GEMM runs at one OpenBLAS
+thread over rows that do not depend on the thread count, so neither do the
+rollout's bits.
 
 Checkpoints embed the full training state: network and optimizer tensors,
 environment state arrays, and the integer counters that key every random
@@ -60,11 +64,13 @@ def _task_for(cfg: EngineConfig, num_envs: int):
                      dr=cfg.dr, reach=cfg.reach)
 
 
-def build_agent_for(cfg: EngineConfig) -> PPOAgent:
-    """The configured agent, sized by a one-env task of the config."""
+def build_agent_for(cfg: EngineConfig, tensors: dict | None = None) -> PPOAgent:
+    """The configured agent, sized by a one-env task of the config; given a
+    checkpoint's ``tensors``, it holds them in place of drawn parameters
+    (see ``PPOAgent``)."""
     probe = _task_for(cfg, 1)
     return PPOAgent(probe.actor_dim, probe.critic_dim, probe.action_dim, cfg=cfg.ppo,
-                    seed=cfg.run.seed)
+                    seed=cfg.run.seed, tensors=tensors)
 
 
 def build_trainer(cfg: EngineConfig, out_dir: str | None = None) -> Trainer:
@@ -197,8 +203,10 @@ class Trainer:
             t0 = time.perf_counter()
             lr = lr_schedule(self.agent.global_step, self.total_steps, self.agent.cfg)
             batch, stats = self.collect_rollout()
+            t1 = time.perf_counter()
             upd = self.agent.update(batch, lr)
-            elapsed = time.perf_counter() - t0
+            t2 = time.perf_counter()
+            elapsed = t2 - t0
 
             record = {"iteration": self.agent.iteration, "global_step": self.agent.global_step,
                       "lr": lr, **stats, **asdict(upd)}
@@ -207,6 +215,8 @@ class Trainer:
             self._append("timing.jsonl", [{
                 "iteration": self.agent.iteration,
                 "seconds": elapsed,
+                "collect_seconds": t1 - t0,
+                "update_seconds": t2 - t1,
                 "env_steps_per_sec": self.agent.cfg.batch_size / elapsed,
             }])
             if (

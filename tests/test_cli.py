@@ -71,6 +71,27 @@ def test_train_writes_artifacts(outroot):
     assert {p.name for p in outroot.iterdir()} == {"runA"}
 
 
+def test_phase_seconds_reach_the_manifest_and_the_wallclock_figure(outroot):
+    from tricube import cli
+
+    assert run_cli("train", "--out", "tr", "--seed", "3", *TINY) == EXIT_OK
+    timing = [json.loads(l) for l in (outroot / "tr" / "timing.jsonl").read_text().splitlines()]
+    throughput = json.loads((outroot / "tr" / "manifest.json").read_text())["throughput"]
+    assert set(throughput) == set(cli.TIMING_KEYS)
+    for key in cli.TIMING_KEYS:
+        assert throughput[key] == pytest.approx(np.mean([t[key] for t in timing]))
+    assert run_cli("plot", "--out", "pl", "--metrics", str(outroot / "tr" / "metrics.jsonl")) == EXIT_OK
+    assert (outroot / "pl" / "success_vs_wallclock.svg").read_text().startswith("<svg")
+    # a resumed run's timing file may open with records that have no phase keys
+    old = outroot / "old.jsonl"
+    old.write_text('{"env_steps_per_sec": 10.0, "iteration": 1, "seconds": 1.0}\n'
+                   + json.dumps(timing[0]) + "\n")
+    means = cli._mean_timing(str(old))
+    assert means["env_steps_per_sec"] == pytest.approx((10.0 + timing[0]["env_steps_per_sec"]) / 2)
+    assert means["update_seconds"] == timing[0]["update_seconds"]
+    assert cli._mean_timing(str(outroot / "none.jsonl")) == dict.fromkeys(cli.TIMING_KEYS)
+
+
 def test_the_manifest_names_the_blas_build_and_the_checkpoint_does_not(outroot, monkeypatch):
     from tricube import nets
     from tricube.ppo import read_checkpoint
@@ -423,6 +444,55 @@ def test_eval_reads_the_checkpoint_once_into_one_agent(outroot, monkeypatch):
     ckpt = str(outroot / "tr" / "ckpt_final.tckpt")
     assert run_cli("eval", "--out", "ev", "--checkpoint", ckpt, "--trials", "2", *TINY) == EXIT_OK
     assert reads == [ckpt] and len(agents) == 1
+
+
+def test_checkpoint_commands_load_without_drawing_parameters(outroot, monkeypatch):
+    from tricube import cli, config, nets, ppo
+
+    assert run_cli("train", "--out", "tr", "--seed", "1", *TINY) == EXIT_OK
+    ckpt = str(outroot / "tr" / "ckpt_final.tckpt")
+    saved = ppo.read_checkpoint(ckpt)[0]
+
+    def no_draw(*args):
+        raise AssertionError("a checkpoint load drew parameters")
+
+    monkeypatch.setattr(nets, "orthogonal_init", no_draw)
+    cfg = config.resolve("paper", None, TINY[1::2] + ["run.seed=1"])
+    agent = cli.load_agent_checkpoint(ckpt, cfg)[0]
+    for name, arr in agent._net_tensors().items():
+        assert arr.dtype == saved[name].dtype and arr.tobytes() == saved[name].tobytes(), name
+    assert run_cli("eval", "--out", "ev", "--checkpoint", ckpt, "--trials", "2", *TINY) == EXIT_OK
+
+
+def test_eval_of_a_checkpoint_with_another_value_net_exits_incompatible(outroot, capsys):
+    assert run_cli("train", "--out", "tr", "--seed", "1", *TINY) == EXIT_OK
+    ckpt = outroot / "tr" / "ckpt_final.tckpt"
+    wide = ["--set", "ppo.value_hidden=[32]"]
+    assert run_cli("eval", "--out", "ev", "--checkpoint", str(ckpt), *TINY, *wide) == EXIT_INCOMPAT
+    assert "ppo.value_hidden [16] (configured [32])" in capsys.readouterr().err
+    # a checkpoint whose recorded config names the wider net but whose
+    # tensors are the narrow one's is refused by the load itself
+    bad = outroot / "bad.tckpt"
+    edit_manifest(ckpt, bad, lambda m: {**m, "config": {
+        **m["config"], "ppo": {**m["config"]["ppo"], "value_hidden": [32]}}})
+    assert run_cli("eval", "--out", "ev", "--checkpoint", str(bad), *TINY, *wide) == EXIT_INCOMPAT
+    assert "tensor 'value.p0' is float32 (16, 147) in the checkpoint; " \
+           "the configured run needs float32 (32, 147)" in capsys.readouterr().err
+    assert sorted(p.name for p in outroot.iterdir()) == ["bad.tckpt", "tr"]
+
+
+def test_the_package_imports_neither_argparse_nor_svgplot():
+    """Only ``cli.build_parser`` needs argparse and only the figure code
+    needs svgplot, so importing the package's modules loads neither."""
+    code = ("import sys\n"
+            "from tricube import cli, config, domrand, env, harness, nets, physics, ppo, reach, rng, trainer\n"
+            "print(sorted(m for m in ('argparse', 'tricube.svgplot') if m in sys.modules))")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_resume_reads_the_checkpoint_once(outroot, monkeypatch):

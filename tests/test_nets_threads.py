@@ -207,6 +207,26 @@ def evaluation_report(agent: PPOAgent) -> str:
     return json.dumps(report.to_json(), sort_keys=True)
 
 
+def check_inference_plans(threads: int) -> None:
+    """``MLP.infer_beside``, the rollout's in-loop value forward, runs the
+    plan of ``MLP.__call__``: the paper value net gets the same bytes from
+    both at 1024 and 4096 rows (split at 512 and 2048), run at once or by
+    either of ``_beside``'s submits.  Run at once outside a ``_beside``, its
+    GEMMs take the process's BLAS thread count, which no caller does above
+    one thread, so that leg runs at one thread only."""
+    assert loaded_blas_threads() in (None, threads)
+    net = paper_agent().value.trunk
+    for n in (1024, 4096):
+        assert net.split_rows(n) == CUTS[n]
+        x = keyed(n, net.sizes[0], 3, np.float32)
+        want = net(x).tobytes()
+        if threads == 1:
+            assert net.infer_beside(x, nets._now)().tobytes() == want, n
+        for wanted in (False, True):
+            with nets._beside(wanted) as submit:
+                assert net.infer_beside(x, submit)().tobytes() == want, (n, wanted)
+
+
 def check_evaluate_after_update(threads: int, path: str, fresh: bool) -> None:
     """An evaluation forked after a threaded update reports what a fresh
     process that loads the updated agent reports."""
@@ -238,6 +258,12 @@ def check_train(threads: int, out: str) -> None:
 def test_two_thread_training_passes(check):
     for core in core_types():
         run_check(2, "test_nets_threads", check, 2, core=core)
+
+
+def test_inference_beside_runs_the_plan_of_a_call():
+    for core in core_types():
+        for threads in (1, 2):
+            run_check(threads, "test_nets_threads", "check_inference_plans", threads, core=core)
 
 
 def test_evaluation_after_a_threaded_update_matches_a_fresh_process(tmp_path):

@@ -352,6 +352,43 @@ def test_checkpoint_round_trip_identical_actions(tmp_path):
     assert np.array_equal(loaded.opt_policy.m[0], agent.opt_policy.m[0])
 
 
+def trained_agent(dtype) -> PPOAgent:
+    """An agent whose parameters, optimizer moments and normalizers have
+    all left their initial values."""
+    agent = PPOAgent(5, 7, 2, PPOConfig(policy_hidden=(8, 8), value_hidden=(8,), batch_size=64,
+                                        minibatch_size=32), seed=1, dtype=dtype)
+    obs = rng.normal(rng.stream_key(28, np.arange(64), 0, 77), 5)
+    cobs = rng.normal(rng.stream_key(29, np.arange(64), 0, 77), 7)
+    actions, logp = agent.act(obs, stochastic=True,
+                              key=rng.stream_key(30, np.arange(64), 0, rng.CH_POLICY_SAMPLE))
+    batch = {"actor_obs": agent.prep_actor_obs(obs, update=True),
+             "critic_obs": agent.prep_critic_obs(cobs, update=True),
+             "actions": actions, "logp": logp, "advantages": obs[:, 0], "returns": cobs[:, 0]}
+    agent.update(batch, 1e-3)
+    return agent
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_from_checkpoint_draws_no_parameters_and_loads_every_byte(tmp_path, monkeypatch, dtype):
+    agent = trained_agent(dtype)
+    path = str(tmp_path / "agent.tckpt")
+    agent.save(path)
+
+    def no_draw(*args):
+        raise AssertionError("a checkpoint load drew parameters")
+
+    monkeypatch.setattr(nets, "orthogonal_init", no_draw)
+    loaded = PPOAgent.from_checkpoint(path, dtype=dtype)[0]
+    saved, got = agent._net_tensors(), loaded._net_tensors()
+    assert list(got) == list(saved)
+    for name, arr in saved.items():
+        assert got[name].dtype == arr.dtype and got[name].tobytes() == arr.tobytes(), name
+    # a load into another dtype is refused by the load's own check
+    other = np.float64 if dtype == np.float32 else np.float32
+    with pytest.raises(ValueError, match="tensor 'policy.p0' is"):
+        PPOAgent.from_checkpoint(path, dtype=other)
+
+
 def test_checkpoint_rejects_wrong_magic(tmp_path):
     p = tmp_path / "bogus.tckpt"
     p.write_bytes(b"NOTACKPT" + b"\x00" * 64)

@@ -1,13 +1,15 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from tricube import config, nets
 from tricube.config import EngineConfig, RunConfig
 from tricube.env import TaskConfig
 from tricube.ppo import PPOAgent, PPOConfig, read_checkpoint
 from tricube.reach import ReachConfig, ReachTask
-from tricube.trainer import Trainer, build_trainer
+from tricube.trainer import Trainer, build_agent_for, build_trainer
 
 TASKS = ("cube_repose", "reach")
 
@@ -106,9 +108,30 @@ def test_metrics_files_written(tmp_path, task):
     assert {"iteration", "global_step", "lr", "mean_reward", "kl"} <= set(lines[0])
     timing = [json.loads(l) for l in open(tmp_path / "timing.jsonl")]
     assert len(timing) == 2 and timing[0]["env_steps_per_sec"] > 0
+    for t in timing:  # the two phases lie inside the iteration's seconds
+        assert t["collect_seconds"] >= 0 and t["update_seconds"] >= 0
+        assert t["collect_seconds"] + t["update_seconds"] <= t["seconds"]
     assert (tmp_path / "ckpt_final.tckpt").exists()
     episodes = [json.loads(l) for l in open(tmp_path / "episodes.jsonl")]
     cube_only = {"success_any", "fault"} if task == "cube_repose" else set()
     assert episodes and all(
         set(e) == {"episode", "env_id", "success", "final_pos_err", "final_rot_err", "return"}
         | cube_only for e in episodes)
+
+
+# the sha256 of every (name, bytes) of a fresh agent's checkpointed arrays:
+# building loaded agents another way must leave a fresh draw as it is
+DRAWN = {"paper": "89daa56855fa9093", "smoke": "85067b5a623be71a"}
+
+
+@pytest.mark.parametrize("profile", DRAWN)
+def test_a_fresh_agent_draws_the_parameters_it_always_drew(profile, monkeypatch):
+    draws, real = [], nets.orthogonal_init
+    monkeypatch.setattr(nets, "orthogonal_init", lambda *a: draws.append(a) or real(*a))
+    agent = build_agent_for(config.resolve(profile))
+    digest = hashlib.sha256()
+    for name, arr in agent._net_tensors().items():
+        digest.update(name.encode())
+        digest.update(arr.tobytes())
+    assert digest.hexdigest()[:16] == DRAWN[profile]
+    assert len(draws) == agent.policy.trunk.n_layers + agent.value.trunk.n_layers
