@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -135,3 +139,41 @@ def test_a_fresh_agent_draws_the_parameters_it_always_drew(profile, monkeypatch)
         digest.update(arr.tobytes())
     assert digest.hexdigest()[:16] == DRAWN[profile]
     assert len(draws) == agent.policy.trunk.n_layers + agent.value.trunk.n_layers
+
+
+# one smoke-profile (reach, 512 envs) iteration after two others, in a fresh
+# process: the minor page faults of its update and whether nets pinned the heap
+UPDATE_FAULTS = """
+import resource
+from tricube import config, nets, trainer
+tr = trainer.build_trainer(config.resolve("smoke"))
+for _ in range(3):
+    batch, _ = tr.collect_rollout()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    tr.agent.update(batch, tr.agent.cfg.lr_start)
+print(nets.pin_heap(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def update_faults(**malloc_env) -> tuple[bool, int]:
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k not in nets.GLIBC_MALLOC_ENV + ("GLIBC_TUNABLES",)}
+    env.update(malloc_env, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", UPDATE_FAULTS], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    pinned, faults = proc.stdout.split()
+    return pinned == "True", int(faults)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's malloc thresholds")
+def test_a_training_update_reuses_the_pages_of_the_last():
+    """Building a net pins glibc's heap, so an update takes its fresh
+    activations and deltas from pages earlier updates faulted in; an
+    environment that sets a threshold keeps it, and at glibc's 128 KiB mmap
+    threshold every such buffer is faulted in again."""
+    pinned, faults = update_faults()
+    assert pinned and faults < 1000
+    pinned, faults = update_faults(MALLOC_TRIM_THRESHOLD_=str(128 << 10))
+    assert not pinned and faults > 10000
