@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__, config as config_mod, harness, nets
 from .config import ConfigError, EngineConfig, config_hash, run_identity, to_dict
-from .ppo import PPOAgent, read_checkpoint
+from .ppo import read_checkpoint
 from .trainer import LOGS, build_agent_for, build_trainer
 
 EXIT_OK = 0
@@ -183,12 +183,13 @@ def output_path(cfg: EngineConfig) -> str:
     return os.path.join(os.environ.get("TRICUBE_OUT", "."), cfg.run.output_dir)
 
 
-def check_checkpoint(path: str, cfg: EngineConfig, keys, load) -> tuple:
-    """The manifest of ``path`` and what ``load(tensors, manifest)``
-    returned.  ``path`` must be a readable checkpoint whose stored config
-    equals ``run_identity(cfg)`` on every key that ``keys`` selects and
-    whose tensors ``load`` takes without a ``ValueError``.  A missing file
-    is a configuration error, anything else an incompatibility."""
+def check_checkpoint(path: str, cfg: EngineConfig, keys, name: str, build) -> dict:
+    """The one read of a command's checkpoint: ``checkpoint``, its
+    ``checkpoint_hash``, its manifest as ``meta``, and under ``name`` what
+    ``build(tensors, meta)`` built.  ``path`` must be a readable checkpoint
+    whose stored config equals ``run_identity(cfg)`` on every key ``keys``
+    selects and whose tensors ``build`` takes without a ``ValueError``.  A
+    missing file is a configuration error, anything else an incompatibility."""
     if not os.path.exists(path):
         raise ConfigError(f"checkpoint not found: {path}")
     try:
@@ -206,18 +207,11 @@ def check_checkpoint(path: str, cfg: EngineConfig, keys, load) -> tuple:
     if diffs:
         raise IncompatibilityError(f"{path} does not fit the configuration: " + ", ".join(diffs))
     try:
-        return meta, load(tensors, meta)
+        built = build(tensors, meta)
     except ValueError as err:
         raise IncompatibilityError(f"{path}: {err}") from err
-
-
-def load_agent_checkpoint(path: str, cfg: EngineConfig) -> tuple[PPOAgent, str]:
-    """The configured agent built from the checkpoint's tensors (it draws
-    no parameters), and the checkpoint file's hash."""
-    require_cube_task(cfg)
-    _, agent = check_checkpoint(path, cfg, agent_keys,
-                                lambda tensors, meta: build_agent_for(cfg, tensors))
-    return agent, harness.hash_file(path)
+    return {name: built, "checkpoint": path, "checkpoint_hash": harness.hash_file(path),
+            "meta": meta}
 
 
 # ------------------------------------------------------------------ checks
@@ -229,14 +223,13 @@ READ_KEYS = ("checkpoint", "checkpoint_hash")
 
 
 def check_train(args, cfg: EngineConfig) -> dict:
-    """The run's trainer.  A resume loads its checkpoint into it, which must
-    fit the config on every resume key."""
-    trainer = build_trainer(cfg, output_path(cfg))
+    """The run's trainer.  A resume builds it from its checkpoint, which
+    must fit the config on every resume key; nothing is drawn."""
+    out = output_path(cfg)
     if not args.resume:
-        return {"trainer": trainer}
-    meta, _ = check_checkpoint(args.resume, cfg, resume_keys, trainer.load_checkpoint)
-    return {"trainer": trainer, "checkpoint": args.resume,
-            "checkpoint_hash": harness.hash_file(args.resume), "meta": meta}
+        return {"trainer": build_trainer(cfg, out)}
+    return check_checkpoint(args.resume, cfg, resume_keys, "trainer",
+                            lambda tensors, meta: build_trainer(cfg, out, (tensors, meta)))
 
 
 def check_cube_task(args, cfg: EngineConfig) -> dict:
@@ -245,9 +238,11 @@ def check_cube_task(args, cfg: EngineConfig) -> dict:
 
 
 def read_agent(args, cfg: EngineConfig) -> dict:
-    """The one read of a checkpoint command's checkpoint, into its agent."""
-    agent, ckpt_hash = load_agent_checkpoint(args.checkpoint, cfg)
-    return {"agent": agent, "checkpoint": args.checkpoint, "checkpoint_hash": ckpt_hash}
+    """The checkpoint command's agent, built from its checkpoint's tensors
+    (it draws no parameters)."""
+    require_cube_task(cfg)
+    return check_checkpoint(args.checkpoint, cfg, agent_keys, "agent",
+                            lambda tensors, meta: build_agent_for(cfg, tensors))
 
 
 def evaluate_agent(cfg: EngineConfig, read: dict) -> harness.EvalReport:

@@ -11,11 +11,12 @@ randomizations: ablation arms are paired by construction.
 ``evaluate`` splits the trials into contiguous shards, one per core this
 process may run on (``os.sched_getaffinity``; restrict it with ``taskset``),
 and steps each shard's envs in a forked process at one BLAS thread; the
-calling process steps the first shard itself.  Env ids are global, and the
-policy's inference gives a row the same bits in any batch (``MLP.__call__``
-runs the multiple of ``nets.INFER_ROWS`` rows as one forward and pads only
-the tail to one block), so each trial's bits do not depend on the shard it
-ran in: every report is byte-equal for any shard count.  Shard bounds fall
+calling process steps the first shard itself.  Env ids are global, and on
+an OpenBLAS kernel with the row property of ``nets`` (``SkylakeX`` and
+``Sandybridge``, not ``Haswell``) the policy's inference gives a row the
+same bits in any batch, so each trial's bits do not depend on the shard it
+ran in and every report is byte-equal for any shard count; every
+``manifest.json`` names the kernel (``blas.corename``).  Shard bounds fall
 on multiples of ``INFER_ROWS``, so only the last shard has a tail, and it is
 the batch's own.  The shard count is no part of the run's config or
 identity.

@@ -44,11 +44,13 @@ estimates) zero-pads the batch to a multiple of ``INFER_ROWS`` rows
 (``MLP._padded``) and runs it as one ``forward``.  BLAS picks its kernel by
 the row count, and a kernel for few rows can add in another order than one
 for many, so a plain forward gives a row other bits at 64 rows than at 4096.
-The OpenBLAS build in use computes a row the same way at every multiple of
-256 rows; that is a measured property of the build's kernel, not a promise
-of BLAS, and ``tests/test_partition.py`` checks it from 256 to 64 * 256
-rows for both nets.  So each row gets the same bits whatever the batch it
+Some OpenBLAS kernels compute a row the same way at every multiple of 256
+rows (``tests/test_partition.py`` checks it from 256 to 64 * 256 rows for
+both nets); only there does a row get the same bits whatever the batch it
 arrives in: one observation, an evaluation shard, or a whole rollout.
+``SkylakeX`` and ``Sandybridge`` have the property, and under
+``OPENBLAS_CORETYPE=Haswell`` 9 of the 16 partition tests fail; every
+``manifest.json`` names the kernel (``blas.corename``).
 Evaluation shards start on multiples of ``INFER_ROWS``
 (``harness.shard_bounds``), so a shard's tail is the batch's tail.  The
 training ``forward``, whose cache feeds ``backward``, takes the batch as it

@@ -205,7 +205,7 @@ class PPOAgent:
 
     A fresh agent draws its nets' parameters from ``seed``.  Given a
     checkpoint's ``tensors`` it draws nothing: the nets start as zeros of
-    their configured shapes and ``load_tensors`` fills every checkpointed
+    their configured shapes and ``load_into`` fills every checkpointed
     array, with its ``ValueError`` for a missing tensor or another dtype or
     shape.  For the paper's nets the draw is ten QR factorizations, several
     times the cost of the load itself."""
@@ -236,7 +236,7 @@ class PPOAgent:
         self.global_step = 0
         self.dump_dir: str | None = None  # where to drop a batch on non-finite loss
         if tensors is not None:
-            self.load_tensors(tensors)
+            load_into(self._net_tensors(), tensors)
 
     # ------------------------------------------------------- obs/value prep
 
@@ -433,11 +433,6 @@ class PPOAgent:
         if extra_tensors:
             tensors.update(extra_tensors)
         write_checkpoint(path, tensors, meta)
-
-    def load_tensors(self, tensors: dict) -> None:
-        """Copy the checkpoint's tensors into this agent's; ``ValueError``
-        before any copy if one is missing or of another dtype or shape."""
-        load_into(self._net_tensors(), tensors)
 
     @classmethod
     def from_checkpoint(cls, path: str, dtype=np.float32) -> tuple["PPOAgent", dict, dict]:

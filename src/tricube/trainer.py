@@ -26,11 +26,12 @@ rollout's bits.
 
 Checkpoints embed the full training state: network and optimizer tensors,
 environment state arrays, and the integer counters that key every random
-stream.  Resuming from a checkpoint therefore continues the exact
-trajectory of the uninterrupted run.  Each checkpoint also records the
-run's identity (``config.run_identity`` and its hash), against which a
-resume is checked, and the line count of each log at that moment, to which
-a resume in the same directory cuts the logs back.
+stream.  A resume builds its trainer from a checkpoint, drawing nothing
+(``build_trainer``), so it continues the exact trajectory of the
+uninterrupted run.  Each checkpoint also records the run's identity
+(``config.run_identity`` and its hash), against which a resume is checked,
+and the line count of each log at that moment, to which a resume in the
+same directory cuts the logs back.
 """
 
 from __future__ import annotations
@@ -73,15 +74,36 @@ def build_agent_for(cfg: EngineConfig, tensors: dict | None = None) -> PPOAgent:
                     seed=cfg.run.seed, tensors=tensors)
 
 
-def build_trainer(cfg: EngineConfig, out_dir: str | None = None) -> Trainer:
+def build_trainer(cfg: EngineConfig, out_dir: str | None = None,
+                  checkpoint: tuple[dict, dict] | None = None) -> Trainer:
     """The run ``cfg`` describes: its task, its agent and their trainer,
-    logging and checkpointing into ``out_dir`` when one is given."""
-    agent = build_agent_for(cfg)
+    logging and checkpointing into ``out_dir`` when one is given.  Given the
+    ``(tensors, manifest)`` of a checkpoint, the run it continues, drawing
+    nothing; ``ValueError`` if a counter is not a count, or a tensor the
+    agent or the task needs is missing or of another dtype or shape."""
+    task = _task_for(cfg, cfg.run.num_envs)
+    tensors, meta = checkpoint or (None, {})
+    if checkpoint:
+        counters = meta.get("iteration"), meta.get("global_step")
+        if not all(type(c) is int and c >= 0 for c in counters):
+            raise ValueError(f"the checkpoint's iteration and global step are {counters}")
+        check_tensors(tensors, _env_tensors(task))
+    agent = build_agent_for(cfg, tensors)
     agent.dump_dir = out_dir
-    return Trainer(
-        _task_for(cfg, cfg.run.num_envs), agent, total_steps=cfg.run.total_steps, out_dir=out_dir,
+    trainer = Trainer(
+        task, agent, total_steps=cfg.run.total_steps, out_dir=out_dir,
         checkpoint_interval=cfg.run.checkpoint_interval, seed=cfg.run.seed, config=cfg,
     )
+    if checkpoint:
+        agent.iteration, agent.global_step = counters
+        trainer.obs = task.load_state_dict(
+            {k[len("env."):]: v for k, v in tensors.items() if k.startswith("env.")})
+    return trainer
+
+
+def _env_tensors(task) -> dict:
+    """The task's checkpointed arrays, live, by their names in a training checkpoint."""
+    return {f"env.{k}": v for k, v in task._arrays().items()}
 
 
 class Trainer:
@@ -232,25 +254,10 @@ class Trainer:
     # ------------------------------------------------------------ persistence
 
     def save_checkpoint(self, path: str) -> None:
-        extra = {f"env.{k}": v for k, v in self.task.state_dict().items()}
         meta = {"log_lines": {name: _count_lines(p) for name, p in self._logs.items()}}
         if self.config is not None:
             meta.update(config=run_identity(self.config), config_hash=config_hash(self.config))
-        self.agent.save(path, extra_tensors=extra, extra_meta=meta)
-
-    def load_checkpoint(self, tensors: dict, meta: dict) -> None:
-        """Continue from the tensors and manifest ``ppo.read_checkpoint``
-        returned; ``ValueError`` before any change if a counter is not a
-        count, or a tensor the agent or the task needs is missing or of another
-        dtype or shape."""
-        counters = meta.get("iteration"), meta.get("global_step")
-        if not all(type(c) is int and c >= 0 for c in counters):
-            raise ValueError(f"the checkpoint's iteration and global step are {counters}")
-        check_tensors(tensors, {f"env.{k}": v for k, v in self.task.state_dict().items()})
-        self.agent.load_tensors(tensors)
-        self.agent.iteration, self.agent.global_step = counters
-        self.obs = self.task.load_state_dict(
-            {k[len("env."):]: v for k, v in tensors.items() if k.startswith("env.")})
+        self.agent.save(path, extra_tensors=_env_tensors(self.task), extra_meta=meta)
 
     def truncate_logs(self, log_lines) -> None:
         """Cut each log back to the line count a checkpoint recorded, so a

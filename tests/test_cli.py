@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -458,10 +459,41 @@ def test_checkpoint_commands_load_without_drawing_parameters(outroot, monkeypatc
 
     monkeypatch.setattr(nets, "orthogonal_init", no_draw)
     cfg = config.resolve("paper", None, TINY[1::2] + ["run.seed=1"])
-    agent = cli.load_agent_checkpoint(ckpt, cfg)[0]
+    agent = cli.read_agent(SimpleNamespace(checkpoint=ckpt), cfg)["agent"]
     for name, arr in agent._net_tensors().items():
         assert arr.dtype == saved[name].dtype and arr.tobytes() == saved[name].tobytes(), name
     assert run_cli("eval", "--out", "ev", "--checkpoint", ckpt, "--trials", "2", *TINY) == EXIT_OK
+
+
+def test_resume_builds_its_run_without_drawing_parameters(outroot, monkeypatch):
+    from tricube import nets, ppo
+
+    every = ["--seed", "8", *TINY, "--set", "run.checkpoint_interval=1"]
+    assert run_cli("train", "--out", "full", *every) == EXIT_OK
+    assert run_cli("train", "--out", "part", *every, "--set", "run.stop_after_steps=128") == EXIT_OK
+    assert run_cli("train", "--out", "crash", *every, "--set", "run.stop_after_steps=256") == EXIT_OK
+
+    def no_draw(*args):
+        raise AssertionError("a resume drew parameters")
+
+    monkeypatch.setattr(nets, "orthogonal_init", no_draw)
+    assert run_cli("train", "--out", "new", *every,
+                   "--resume", str(outroot / "part" / "ckpt_final.tckpt")) == EXIT_OK
+    assert run_cli("train", "--out", "crash", *every,
+                   "--resume", str(outroot / "crash" / "ckpt_000001.tckpt")) == EXIT_OK
+    for name in ("metrics.jsonl", "episodes.jsonl", "ckpt_final.tckpt"):
+        assert (outroot / "crash" / name).read_bytes() == (outroot / "full" / name).read_bytes(), name
+    for name in ("metrics.jsonl", "episodes.jsonl"):
+        merged = (outroot / "part" / name).read_bytes() + (outroot / "new" / name).read_bytes()
+        assert merged == (outroot / "full" / name).read_bytes(), name
+    # a new directory's final checkpoint differs from the uninterrupted one
+    # only in the line counts of its own, shorter logs
+    (new, new_meta), (full, full_meta) = (ppo.read_checkpoint(str(outroot / d / "ckpt_final.tckpt"))
+                                          for d in ("new", "full"))
+    assert new_meta.pop("log_lines") != full_meta.pop("log_lines") and new_meta == full_meta
+    assert new.keys() == full.keys()
+    for name, arr in full.items():
+        assert new[name].dtype == arr.dtype and new[name].tobytes() == arr.tobytes(), name
 
 
 def test_eval_of_a_checkpoint_with_another_value_net_exits_incompatible(outroot, capsys):
@@ -727,6 +759,8 @@ BAD_CONTENTS = {
     "missing tensor": (drop_entry("policy.p0"), ("eval", "train"), "holds no tensor 'policy.p0'"),
     "missing env tensor": (drop_entry("env.state.joint_pos"), ("train",),
                            "holds no tensor 'env.state.joint_pos'"),
+    "wrong env shape": (edit_entry("env.state.joint_pos", lambda e: {**e, "shape": e["shape"][::-1]}),
+                        ("train",), "tensor 'env.state.joint_pos' is float64 (9, 8)"),
     "wrong shape": (edit_entry("policy.p0", lambda e: {**e, "shape": e["shape"][::-1]}),
                     ("eval", "train"), "tensor 'policy.p0' is float32 (75, 16)"),
     "manifest list": (lambda m: [m], ("eval", "train"), "manifest is a JSON list"),

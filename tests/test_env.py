@@ -6,7 +6,7 @@ from tricube import physics, rng, spatial
 from tricube.domrand import DRConfig
 from tricube.env import CubeReposeTask, TaskConfig, actor_layout, critic_layout
 from tricube.physics import HandModel, PhysicsConfig
-from tricube.ppo import PPOAgent, PPOConfig
+from tricube.ppo import PPOAgent, PPOConfig, load_into
 from tricube.reach import ReachTask
 
 
@@ -553,7 +553,7 @@ def stepped(task):
 
 @pytest.mark.parametrize("make, table, load", [
     (lambda: PPOAgent(5, 7, 2, PPOConfig(policy_hidden=(8, 8), value_hidden=(8,)), seed=1),
-     PPOAgent._net_tensors, PPOAgent.load_tensors),
+     PPOAgent._net_tensors, lambda agent, want: load_into(agent._net_tensors(), want)),
     (lambda: stepped(make_task(4, seed=2, dr_enabled=True)),
      CubeReposeTask._arrays, CubeReposeTask.load_state_dict),
     (lambda: stepped(ReachTask(4, seed=2)), ReachTask._arrays, ReachTask.load_state_dict),

@@ -40,13 +40,15 @@ SPLITS = {"policy": (2048, 1024), "value": (1024, 512), "smoke policy": (8192, 4
           "smoke value": (4096, 2048), "wide policy": (1024, 512), "wide value": (1024, 512)}
 
 
-def paper_agent(dtype=np.float32, **ppo) -> PPOAgent:
+def paper_agent(dtype=np.float32, tensors=None, **ppo) -> PPOAgent:
     """An agent with the paper's nets; its output layers at a trained scale
-    (the initial heads are small), so the outputs are far from zero."""
+    (the initial heads are small), so the outputs are far from zero.  Given
+    a saved agent's ``tensors``, the agent is built from them."""
     variant = TaskConfig().obs_variant
     agent = PPOAgent(actor_obs_dim(variant), critic_obs_dim(variant), 9, PPOConfig(**ppo),
-                     seed=2, dtype=dtype)
-    agent.policy.trunk.weights[-1] *= 100.0
+                     seed=2, dtype=dtype, tensors=tensors)
+    if tensors is None:
+        agent.policy.trunk.weights[-1] *= 100.0
     return agent
 
 
@@ -231,13 +233,14 @@ def check_evaluate_after_update(threads: int, path: str, fresh: bool) -> None:
     """An evaluation forked after a threaded update reports what a fresh
     process that loads the updated agent reports."""
     assert loaded_blas_threads() in (None, threads)
-    agent = paper_agent(batch_size=4096, minibatch_size=2048, epochs=1)
+    ppo = dict(batch_size=4096, minibatch_size=2048, epochs=1)
     if fresh:
         with np.load(path + ".npz") as f:
-            agent.load_tensors(dict(f))
+            agent = paper_agent(tensors=dict(f), **ppo)
         with open(path + ".json") as f:
             assert evaluation_report(agent) == f.read()
         return
+    agent = paper_agent(**ppo)
     assert agent.policy.trunk.split_rows(2048) and agent.value.trunk.split_rows(2048)
     agent.update(update_batch(agent, 4096), 3e-4)
     np.savez(path + ".npz", **agent._net_tensors())

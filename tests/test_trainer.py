@@ -28,12 +28,12 @@ def tiny_cfg(**kw):
     return PPOConfig(**base)
 
 
-def tiny_trainer(seed=0, out_dir=None, total=512, num_envs=8, task="cube_repose"):
+def tiny_trainer(seed=0, out_dir=None, total=512, num_envs=8, task="cube_repose", checkpoint=None):
     run = RunConfig(seed=seed, task=task, num_envs=num_envs, total_steps=total,
                     checkpoint_interval=0)
     return build_trainer(EngineConfig(task=TaskConfig(episode_length=12),
                                       reach=ReachConfig(episode_length=10), ppo=tiny_cfg(), run=run),
-                         out_dir)
+                         out_dir, checkpoint)
 
 
 def test_rollout_shapes_and_gae_plumbing():
@@ -79,8 +79,7 @@ def test_resume_matches_uninterrupted(tmp_path, task):
     ckpt = str(tmp_path / "mid.tckpt")
     part1.save_checkpoint(ckpt)
 
-    part2 = tiny_trainer(seed=5, total=768, task=task)
-    part2.load_checkpoint(*read_checkpoint(ckpt))
+    part2 = tiny_trainer(seed=5, total=768, task=task, checkpoint=read_checkpoint(ckpt))
     part2_records = part2.train()
 
     merged = part1_records + part2_records
