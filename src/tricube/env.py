@@ -19,11 +19,12 @@ observation path runs the sign filter to stay temporally consistent, the
 keypoint path does not need it.  The critic always reads the true
 simulator state.
 
-Reward is ``w_fo * reach * 1(batch steps <= cutoff) + w_fv * vel_penalty +
-w_og * goal_reward`` where ``goal_reward`` is either the sum over the 8
-corners of the logistic kernel of keypoint distance, or the
-position-kernel-plus-inverse-angle form; components are reported raw so
-the weighted sum reconstructs the total exactly.
+Reward is ``w_fo * reach * 1(step_count * batch_envs <= cutoff) + w_fv *
+vel_penalty + w_og * goal_reward``: the cutoff counts the env steps of the
+whole batch, every shard of it included, up to this one.  ``goal_reward``
+is either the sum over the 8 corners of the logistic kernel of keypoint
+distance, or the position-kernel-plus-inverse-angle form; components are
+reported raw so the weighted sum reconstructs the total exactly.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ class TaskConfig(Checked):
     w_object_goal: float = leaf(40.0, FINITE)
     kernel_keypoints: KernelParams = field(default_factory=lambda: KernelParams(a=30.0, b=2.0))
     kernel_pos: KernelParams = field(default_factory=lambda: KernelParams(a=50.0, b=2.0))
-    reach_cutoff_steps: float = leaf(5e7, NON_NEGATIVE)  # aggregate env steps of one batch
+    reach_cutoff_steps: float = leaf(5e7, NON_NEGATIVE)  # env steps of the whole batch
     obs_variant: str = leaf("keypoints", one_of(*OBS_VARIANTS))
     reward_variant: str = leaf("keypoints", one_of(*OBS_VARIANTS))
     goal_radius: float = leaf(0.15, NON_NEGATIVE)
@@ -207,17 +208,15 @@ def sample_goals(
 
 class EpisodicTask:
     """The episode bookkeeping every vectorized task shares: per-env step,
-    episode and return counters, the aggregate step count, end-of-episode
-    records with auto-reset, and the checkpoint arrays ``STATE_FIELDS``
-    (plus ``total_steps``) under ``STATE_PREFIX``.  ``total_steps`` is a
-    1-element array, so ``_arrays`` can hand out every checkpointed array
-    live for a load to fill.
+    episode and return counters, end-of-episode records with auto-reset,
+    and the checkpoint arrays ``STATE_FIELDS`` under ``STATE_PREFIX``.  A
+    task checkpoints only what it cannot derive; a load rebuilds the rest
+    (``_derive``).
 
     The batch holds envs ``env_offset`` to ``env_offset + num_envs - 1``
     of a larger one: ``env_ids`` maps a local index to its global env id,
     which keys every random stream and names each record's ``env_id``, so
     two shards at offsets 0 and k step the envs of one batch bit for bit.
-    The aggregate ``total_steps`` counts this batch's steps only.
 
     A task defines ``_begin_episodes(ids, ep)``, the draws that start
     episode ``ep`` of the envs at local indices ``ids``, and
@@ -233,7 +232,6 @@ class EpisodicTask:
         self.episode_step = np.zeros(num_envs, dtype=np.int64)
         self.episode_idx = np.full(num_envs, -1, dtype=np.int64)
         self.episode_return = np.zeros(num_envs)
-        self.total_steps = np.zeros(1, np.int64)  # aggregate env steps
         self._episode_records: list[dict] = []
         self.env_ids = np.arange(env_offset, env_offset + num_envs)
 
@@ -252,7 +250,6 @@ class EpisodicTask:
         self._begin_episodes(ids, self.episode_idx[ids])
 
     def _count_step(self, reward: np.ndarray) -> None:
-        self.total_steps += self.num_envs
         self.episode_step += 1
         self.episode_return += reward
 
@@ -274,22 +271,20 @@ class EpisodicTask:
 
     def _arrays(self) -> dict:
         """The checkpointed arrays by name, live: a load copies into them."""
-        p = self.STATE_PREFIX
-        arrays = {f"{p}.{name}": getattr(self, name) for name in self.STATE_FIELDS}
-        arrays[f"{p}.total_steps"] = self.total_steps
-        return arrays
-
-    def state_dict(self) -> dict:
-        """A copy of the checkpointed arrays."""
-        return {k: v.copy() for k, v in self._arrays().items()}
+        return {f"{self.STATE_PREFIX}.{name}": getattr(self, name) for name in self.STATE_FIELDS}
 
     def load_state_dict(self, arrays: dict) -> dict:
-        """Restore the arrays ``state_dict`` returned; returns the
-        observations of the restored state.  ``ValueError`` before any
-        change if one is missing or of another dtype or shape."""
+        """Restore the arrays ``_arrays`` names, then what derives from
+        them; returns the observations of the restored state.
+        ``ValueError`` before any change if one is missing or of another
+        dtype or shape."""
         from .ppo import load_into  # not at the top: env imports before nets (CHANGES.md)
         load_into(self._arrays(), arrays)
+        self._derive()
         return self._observations()
+
+    def _derive(self) -> None:
+        """Rebuild the arrays that derive from the checkpointed ones."""
 
 
 class CubeReposeTask(EpisodicTask):
@@ -299,11 +294,13 @@ class CubeReposeTask(EpisodicTask):
     seed, the global env id, and either the per-env episode index (resets,
     episode randomization) or the per-env step counter (per-step noise), so
     replays and partitioned batches (see ``EpisodicTask``) are bit-identical.
+    ``batch_envs`` (default ``num_envs``) is the env count of the whole
+    batch, which the reach cutoff counts steps of (see the module docstring).
     """
 
     # per-env task arrays a checkpoint carries besides physics state and params
     STATE_FIELDS = (
-        "goal_pos", "goal_quat", "goal_block", "episode_step", "episode_idx",
+        "goal_pos", "goal_quat", "episode_step", "episode_idx",
         "last_action_torque", "held_cube_pos", "held_cube_quat",
         "filtered_cube_quat", "episode_return", "success_any",
     )
@@ -316,8 +313,10 @@ class CubeReposeTask(EpisodicTask):
         phys: PhysicsConfig | None = None,
         dr: DRConfig | None = None,
         env_offset: int = 0,
+        batch_envs: int | None = None,
     ):
         super().__init__(num_envs, seed, env_offset)
+        self.batch_envs = num_envs if batch_envs is None else batch_envs
         self.cfg = task or TaskConfig()
         self.pcfg = phys or PhysicsConfig()
         self.dr = dr or DRConfig()
@@ -340,10 +339,11 @@ class CubeReposeTask(EpisodicTask):
         self.held_cube_quat = np.tile(spatial.QUAT_IDENTITY, (n, 1))
         self.filtered_cube_quat = np.tile(spatial.QUAT_IDENTITY, (n, 1))
         self.success_any = np.zeros(n, dtype=bool)
-        self.goal_block = np.zeros((n, pose_block_width(self.cfg.obs_variant)))
-        # the reward's goal corners, a function of goal_pos and goal_quat
-        self.goal_keypoints = self._goal_keypoints()
-        self._kin = None  # fingertip kinematics cache for the current state
+        # the reward's goal corners and the observed goal, set from
+        # goal_pos and goal_quat by set_goals alone
+        self.goal_keypoints = np.empty((n, *self.local_keypoints.shape))
+        self.goal_block = np.empty((n, pose_block_width(self.cfg.obs_variant)))
+        self._derive()
 
     # ------------------------------------------------------------- resets
 
@@ -428,11 +428,10 @@ class CubeReposeTask(EpisodicTask):
     # ------------------------------------------------------------- stepping
 
     def step(self, actions: np.ndarray) -> tuple[dict, np.ndarray, np.ndarray, dict]:
-        n = self.num_envs
         if self._kin is None:
             self._kin = physics.fingertip_kinematics(self.state.joint_pos, self.state.joint_vel, self.pcfg.hand)
         prev_tips = self._kin.pos
-        prev_obj_pos = self.state.obj_pos.copy()
+        prev_obj_pos = self.state.obj_pos  # physics.step returns new arrays
 
         torque_cmd, action_fault = process_action(actions, self.state.joint_vel, self.pcfg)
         self.last_action_torque = torque_cmd
@@ -455,8 +454,9 @@ class CubeReposeTask(EpisodicTask):
             self.state.joint_pos, self.state.joint_vel, self.pcfg.hand)
 
         reach_raw = fingertip_to_object(prev_tips, prev_obj_pos, kin.pos, self.state.obj_pos)
-        # the cutoff counts this step's env steps
-        reach = reach_raw if self.total_steps[0] + n <= self.cfg.reach_cutoff_steps else np.zeros(n)
+        # the whole batch's env steps up to this one, which step_count now counts
+        reach_on = self.state.step_count * self.batch_envs <= self.cfg.reach_cutoff_steps
+        reach = np.where(reach_on, reach_raw, 0.0)
         vel_pen = np.sum(kin.linvel**2, axis=(-1, -2))
         # the object's true corners, shared by the reward and the critic
         needs_kps = "keypoints" in (self.cfg.reward_variant, self.cfg.obs_variant)
@@ -500,9 +500,6 @@ class CubeReposeTask(EpisodicTask):
         return self._observations(true_kps), reward, done, info
 
     # --------------------------------------------------------- observations
-
-    def _goal_keypoints(self) -> np.ndarray:
-        return spatial.transform_keypoints(self.goal_pos, self.goal_quat, self.local_keypoints)
 
     def _true_keypoints(self, ids=slice(None)) -> np.ndarray:
         return spatial.transform_keypoints(
@@ -581,8 +578,6 @@ class CubeReposeTask(EpisodicTask):
                   for name, arr in vars(obj).items()}
         return {**arrays, **super()._arrays()}
 
-    def load_state_dict(self, arrays: dict) -> dict:
-        self._kin = None  # a cache: recomputed from the state, loaded or not
-        obs = super().load_state_dict(arrays)
-        self.goal_keypoints = self._goal_keypoints()
-        return obs
+    def _derive(self) -> None:
+        self._kin = None  # fingertip kinematics cache for the current state
+        self.set_goals(slice(None), self.goal_pos, self.goal_quat)

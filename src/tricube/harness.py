@@ -16,10 +16,12 @@ an OpenBLAS kernel with the row property of ``nets`` (``SkylakeX`` and
 ``Sandybridge``, not ``Haswell``) the policy's inference gives a row the
 same bits in any batch, so each trial's bits do not depend on the shard it
 ran in and every report is byte-equal for any shard count; every
-``manifest.json`` names the kernel (``blas.corename``).  Shard bounds fall
-on multiples of ``INFER_ROWS``, so only the last shard has a tail, and it is
-the batch's own.  The shard count is no part of the run's config or
-identity.
+``manifest.json`` names the kernel (``blas.corename``).  Each shard's task
+takes the trial count as its whole batch's env count, so the reach cutoff
+(``task.reach_cutoff_steps``) switches the reach term off at the same step
+in every shard as in one batch.  Shard bounds fall on multiples of
+``INFER_ROWS``, so only the last shard has a tail, and it is the batch's
+own.  The shard count is no part of the run's config or identity.
 
 The protocols take the resolved ``EngineConfig`` and read the trial count,
 evaluation seed, task and physics from it; every one runs with
@@ -207,10 +209,11 @@ def run_sharded(run, bounds: list[tuple[int, int]]) -> list:
                 pass
 
 
-def episode_records(agent: PPOAgent, lo: int, hi: int, eval_seed: int, task: TaskConfig,
-                    phys: PhysicsConfig | None, dr: DRConfig) -> list[dict]:
-    """The first-episode records of trials ``lo`` to ``hi - 1``, by env id."""
-    env = CubeReposeTask(hi - lo, seed=eval_seed, task=task, phys=phys, dr=dr, env_offset=lo)
+def episode_records(agent: PPOAgent, lo: int, hi: int, n_trials: int, eval_seed: int,
+                    task: TaskConfig, phys: PhysicsConfig | None, dr: DRConfig) -> list[dict]:
+    """The first-episode records of trials ``lo`` to ``hi - 1`` of ``n_trials``, by env id."""
+    env = CubeReposeTask(hi - lo, seed=eval_seed, task=task, phys=phys, dr=dr, env_offset=lo,
+                         batch_envs=n_trials)
     obs = env.reset_all()
     for _ in range(task.episode_length):
         act, _ = agent.act(obs["actor"], stochastic=False)
@@ -243,15 +246,11 @@ def evaluate(
     two hashes it is handed: ``config.config_hash`` of the run's resolved
     config and the checkpoint file's."""
     dr = dr or DRConfig(enabled=False)
-    n_shards = usable_shards()
-    if n_trials * task.episode_length > task.reach_cutoff_steps:
-        # the reach cutoff would fall inside the evaluation; it counts the
-        # steps of one batch, so only one batch reproduces it
-        n_shards = 1
-    bounds = shard_bounds(n_trials, n_shards)
+    bounds = shard_bounds(n_trials, usable_shards())
     with one_blas_thread() if len(bounds) > 1 else contextlib.nullcontext():
         shards = run_sharded(
-            lambda lo, hi: episode_records(agent, lo, hi, eval_seed, task, phys, dr), bounds)
+            lambda lo, hi: episode_records(agent, lo, hi, n_trials, eval_seed, task, phys, dr),
+            bounds)
     records = [r for shard in shards for r in shard]
     pos_err = np.array([r["final_pos_err"] for r in records])
     rot_err = np.array([r["final_rot_err"] for r in records])

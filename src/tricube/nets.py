@@ -61,7 +61,9 @@ submit, so an inference can run on a helper thread beside other work;
 ``Trainer.collect_rollout`` runs its value forward that way.  It runs the
 rows on ``forward``'s plan (below), both halves of a split in turn on
 whichever thread runs it, so it gives ``MLP.__call__``'s bits on every
-kernel.  The calling thread pads the input and allocates every
+kernel; the calling thread holds OpenBLAS at one thread while it submits,
+so a submit that runs the rows at once outside any ``_beside`` runs them at
+one thread too.  The calling thread pads the input and allocates every
 activation, because a helper's own malloc arena would keep the pages of
 what it allocated.  The helper runs ``_forward_rows`` alone, which calls
 nothing a profiler wraps:
@@ -416,12 +418,14 @@ class MLP:
         which may run them on a helper thread.  The rows split where
         ``__call__``'s do, and whichever thread runs them runs both halves
         in turn, so the output has ``self(x)``'s bits.  This thread pads the
-        input and allocates every activation; the helper runs
-        ``_forward_rows`` alone (see the module docstring).  Returns a
-        function that waits for the rows and returns the output."""
+        input, allocates every activation and holds OpenBLAS at one thread
+        while it submits; the helper runs ``_forward_rows`` alone (see the
+        module docstring).  Returns a function that waits for the rows and
+        returns the output."""
         padded = self._padded(x)
         outs = [np.empty((len(padded), size), dtype=self.dtype) for size in self.sizes[1:]]
-        done = submit(self._forward_halves, padded, outs, self.split_rows(len(padded)))
+        with _beside(False):
+            done = submit(self._forward_halves, padded, outs, self.split_rows(len(padded)))
         out = outs[-1][: len(x)]  # the result keeps this alone; the hidden layers die with the call
 
         def result() -> np.ndarray:

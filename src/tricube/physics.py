@@ -685,6 +685,7 @@ def step(state: SimState, torques: np.ndarray, params: EnvParams, cfg: PhysicsCo
     clamp on the actuator (the task layer owns scaling, safety damping, and
     action noise).  Non-finite inputs set the per-env fault flag and that env
     is restored to the rest state; the rest of the batch is unaffected.
+    Returns a new state; ``state`` is neither changed nor shared.
     """
     n = state.n_envs
     torques = np.asarray(torques, dtype=np.float64)
@@ -692,11 +693,11 @@ def step(state: SimState, torques: np.ndarray, params: EnvParams, cfg: PhysicsCo
     bad = ~np.isfinite(torques).all(axis=1)
     for name in ("joint_pos", "joint_vel", "obj_pos", "obj_quat", "obj_linvel", "obj_angvel"):
         bad |= ~np.isfinite(getattr(state, name)).all(axis=1)
-    out = state.copy()
+    start = state
     if bad.any():
-        out.set_rows(bad, make_rest_state(n, cfg, params))
+        start = state.copy()
+        start.set_rows(bad, make_rest_state(n, cfg, params))
         torques = np.where(bad[:, None], 0.0, torques)
-    out.fault[:] = bad
 
     hand = cfg.hand
     dt_sub = cfg.dt / cfg.n_substeps
@@ -706,8 +707,8 @@ def step(state: SimState, torques: np.ndarray, params: EnvParams, cfg: PhysicsCo
     inertia_b = _rows(object_inertia_body(cfg, params))
     ext = _rows(params.ext_force)
 
-    q, qd, tau_cmd = (np.ascontiguousarray(a.T) for a in (out.joint_pos, out.joint_vel, torques))
-    x, quat, v, w = map(_rows, (out.obj_pos, out.obj_quat, out.obj_linvel, out.obj_angvel))
+    q, qd, tau_cmd = (np.ascontiguousarray(a.T) for a in (start.joint_pos, start.joint_vel, torques))
+    x, quat, v, w = map(_rows, (start.obj_pos, start.obj_quat, start.obj_linvel, start.obj_angvel))
     inertia_j = np.tile(np.asarray(hand.joint_inertia), N_FINGERS)[:, None]  # (9, 1)
 
     for _ in range(cfg.n_substeps):
@@ -745,14 +746,14 @@ def step(state: SimState, torques: np.ndarray, params: EnvParams, cfg: PhysicsCo
         x = tuple(c + dt_sub * d for c, d in zip(x, v))
         quat = spatial.quat_integrate_parts(quat, w, dt_sub)
 
-    out.joint_pos, out.joint_vel = np.ascontiguousarray(q.T), np.ascontiguousarray(qd.T)
-    out.joint_torque = torques
-    out.obj_pos, out.obj_quat, out.obj_linvel, out.obj_angvel = (
-        np.stack(c, axis=1) for c in (x, quat, v, w)
+    obj_pos, obj_quat, obj_linvel, obj_angvel = (np.stack(c, axis=1) for c in (x, quat, v, w))
+    return SimState(
+        joint_pos=np.ascontiguousarray(q.T), joint_vel=np.ascontiguousarray(qd.T),
+        joint_torque=torques, obj_pos=obj_pos, obj_quat=obj_quat, obj_linvel=obj_linvel,
+        obj_angvel=obj_angvel,
+        fingertip_wrench=np.ascontiguousarray(contacts.wrench.reshape(6, N_FINGERS, n).T) / cfg.n_substeps,
+        fault=bad, step_count=state.step_count + 1,
     )
-    out.fingertip_wrench = np.ascontiguousarray(contacts.wrench.reshape(6, N_FINGERS, n).T) / cfg.n_substeps
-    out.step_count = state.step_count + 1
-    return out
 
 
 def apply_external_force(

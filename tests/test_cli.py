@@ -7,7 +7,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from tricube import ppo, spatial
 from tricube.cli import EXIT_CONFIG, EXIT_INCOMPAT, EXIT_OK, EXIT_RUNTIME, main
+from tricube.physics import PhysicsConfig
 
 TINY = [
     "--set", "run.num_envs=8",
@@ -494,6 +496,54 @@ def test_resume_builds_its_run_without_drawing_parameters(outroot, monkeypatch):
     assert new.keys() == full.keys()
     for name, arr in full.items():
         assert new[name].dtype == arr.dtype and new[name].tobytes() == arr.tobytes(), name
+
+
+def with_dropped_task_tensors(path) -> None:
+    """Rewrite checkpoint ``path`` with the task tensors that checkpoints
+    held before they kept only what a load cannot derive, at the values and
+    in the places they had: the cube's observed goal block after its goal
+    quaternion, and each task's aggregate step count, the run's global step,
+    at the end."""
+    tensors, meta = ppo.read_checkpoint(str(path))
+    out = {}
+    for name, arr in tensors.items():
+        out[name] = arr
+        if name == "env.task.goal_quat":  # the keypoints observation variant
+            local = spatial.box_local_keypoints(PhysicsConfig().object.box_half_extents())
+            out["env.task.goal_block"] = spatial.keypoints_to_flat(
+                spatial.transform_keypoints(tensors["env.task.goal_pos"], arr, local))
+    prefix = "task" if "env.task.goal_quat" in tensors else "reach"
+    out[f"env.{prefix}.total_steps"] = np.array([meta["global_step"]], np.int64)
+    ppo.write_checkpoint(str(path), out, meta)
+
+
+@pytest.mark.parametrize("task", ["cube_repose", "reach"])
+def test_a_checkpoint_holding_derived_task_tensors_resumes_byte_equal(outroot, task):
+    every = ["--seed", "8", *TINY, "--set", f"run.task={task}", "--set", "reach.episode_length=10",
+             "--set", "run.checkpoint_interval=1"]
+    assert run_cli("train", "--out", "full", *every) == EXIT_OK
+    assert run_cli("train", "--out", "part", *every, "--set", "run.stop_after_steps=128") == EXIT_OK
+    assert run_cli("train", "--out", "crash", *every, "--set", "run.stop_after_steps=256") == EXIT_OK
+    edited = [outroot / "part" / "ckpt_final.tckpt", outroot / "crash" / "ckpt_000001.tckpt"]
+    for path in edited:
+        with_dropped_task_tensors(path)
+    assert run_cli("train", "--out", "new", *every, "--resume", str(edited[0])) == EXIT_OK
+    assert run_cli("train", "--out", "crash", *every, "--resume", str(edited[1])) == EXIT_OK
+    for name in ("metrics.jsonl", "episodes.jsonl", "ckpt_final.tckpt"):
+        assert (outroot / "crash" / name).read_bytes() == (outroot / "full" / name).read_bytes(), name
+    for name in ("metrics.jsonl", "episodes.jsonl"):
+        merged = (outroot / "part" / name).read_bytes() + (outroot / "new" / name).read_bytes()
+        assert merged == (outroot / "full" / name).read_bytes(), name
+    (new, _), (full, _) = (ppo.read_checkpoint(str(outroot / d / "ckpt_final.tckpt"))
+                           for d in ("new", "full"))
+    assert new.keys() == full.keys()
+    for name, arr in full.items():
+        assert new[name].dtype == arr.dtype and new[name].tobytes() == arr.tobytes(), name
+    written = [p for p in outroot.glob("*/*.tckpt") if p not in edited]
+    assert len(written) == 11  # full 4, part 1, crash 3, new 3
+    for path in written:
+        names = ppo.read_checkpoint(str(path))[0]
+        assert not [n for n in names if n.endswith((".total_steps", ".goal_block"))], path
 
 
 def test_eval_of_a_checkpoint_with_another_value_net_exits_incompatible(outroot, capsys):

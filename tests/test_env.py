@@ -15,6 +15,11 @@ def make_task(n=8, seed=0, dr_enabled=False, **task_kw):
     return CubeReposeTask(n, seed=seed, task=TaskConfig(**task_kw), dr=dr)
 
 
+def snapshot(task) -> dict:
+    """A copy of the task's checkpointed arrays."""
+    return {k: v.copy() for k, v in task._arrays().items()}
+
+
 def rot_mat(q):
     """Rotation matrices (..., 3, 3) from ``spatial.quat_to_mat_parts``."""
     rows = spatial.quat_to_mat_parts(tuple(np.moveaxis(q, -1, 0)))
@@ -128,7 +133,7 @@ def test_dr_observed_joints_stay_in_the_hand_range(hand):
     # joints at their limits: the noised readings reach the limits, not past
     t = CubeReposeTask(8, seed=1, phys=PhysicsConfig(hand=hand), dr=DRConfig())
     t.reset_all()
-    arrays = t.state_dict()
+    arrays = snapshot(t)
     upper = (np.arange(8) >= 4)[:, None]
     arrays["state.joint_pos"][:] = np.where(upper, hand.joint_upper, hand.joint_lower)
     arrays["state.joint_vel"][:] = np.where(upper, 1.0, -1.0) * hand.max_joint_vel
@@ -524,7 +529,7 @@ def test_state_dict_round_trip_resumes_exactly():
     acts = [rng.uniform(rng.stream_key(21, np.arange(8), i, 66), 9, -1, 1) for i in range(30)]
     for act in acts[:15]:
         a.step(act)
-    snap = a.state_dict()
+    snap = snapshot(a)
     cont_obs = []
     for act in acts[15:]:
         o, r, d, _ = a.step(act)
@@ -575,9 +580,9 @@ def test_every_checkpointed_array_is_live(make, table, load):
 @pytest.mark.parametrize("fault", ["missing", "shape"])
 def test_a_refused_task_load_changes_nothing(fault):
     t = stepped(make_task(4, seed=3, dr_enabled=True))
-    before = {k: v.tobytes() for k, v in t.state_dict().items()}
+    before = {k: v.tobytes() for k, v in t._arrays().items()}
     goal_keypoints = t.goal_keypoints.tobytes()
-    arrays = perturbed(t.state_dict())
+    arrays = perturbed(snapshot(t))
     last = list(arrays)[-1]  # every other array would be copied before it
     if fault == "missing":
         del arrays[last]
@@ -585,7 +590,7 @@ def test_a_refused_task_load_changes_nothing(fault):
         arrays[last] = np.zeros(2, arrays[last].dtype)
     with pytest.raises(ValueError, match=last):
         t.load_state_dict(arrays)
-    assert {k: v.tobytes() for k, v in t.state_dict().items()} == before
+    assert {k: v.tobytes() for k, v in t._arrays().items()} == before
     assert t.goal_keypoints.tobytes() == goal_keypoints
 
 
@@ -619,7 +624,7 @@ def test_goal_keypoints_follow_the_goal_pose(monkeypatch):
     assert a.episode_step.tolist() == [2, 2, 2, 4, 2, 2, 2, 2]
 
     b = make_task(8, seed=6, dr_enabled=True, episode_length=5)
-    b.load_state_dict(a.state_dict())
+    b.load_state_dict(snapshot(a))
     assert_cached(b)
     act = rng.uniform(rng.stream_key(23, np.arange(8), 12, 66), 9, -1, 1)
     assert np.array_equal(a.step(act)[1], b.step(act)[1])

