@@ -8,7 +8,23 @@ training bit-reproducible.
 
 Bias add and ELU run in place on each fresh matmul output and the ELU
 gradient comes from the activation alone, so the cache keeps only layer
-inputs; these in-place forms give the same bits as the textbook ones.
+inputs; these in-place forms give the same bits as the textbook ones.  The
+ELU is ``max(x, expm1(min(x, 0)))``: three passes where the sum
+``expm1(min(x, 0)) + max(x, 0)`` takes four, and the same bits, since for
+x <= 0 expm1(x) >= x, and for x > 0 the expm1 term is +0 < x.  Every
+float32 bit pattern gives the sum's bits, NaN counted as NaN
+(``tests/test_ppo.py``; ``pytest -m extended tests/test_ppo.py`` runs the
+full sweep, about 1.5 min).  On a 2-vCPU Xeon a bias add plus ELU
+over 1920x128 float32 took 0.34 ms against 0.38 ms in the sum's form.
+
+Each net's parameters are views of one contiguous vector (``MLP.vector``,
+in ``parameters()`` order), and ``backward`` writes the gradient into one
+vector laid out the same way, so Adam (``Adam.step``) and the gradient-norm
+clip run their arithmetic once per vector rather than once per tensor;
+``tensors`` gives the views of any such vector.  Every operation involved
+acts on each element alone or sums one tensor's slice, so the bits are
+those of per-tensor arrays, and a checkpoint still holds one tensor per
+weight, bias and moment.
 
 Every matmul output and delta is a fresh array, so a training update frees
 and takes back tens of MiB of buffers per minibatch.  The first ``MLP``
@@ -124,6 +140,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import math
 import os
 
 import numpy as np
@@ -158,12 +175,11 @@ def pin_heap() -> bool:
 
 
 def elu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """expm1(min(x, 0)) + max(x, 0); ``out=x`` computes it in place."""
-    pos = np.maximum(x, 0.0)
-    out = np.minimum(x, 0.0, out=out)
-    np.expm1(out, out=out)
-    out += pos
-    return out
+    """max(x, expm1(min(x, 0))), which is expm1(min(x, 0)) + max(x, 0) bit
+    for bit (see the module docstring); ``out=x`` computes it in place."""
+    neg = np.minimum(x, 0.0)
+    np.expm1(neg, out=neg)
+    return np.maximum(x, neg, out=out)
 
 
 def elu_grad(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -299,6 +315,20 @@ def _matmul_rows(a: np.ndarray, b: np.ndarray, at: int) -> np.ndarray:
     return out
 
 
+def tensors(vectors: list[np.ndarray], layout: list[list[tuple]]) -> list[np.ndarray]:
+    """Views of the 1-D ``vectors``, one per shape of ``layout``: each
+    vector is cut in turn into consecutive slices, one per shape of its
+    entry in ``layout``."""
+    out = []
+    for vector, shapes in zip(vectors, layout, strict=True):
+        at = 0
+        for shape in shapes:
+            size = math.prod(shape)
+            out.append(vector[at : at + size].reshape(shape))
+            at += size
+    return out
+
+
 def orthogonal_init(shape: tuple, key: np.ndarray, gain: float, dtype) -> np.ndarray:
     rows, cols = shape
     z = rng.normal(key, rows * cols).reshape(max(rows, cols), min(rows, cols))
@@ -315,10 +345,12 @@ class MLP:
     """ELU MLP with a linear output layer.
 
     Parameters live in ``self.weights`` / ``self.biases`` (lists, input to
-    output).  ``forward`` returns the output plus a cache holding each
-    layer's input; ``backward`` consumes it and returns the parameter
-    gradients (no gradient w.r.t. the network input).  With ``draw`` false
-    every parameter is zero, for a checkpoint load to fill: no
+    output), views of the one vector ``self.vector`` laid out by
+    ``self.shapes`` in ``parameters()`` order.  ``forward`` returns the
+    output plus a cache holding each layer's input; ``backward`` consumes it
+    and returns the parameter gradient as one vector laid out like
+    ``self.vector`` (no gradient w.r.t. the network input).  With ``draw``
+    false every parameter is zero, for a checkpoint load to fill: no
     ``orthogonal_init`` runs.
     """
 
@@ -333,29 +365,23 @@ class MLP:
         pin_heap()
         self.sizes = list(sizes)
         self.dtype = np.dtype(dtype)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        n_layers = len(sizes) - 1
-        for li in range(n_layers):
-            shape = (sizes[li + 1], sizes[li])
-            if draw:
-                gain = final_gain if li == n_layers - 1 else np.sqrt(2.0)
+        self.shapes = [shape for n_in, n_out in zip(sizes, sizes[1:])
+                       for shape in ((n_out, n_in), (n_out,))]
+        self.vector = np.zeros(sum(math.prod(shape) for shape in self.shapes), dtype=self.dtype)
+        params = tensors([self.vector], [self.shapes])
+        self.weights, self.biases = params[0::2], params[1::2]
+        if draw:
+            for li, w in enumerate(self.weights):
+                gain = final_gain if li == self.n_layers - 1 else np.sqrt(2.0)
                 key = rng.stream_key(*seed_words, li, rng.CH_PARAM_INIT)
-                w = orthogonal_init(shape, key, gain, self.dtype)
-            else:
-                w = np.zeros(shape, dtype=self.dtype)
-            self.weights.append(w)
-            self.biases.append(np.zeros(sizes[li + 1], dtype=self.dtype))
+                w[...] = orthogonal_init(w.shape, key, gain, self.dtype)
 
     @property
     def n_layers(self) -> int:
         return len(self.weights)
 
     def parameters(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend([w, b])
-        return out
+        return tensors([self.vector], [self.shapes])
 
     def split_rows(self, n: int) -> int:
         """Where a pass over ``n`` rows splits them in two, or 0 to keep them
@@ -434,22 +460,24 @@ class MLP:
 
         return result
 
-    def backward(self, cache: list[np.ndarray], dout: np.ndarray) -> list[np.ndarray]:
-        """Parameter gradients, ordered like ``parameters()``, of a scalar
-        loss given d loss / d output.  Neither ``cache`` nor ``dout`` is
-        modified.  Where ``split_rows`` splits the rows, the weight
-        gradients run beside the bias gradients and the backpropagated
-        deltas, on a helper thread at 2 or more BLAS threads."""
-        grads = [None] * (2 * self.n_layers)
+    def backward(self, cache: list[np.ndarray], dout: np.ndarray) -> np.ndarray:
+        """The parameter gradient of a scalar loss given d loss / d output,
+        one vector laid out like ``self.vector`` (``tensors([grad],
+        [self.shapes])`` gives each tensor's).  Neither ``cache`` nor
+        ``dout`` is modified.  Where ``split_rows`` splits the rows, the
+        weight gradients run beside the bias gradients and the
+        backpropagated deltas, on a helper thread at 2 or more BLAS
+        threads."""
+        # this thread allocates, so the helper's malloc arena stays small
+        grad = np.empty_like(self.vector)
+        grads = tensors([grad], [self.shapes])
         delta = np.ascontiguousarray(dout, dtype=self.dtype)
         at = self.split_rows(delta.shape[0])
         with _beside(at > 0) as submit:
             for li in reversed(range(1, self.n_layers)):
                 h = cache[li]
-                # this thread allocates, so the helper's malloc arena stays small
-                grads[2 * li] = np.empty((delta.shape[1], h.shape[1]), dtype=self.dtype)
                 dw = submit(np.matmul, delta.T, h, grads[2 * li])  # reads delta, never writes it
-                grads[2 * li + 1] = delta.sum(axis=0)
+                np.sum(delta, axis=0, out=grads[2 * li + 1])
                 # h is the previous layer's activation; delta is a fresh product.
                 # A one-wide delta (the value head) makes it an outer product,
                 # which OpenBLAS runs slower as a K=1 GEMM than numpy's multiply
@@ -461,13 +489,12 @@ class MLP:
             # so each thread takes half of its output units
             h, units = cache[0], delta.shape[1]
             cut = units // 2 if at else 0
-            grads[0] = np.empty((units, h.shape[1]), dtype=self.dtype)
             top = submit(np.matmul, delta[:, :cut].T, h, grads[0][:cut]) if cut else None
             np.matmul(delta[:, cut:].T, h, grads[0][cut:])
-            grads[1] = delta.sum(axis=0)
+            np.sum(delta, axis=0, out=grads[1])
             if top:
                 top()
-        return grads
+        return grad
 
 
 class RunningNorm:
@@ -518,12 +545,18 @@ class RunningNorm:
 
 
 class Adam:
-    """Standard first-order adaptive-moment optimizer over a parameter list.
-    The step count is a 1-element array, so ``state_tensors`` can hand out
-    every array live for a checkpoint load to fill."""
+    """Standard first-order adaptive-moment optimizer over a list of
+    parameter arrays, in practice one vector per net (see the module
+    docstring).  Its moments ``m`` and ``v`` are arrays like them, and
+    ``state_tensors`` names one moment per tensor of ``layout`` (see
+    ``tensors``).  The step count is a 1-element array, so
+    ``state_tensors`` can hand out every array live for a checkpoint load
+    to fill."""
 
-    def __init__(self, params: list[np.ndarray], beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params: list[np.ndarray], layout: list[list[tuple]],
+                 beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.layout = layout
         self.t = np.zeros(1, np.int64)
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
@@ -545,7 +578,8 @@ class Adam:
 
     def state_tensors(self, prefix: str) -> dict:
         out = {f"{prefix}.t": self.t}
-        for i, (m, v) in enumerate(zip(self.m, self.v)):
+        moments = zip(tensors(self.m, self.layout), tensors(self.v, self.layout))
+        for i, (m, v) in enumerate(moments):
             out[f"{prefix}.m{i}"] = m
             out[f"{prefix}.v{i}"] = v
         return out

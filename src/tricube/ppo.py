@@ -11,7 +11,16 @@ Log-probabilities are computed in float64 regardless of the network dtype,
 so stored rollout log-probs and ratio computations do not accumulate f32
 rounding.  Minibatch shuffles are drawn from counter-based streams keyed
 by (seed, iteration, epoch): an interrupted and resumed run replays the
-exact same update sequence.
+exact same update sequence.  Each is the stable sort order of its draws
+(``rng.permutation``), found by numpy's default sort unless two draws tie.
+
+Gradients, Adam moments and the gradient-norm clip work on one vector per
+net (``nets.MLP.vector``; the policy's ``log_std`` is a second vector), and
+the checkpoint names one tensor per weight, bias and moment of them.  A
+minibatch whose loss or gradient norm is not finite stops the update before
+either optimizer steps: an inf in a gradient would otherwise make the
+clip's scale 0 and the scaled gradient NaN, which Adam writes into the
+parameters and moments.
 
 Checkpoints are a portable container: an 8-byte magic, a little-endian
 uint64 manifest length, a JSON manifest (layer shapes, hyperparameters,
@@ -30,7 +39,7 @@ import numpy as np
 
 from . import rng
 from .domains import FINITE, FLAG, NON_NEGATIVE, POSITIVE, UNIT, Checked, leaf, list_of
-from .nets import MLP, Adam, RunningNorm
+from .nets import MLP, Adam, RunningNorm, tensors
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -62,15 +71,22 @@ class PPOConfig(Checked):
              ("log_std_min", "below", "log_std_max"))
 
 
-def clip_grad_norm(grads: list, max_norm: float) -> list:
-    """Scale the whole gradient list so its global L2 norm is <= max_norm."""
-    if max_norm <= 0:
-        return grads
-    total = np.sqrt(sum(float(np.sum(np.square(g.astype(np.float64)))) for g in grads))
-    if total <= max_norm or total == 0.0:
-        return grads
-    scale = max_norm / total
-    return [g * scale for g in grads]
+def clip_grad_norm(grads: list[np.ndarray], layout: list[list[tuple]], max_norm: float) -> float:
+    """The global L2 norm of the gradient vectors ``grads``, laid out by
+    ``layout`` (see ``nets.tensors``), before the clip; a norm above
+    ``max_norm > 0`` scales every vector in place to ``max_norm``, and a
+    non-finite one scales nothing.  Each vector is squared in float64 once,
+    and the norm sums its tensors' slices in order, so it has the bits of a
+    sum over per-tensor arrays."""
+    squares = [g.astype(np.float64) for g in grads]
+    for sq in squares:
+        np.square(sq, out=sq)
+    norm = np.sqrt(sum(float(np.sum(sq)) for sq in tensors(squares, layout)))
+    if 0 < max_norm < norm < math.inf:
+        scale = max_norm / norm  # a float64 scalar: each product is taken in float64, then stored
+        for g in grads:
+            g *= scale
+    return float(norm)
 
 
 def lr_schedule(global_step: int, total_steps: int, cfg: PPOConfig) -> float:
@@ -135,6 +151,15 @@ class GaussianPolicy:
     def parameters(self) -> list[np.ndarray]:
         return self.trunk.parameters() + [self.log_std]
 
+    def vectors(self) -> list[np.ndarray]:
+        """The parameters as the optimizer steps them: the trunk's vector,
+        then log_std."""
+        return [self.trunk.vector, self.log_std]
+
+    def layout(self) -> list[list[tuple]]:
+        """The tensor shapes of each of ``vectors()``, in ``parameters()`` order."""
+        return [self.trunk.shapes, [self.log_std.shape]]
+
     def std(self) -> np.ndarray:
         return np.exp(np.clip(self.log_std, self.cfg.log_std_min, self.cfg.log_std_max))
 
@@ -187,6 +212,12 @@ class ValueNet:
     def parameters(self) -> list[np.ndarray]:
         return self.trunk.parameters()
 
+    def vectors(self) -> list[np.ndarray]:
+        return [self.trunk.vector]
+
+    def layout(self) -> list[list[tuple]]:
+        return [self.trunk.shapes]
+
     def __call__(self, obs: np.ndarray) -> np.ndarray:
         return self.trunk(obs)[:, 0]
 
@@ -227,14 +258,14 @@ class PPOAgent:
         self.policy = GaussianPolicy(actor_obs_dim, action_dim, self.cfg, seed=seed, dtype=dtype,
                                      draw=draw)
         self.value = ValueNet(critic_obs_dim, self.cfg, seed=seed, dtype=dtype, draw=draw)
-        self.opt_policy = Adam(self.policy.parameters())
-        self.opt_value = Adam(self.value.parameters())
+        self.opt_policy = Adam(self.policy.vectors(), self.policy.layout())
+        self.opt_value = Adam(self.value.vectors(), self.value.layout())
         self.norm_actor = RunningNorm(actor_obs_dim)
         self.norm_critic = RunningNorm(critic_obs_dim)
         self.norm_value = RunningNorm(1)
         self.iteration = 0
         self.global_step = 0
-        self.dump_dir: str | None = None  # where to drop a batch on non-finite loss
+        self.dump_dir: str | None = None  # where to drop a batch on a non-finite loss or gradient
         if tensors is not None:
             load_into(self._net_tensors(), tensors)
 
@@ -284,7 +315,8 @@ class PPOAgent:
         logp_old: np.ndarray,
         advantages: np.ndarray,
     ):
-        """Clipped-surrogate loss, its parameter gradients, and stats.
+        """Clipped-surrogate loss, its gradient vectors (laid out like
+        ``policy.vectors()``), and stats.
 
         The minimum of the two surrogates passes gradient through the
         probability ratio only where the unclipped branch is active (they
@@ -317,21 +349,22 @@ class PPOAgent:
         at_clip = (self.policy.log_std <= cfg.log_std_min) | (self.policy.log_std >= cfg.log_std_max)
         dlogstd = np.where(at_clip, 0.0, dlogstd)
 
-        grads = self.policy.trunk.backward(cache, dmean.astype(self.dtype))
-        grads.append(dlogstd.astype(self.dtype))
+        grads = [self.policy.trunk.backward(cache, dmean.astype(self.dtype)),
+                 dlogstd.astype(self.dtype)]
 
         kl = float(np.mean(np.asarray(logp_old, dtype=np.float64) - logp))
         clip_frac = float(np.mean(np.abs(ratio - 1.0) > cfg.clip_eps))
         return float(loss_total), grads, {"kl": kl, "clip_fraction": clip_frac, "entropy": entropy}
 
     def value_loss_and_grads(self, obs: np.ndarray, returns: np.ndarray):
+        """Half the mean squared error and its gradient vectors (laid out
+        like ``value.vectors()``)."""
         pred, cache = self.value.trunk.forward(obs)
         pred = pred[:, 0]
         err = pred.astype(np.float64) - np.asarray(returns, dtype=np.float64)
         loss = 0.5 * float(np.mean(err * err))
         dpred = (err / obs.shape[0]).astype(self.dtype)[:, None]
-        grads = self.value.trunk.backward(cache, dpred)
-        return loss, grads
+        return loss, [self.value.trunk.backward(cache, dpred)]
 
     # ----------------------------------------------------------- update
 
@@ -340,8 +373,9 @@ class PPOAgent:
 
         ``batch`` holds flattened rollout arrays: actor_obs, critic_obs,
         actions, logp, advantages, returns.  Advantages are normalized here,
-        over the whole batch.  A non-finite loss aborts the update and
-        raises after dumping the batch for diagnosis.
+        over the whole batch.  A non-finite loss or gradient norm aborts
+        the update before any optimizer step of its minibatch and raises
+        ``FloatingPointError`` after dumping the batch for diagnosis.
         """
         cfg = self.cfg
         n = batch["actions"].shape[0]
@@ -362,30 +396,34 @@ class PPOAgent:
             )
             for start in range(0, n, cfg.minibatch_size):
                 idx = perm[start : start + cfg.minibatch_size]
-                p_loss, p_grads, p_stats = self.policy_loss_and_grads(
-                    batch["actor_obs"][idx], batch["actions"][idx], batch["logp"][idx], adv[idx]
-                )
-                v_loss, v_grads = self.value_loss_and_grads(
-                    batch["critic_obs"][idx], returns[idx]
-                )
+                # the bytes of batch[k][idx]; np.take gathers 2-D rows several times faster
+                actor_obs, actions, logp, critic_obs = (
+                    np.take(batch[k], idx, axis=0) for k in ("actor_obs", "actions", "logp", "critic_obs"))
+                p_loss, p_grads, p_stats = self.policy_loss_and_grads(actor_obs, actions, logp, adv[idx])
+                v_loss, v_grads = self.value_loss_and_grads(critic_obs, returns[idx])
                 if not (np.isfinite(p_loss) and np.isfinite(v_loss)):
-                    note = ""
-                    if self.dump_dir:
-                        dump = os.path.join(self.dump_dir, "ppo_batch_dump.npz")
-                        np.savez(dump, **{k: np.asarray(v) for k, v in batch.items()})
-                        note = f"; batch dumped to {dump}"
-                    raise FloatingPointError(
-                        f"non-finite loss (policy={p_loss}, value={v_loss}){note}"
-                    )
-                p_grads = clip_grad_norm(p_grads, cfg.max_grad_norm)
-                v_grads = clip_grad_norm(v_grads, cfg.max_grad_norm)
-                self.opt_policy.step(self.policy.parameters(), p_grads, lr)
-                self.opt_value.step(self.value.parameters(), v_grads, lr)
+                    self._abort(batch, f"non-finite loss (policy={p_loss}, value={v_loss})")
+                p_norm = clip_grad_norm(p_grads, self.policy.layout(), cfg.max_grad_norm)
+                v_norm = clip_grad_norm(v_grads, self.value.layout(), cfg.max_grad_norm)
+                if not (np.isfinite(p_norm) and np.isfinite(v_norm)):
+                    self._abort(batch, f"non-finite gradient norm (policy={p_norm}, value={v_norm})")
+                self.opt_policy.step(self.policy.vectors(), p_grads, lr)
+                self.opt_value.step(self.value.vectors(), v_grads, lr)
                 steps += 1
                 for name, value in {"policy_loss": p_loss, "value_loss": v_loss, **p_stats}.items():
                     sums[name] = sums.get(name, 0.0) + value
         self.iteration += 1
         return UpdateStats(**{name: total / steps for name, total in sums.items()})
+
+    def _abort(self, batch: dict, problem: str) -> None:
+        """Raise ``FloatingPointError`` for ``problem``, after dumping the
+        batch to ``dump_dir`` if it is set."""
+        note = ""
+        if self.dump_dir:
+            dump = os.path.join(self.dump_dir, "ppo_batch_dump.npz")
+            np.savez(dump, **{k: np.asarray(v) for k, v in batch.items()})
+            note = f"; batch dumped to {dump}"
+        raise FloatingPointError(problem + note)
 
     # ----------------------------------------------------------- checkpoints
 

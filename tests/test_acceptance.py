@@ -13,6 +13,7 @@ from tricube import domrand, env as env_mod, harness, physics, rng, spatial
 from tricube.config import EngineConfig, HarnessConfig, resolve
 from tricube.domrand import DRConfig
 from tricube.env import CubeReposeTask, TaskConfig, actor_layout, actor_obs_dim, critic_layout, critic_obs_dim
+from tricube.nets import tensors
 from tricube.physics import EnvParams, HandModel, PhysicsConfig, make_rest_state
 from tricube.ppo import PPOAgent, PPOConfig, gae
 from tricube.reach import ReachTask
@@ -169,7 +170,7 @@ def test_acceptance_5_gradient_check():
     fd_p = fd(lambda: agent.policy_loss_and_grads(obs, actions, logp_old, adv)[0],
               agent.policy.parameters())
     worst = 0.0
-    for g, f in zip(pgrads, fd_p):
+    for g, f in zip(tensors(pgrads, agent.policy.layout()), fd_p, strict=True):
         denom = max(np.abs(f).max(), 1e-10)
         worst = max(worst, np.abs(np.asarray(g, np.float64) - f).max() / denom)
     assert worst < 1e-4
@@ -177,7 +178,7 @@ def test_acceptance_5_gradient_check():
     _, vgrads = agent.value_loss_and_grads(cobs, rets)
     fd_v = fd(lambda: agent.value_loss_and_grads(cobs, rets)[0], agent.value.parameters())
     worst_v = 0.0
-    for g, f in zip(vgrads, fd_v):
+    for g, f in zip(tensors(vgrads, agent.value.layout()), fd_v, strict=True):
         denom = max(np.abs(f).max(), 1e-10)
         worst_v = max(worst_v, np.abs(np.asarray(g, np.float64) - f).max() / denom)
     assert worst_v < 1e-4

@@ -74,8 +74,8 @@ def keyed(n: int, dim: int, word: int, dtype) -> np.ndarray:
 def pass_bytes(net: nets.MLP, x: np.ndarray, dout: np.ndarray) -> list[bytes]:
     """The output, the cache and the gradients of one training pass."""
     out, cache = net.forward(x)
-    grads = net.backward(cache, dout)
-    return [a.tobytes() for a in (out, *cache, *grads)]
+    grad = net.backward(cache, dout)
+    return [a.tobytes() for a in (out, *cache, grad)]
 
 
 def other_threads() -> list:

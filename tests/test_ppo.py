@@ -7,7 +7,7 @@ import pytest
 from tricube import nets
 from tricube import ppo as ppo_mod
 from tricube import rng
-from tricube.nets import MLP, Adam, elu, elu_grad
+from tricube.nets import MLP, Adam, elu, elu_grad, tensors
 from tricube.ppo import PPOAgent, PPOConfig, gae, lr_schedule
 
 
@@ -188,7 +188,7 @@ def test_policy_gradient_matches_finite_differences():
         return l
 
     fd = finite_diff_grads(loss_only, params)
-    for g, f in zip(grads, fd):
+    for g, f in zip(tensors(grads, agent.policy.layout()), fd, strict=True):
         assert rel_err(np.asarray(g, dtype=np.float64), f) < 1e-4
 
 
@@ -205,7 +205,7 @@ def test_value_gradient_matches_finite_differences():
         return l
 
     fd = finite_diff_grads(loss_only, params)
-    for g, f in zip(grads, fd):
+    for g, f in zip(tensors(grads, agent.value.layout()), fd, strict=True):
         assert rel_err(np.asarray(g, dtype=np.float64), f) < 1e-4
 
 
@@ -224,8 +224,7 @@ def test_ratio_one_equals_vanilla_policy_gradient():
     sigma = np.exp(np.clip(agent.policy.log_std, -5, 2))
     dmean = (-adv / b)[:, None] * (actions - mean) / sigma**2
     want = agent.policy.trunk.backward(cache, dmean)
-    for g, w in zip(grads[:-1], want):
-        assert np.max(np.abs(g - w)) < 1e-12
+    assert np.max(np.abs(grads[0] - want)) < 1e-12
 
 
 def test_zero_advantages_leave_policy_unchanged():
@@ -273,9 +272,10 @@ def test_bandit_closed_form_gradient():
     dls_want = np.sum(dlogp * (diff * (a[:, 0] - mu) - 1.0))
 
     _, grads, _ = agent.policy_loss_and_grads(x, a, logp_old, adv)
-    assert abs(grads[0][0, 0] - dw_want) < 1e-6
-    assert abs(grads[1][0] - db_want) < 1e-6
-    assert abs(grads[2][0] - dls_want) < 1e-6
+    dw, db, dls = tensors(grads, agent.policy.layout())
+    assert abs(dw[0, 0] - dw_want) < 1e-6
+    assert abs(db[0] - db_want) < 1e-6
+    assert abs(dls[0] - dls_want) < 1e-6
 
 
 def test_value_regression_monotone_decrease():
@@ -286,7 +286,7 @@ def test_value_regression_monotone_decrease():
     losses = []
     for _ in range(10):
         loss, grads = agent.value_loss_and_grads(obs, target)
-        agent.opt_value.step(agent.value.parameters(), grads, 1e-3)
+        agent.opt_value.step(agent.value.vectors(), grads, 1e-3)
         losses.append(loss)
     assert all(losses[i + 1] < losses[i] for i in range(9))
 
@@ -332,7 +332,7 @@ def test_checkpoint_round_trip_identical_actions(tmp_path):
     key = rng.stream_key(30, np.arange(16), 0, rng.CH_POLICY_SAMPLE)
     actions, logp = agent.policy.act(obs, stochastic=True, key=key)
     _, grads, _ = agent.policy_loss_and_grads(obs, actions, logp, np.ones(16))
-    agent.opt_policy.step(agent.policy.parameters(), grads, 1e-4)
+    agent.opt_policy.step(agent.policy.vectors(), grads, 1e-4)
 
     path = str(tmp_path / "agent.tckpt")
     agent.global_step = 12345
@@ -453,6 +453,66 @@ def test_elu_grad_consistency():
     assert np.max(np.abs(elu_grad(y) - fd)) < 1e-6
 
 
+def check_elu_is_the_sum(x: np.ndarray) -> None:
+    """``elu(x)``, out of place and in place, has the bits of
+    ``expm1(min(x, 0)) + max(x, 0)``, NaN counted as NaN."""
+    with np.errstate(invalid="ignore"):
+        want = np.expm1(np.minimum(x, 0.0)) + np.maximum(x, 0.0)
+    nan = np.isnan(want)
+    in_place = x.copy()
+    with np.errstate(invalid="ignore"):  # a signalling NaN raises the flag
+        outs = elu(x), elu(in_place, out=in_place)
+    for got in outs:
+        assert got.dtype == x.dtype
+        assert np.array_equal(np.isnan(got), nan)
+        uint = got.dtype.str.replace("f", "u")
+        mismatch = (got.view(uint) != want.view(uint)) & ~nan
+        assert not mismatch.any(), f"{np.count_nonzero(mismatch)} mismatches, first at {x[mismatch][:4]}"
+
+
+def elu_special_values(dtype) -> np.ndarray:
+    """Signed zeros, infinities, NaN, denormals, the extremes, values near
+    +-1e-7 and +-1, and values near where expm1 rounds to -1 (float32 and
+    float64) or exp leaves the normal or the subnormal range, each with its
+    three nearest neighbours on either side; plus a grid over [-750, 0]."""
+    info = np.finfo(dtype)
+    ln2 = math.log(2.0)
+    centres = [0.0, np.inf, info.tiny, info.smallest_subnormal, 2 * info.smallest_subnormal,
+               info.tiny - info.smallest_subnormal, info.max, 1e-7, 1.0, 0.5, info.eps,
+               *(bits * ln2 for bits in (25, 54, 126, 149, 1022, 1074))]
+    x = np.array(centres, dtype=dtype)
+    with np.errstate(over="ignore"):  # the largest finite value's upper neighbour is inf
+        for _ in range(3):
+            x = np.concatenate([x, np.nextafter(x, dtype(0)), np.nextafter(x, dtype(np.inf))])
+    x = np.concatenate([x, -x, np.linspace(-750.0, 0.0, 100_001, dtype=dtype),
+                        np.array([np.nan, -np.nan], dtype=dtype)])
+    return np.unique(x.view(x.dtype.str.replace("f", "u"))).view(dtype)
+
+
+def test_elu_of_a_float32_bit_sample_is_the_sum_bit_for_bit():
+    # every 4099th float32 bit pattern (a prime stride, so every exponent and
+    # many mantissa patterns), plus the special values
+    sample = np.arange(0, 1 << 32, 4099, dtype=np.uint64).astype(np.uint32).view(np.float32)
+    check_elu_is_the_sum(sample)
+    check_elu_is_the_sum(elu_special_values(np.float32))
+
+
+def test_elu_of_float64_values_of_every_magnitude_is_the_sum_bit_for_bit():
+    # 10**7 uniformly drawn bit patterns (every exponent), plus the special values
+    for part in range(10):
+        bits = rng.raw_uint64(rng.stream_key(50, part, 0, 78), 10**6)
+        check_elu_is_the_sum(bits.view(np.float64))
+    check_elu_is_the_sum(elu_special_values(np.float64))
+
+
+@pytest.mark.extended
+def test_elu_of_every_float32_is_the_sum_bit_for_bit():
+    """All 2**32 float32 bit patterns, 2**22 at a time (about 1.5 min)."""
+    chunk = 1 << 22
+    for start in range(0, 1 << 32, chunk):
+        check_elu_is_the_sum(np.arange(start, start + chunk, dtype=np.uint32).view(np.float32))
+
+
 class ReferenceMLP:
     """The textbook ELU MLP: ``np.where`` activation, ``(h, z, a)`` cache,
     gradient from the pre-activation, fresh temporaries everywhere."""
@@ -513,7 +573,8 @@ def check_mlp_matches_reference(sizes, n_rows, dtype):
     assert same_bytes(got_out, want_out)
     assert any(np.any(z == 0.0) for _, z, _ in ref_cache[:-1])
     assert any(np.any(a == -1.0) for _, _, a in ref_cache[:-1])
-    for got, want in zip(net.backward(cache, dout_in), ref.backward(ref_cache, dout_in)):
+    grads = tensors([net.backward(cache, dout_in)], [net.shapes])
+    for got, want in zip(grads, ref.backward(ref_cache, dout_in), strict=True):
         assert same_bytes(got, want)
     assert same_bytes(x, x_before)
     assert same_bytes(dout_in, dout_before.astype(dtype))
@@ -576,7 +637,8 @@ def test_update_with_reference_mlp_gives_identical_parameters(block_bytes, monke
     got_stats, got = run(MLP.forward, MLP.backward)
     ref_stats, want = run(
         lambda self, x: ReferenceMLP(self).forward(x),
-        lambda self, cache, dout: ReferenceMLP(self).backward(cache, dout),
+        lambda self, cache, dout: np.concatenate(
+            [g.ravel() for g in ReferenceMLP(self).backward(cache, dout)]),
     )
     assert got_stats == ref_stats
     assert all(same_bytes(g, w) for g, w in zip(got, want))
@@ -623,9 +685,176 @@ def test_mlp_init_is_deterministic_and_orthogonal():
 
 def test_adam_matches_reference_formula():
     p = np.array([1.0, 2.0])
-    opt = Adam([p])
+    opt = Adam([p], [[p.shape]])
     g = np.array([0.1, -0.2])
     opt.step([p], [g], lr=0.01)
     # first step: m_hat = g, v_hat = g^2 -> update = lr * sign-ish
     want = np.array([1.0, 2.0]) - 0.01 * g / (np.abs(g) + 1e-8)
     assert np.max(np.abs(p - want)) < 1e-9
+
+
+# ------------------------------------------------------------ parameter vectors
+
+
+def per_tensor_clip(grads: list, max_norm: float) -> tuple:
+    """The gradient-norm clip over a list of per-tensor arrays, as it was
+    written before the parameter vectors: (norm, clipped copies)."""
+    total = np.sqrt(sum(float(np.sum(np.square(g.astype(np.float64)))) for g in grads))
+    if total <= max_norm or total == 0.0:
+        return total, grads
+    scale = max_norm / total
+    return total, [(g * scale).astype(g.dtype) for g in grads]
+
+
+def per_tensor_adam_step(params: list, grads: list, m: list, v: list, t: int, lr: float) -> None:
+    """One Adam step over per-tensor arrays, as it was written before the
+    parameter vectors."""
+    b1t, b2t = 1.0 - 0.9**t, 1.0 - 0.999**t
+    for p, g, mi, vi in zip(params, grads, m, v, strict=True):
+        g = g.astype(p.dtype, copy=False)
+        mi *= 0.9
+        mi += (1.0 - 0.9) * g
+        vi *= 0.999
+        vi += (1.0 - 0.999) * (g * g)
+        p -= (lr / b1t) * mi / (np.sqrt(vi / b2t) + 1e-8)
+
+
+def profile_agent(profile: str) -> PPOAgent:
+    from tricube import config, trainer
+
+    return trainer.build_agent_for(config.resolve(profile))
+
+
+def agent_grads(agent: PPOAgent, word: int, rows: int = 64) -> tuple[list, list]:
+    """The policy's and the value net's gradient vectors on keyed rows."""
+    obs = rng.normal(rng.stream_key(51, np.arange(rows), word, 78), agent.policy.obs_dim)
+    cobs = rng.normal(rng.stream_key(52, np.arange(rows), word, 78), agent.value.obs_dim)
+    obs, cobs = agent.prep_actor_obs(obs), agent.prep_critic_obs(cobs)
+    key = rng.stream_key(53, np.arange(rows), word, rng.CH_POLICY_SAMPLE)
+    actions, logp = agent.policy.act(obs, stochastic=True, key=key)
+    adv = rng.normal(rng.stream_key(54, np.arange(rows), word, 78), 1)[:, 0]
+    _, p_grads, _ = agent.policy_loss_and_grads(obs, actions, logp - 0.1, adv)
+    _, v_grads = agent.value_loss_and_grads(cobs, 10.0 * adv)
+    return p_grads, v_grads
+
+
+def views_of(arrays: list, vectors: list) -> bool:
+    """Every array shares memory with one of ``vectors`` and no other array."""
+    owners = [[np.shares_memory(a, v) for v in vectors] for a in arrays]
+    disjoint = not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
+    return all(sum(o) == 1 for o in owners) and disjoint
+
+
+@pytest.mark.parametrize("profile", ["smoke", "paper"])
+def test_parameters_gradients_and_moments_are_views_of_one_vector_per_net(profile):
+    agent = profile_agent(profile)
+    p_grads, v_grads = agent_grads(agent, 0)
+    for net, grads, opt, prefix in ((agent.policy, p_grads, agent.opt_policy, "opt_policy"),
+                                    (agent.value, v_grads, agent.opt_value, "opt_value")):
+        vectors, layout = net.vectors(), net.layout()
+        assert all(v.ndim == 1 and v.flags.c_contiguous for v in vectors)
+        params = net.parameters()
+        assert [p.shape for p in params] == [s for shapes in layout for s in shapes]
+        assert views_of(params, vectors)
+        assert all(np.array_equal(a, b) for a, b in zip(params, tensors(vectors, layout)))
+        assert [g.shape for g in grads] == [v.shape for v in vectors]
+        assert views_of(tensors(grads, layout), grads)
+        moments = opt.state_tensors(prefix)
+        for which, vecs in (("m", opt.m), ("v", opt.v)):
+            named = [moments[f"{prefix}.{which}{i}"] for i in range(len(params))]
+            assert [a.shape for a in named] == [p.shape for p in params]
+            assert views_of(named, vecs)
+    trunk = agent.policy.trunk
+    assert views_of(trunk.weights + trunk.biases, [trunk.vector])
+
+
+@pytest.mark.parametrize("profile", ["smoke", "paper"])
+def test_the_vector_clip_and_adam_give_the_per_tensor_bits(profile):
+    agent = profile_agent(profile)
+    for net, opt, word in ((agent.policy, agent.opt_policy, 0), (agent.value, agent.opt_value, 1)):
+        layout = net.layout()
+        params = [p.copy() for p in net.parameters()]
+        m = [np.zeros_like(p) for p in params]
+        v = [np.zeros_like(p) for p in params]
+        for t in range(1, 4):
+            p_grads, v_grads = agent_grads(agent, 10 * t + word)
+            grads = p_grads if net is agent.policy else v_grads
+            per_tensor = [g.copy() for g in tensors(grads, layout)]
+            # clip at half the norm (t odd) or leave it (t even)
+            norm_before = ppo_mod.clip_grad_norm([g.copy() for g in grads], layout, 0.0)
+            max_norm = 0.5 * norm_before if t % 2 else 2.0 * norm_before
+            norm = ppo_mod.clip_grad_norm(grads, layout, max_norm)
+            want_norm, want = per_tensor_clip(per_tensor, max_norm)
+            assert norm == norm_before == want_norm
+            assert all(same_bytes(g, w) for g, w in zip(tensors(grads, layout), want, strict=True))
+            opt.step(net.vectors(), grads, 1e-3)
+            per_tensor_adam_step(params, want, m, v, t, 1e-3)
+            assert all(same_bytes(a, b) for a, b in zip(net.parameters(), params, strict=True))
+            assert all(same_bytes(a, b) for a, b in zip(tensors(opt.m, layout), m, strict=True))
+            assert all(same_bytes(a, b) for a, b in zip(tensors(opt.v, layout), v, strict=True))
+
+
+def test_a_load_writes_through_to_the_vectors(tmp_path):
+    agent = trained_agent(np.float32)
+    path = str(tmp_path / "agent.tckpt")
+    agent.save(path)
+    loaded, tensors_read, _ = PPOAgent.from_checkpoint(path)
+    for net, opt, name, prefix in ((loaded.policy, loaded.opt_policy, "policy", "opt_policy"),
+                                   (loaded.value, loaded.opt_value, "value", "opt_value")):
+        n = len(net.trunk.shapes)
+        flat = np.concatenate([tensors_read[f"{name}.p{i}"].ravel() for i in range(n)])
+        assert same_bytes(net.trunk.vector, flat)
+        for which, vecs in (("m", opt.m), ("v", opt.v)):
+            names = [f"{prefix}.{which}{i}" for i in range(len(net.parameters()))]
+            flat = np.concatenate([tensors_read[k].ravel() for k in names])
+            assert same_bytes(np.concatenate(vecs), flat)
+    assert same_bytes(loaded.policy.log_std, tensors_read["policy.log_std"])
+
+
+def test_clip_grad_norm_returns_the_norm_before_the_clip():
+    layout = [[(2,)], [(1,)]]
+    grads = [np.array([3.0, 0.0], np.float32), np.array([4.0], np.float32)]
+    assert ppo_mod.clip_grad_norm(grads, layout, 0.0) == 5.0  # clipping off: unchanged
+    assert same_bytes(grads[0], np.array([3.0, 0.0], np.float32))
+    assert ppo_mod.clip_grad_norm(grads, layout, 10.0) == 5.0
+    assert same_bytes(grads[1], np.array([4.0], np.float32))
+    assert ppo_mod.clip_grad_norm(grads, layout, 1.0) == 5.0
+    assert same_bytes(grads[0], np.array([0.6, 0.0], np.float32))
+    assert same_bytes(grads[1], np.array([0.8], np.float32))
+    for bad in (np.inf, np.nan):  # a non-finite norm scales nothing
+        grads = [np.array([bad, 1.0], np.float32), np.array([4.0], np.float32)]
+        norm = ppo_mod.clip_grad_norm(grads, layout, 1.0)
+        assert not np.isfinite(norm)
+        assert same_bytes(grads[1], np.array([4.0], np.float32)) and grads[0][1] == 1.0
+
+
+@pytest.mark.parametrize("max_grad_norm", [1.0, 0.0], ids=["clipped", "unclipped"])
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("net", ["policy", "value"])
+def test_a_non_finite_gradient_aborts_the_update_before_any_step(net, bad, max_grad_norm,
+                                                                  tmp_path, monkeypatch):
+    agent = PPOAgent(5, 7, 2, PPOConfig(policy_hidden=(8, 8), value_hidden=(8,), batch_size=64,
+                                        minibatch_size=32, max_grad_norm=max_grad_norm), seed=1)
+    agent.dump_dir = str(tmp_path)
+    poisoned, real_backward = getattr(agent, net).trunk, MLP.backward
+
+    def backward(self, cache, dout):
+        grad = real_backward(self, cache, dout)
+        if self is poisoned:
+            grad[3] = bad  # the loss stays finite
+        return grad
+
+    monkeypatch.setattr(MLP, "backward", backward)
+    b = 64
+    obs = rng.normal(rng.stream_key(55, np.arange(b), 0, 78), 5)
+    actions, logp = agent.act(obs, stochastic=True,
+                              key=rng.stream_key(56, np.arange(b), 0, rng.CH_POLICY_SAMPLE))
+    batch = {"actor_obs": agent.prep_actor_obs(obs), "actions": actions, "logp": logp,
+             "critic_obs": rng.normal(rng.stream_key(57, np.arange(b), 0, 78), 7),
+             "advantages": obs[:, 0], "returns": obs[:, 1]}
+    before = {k: v.copy() for k, v in agent._net_tensors().items() if not k.startswith("norm_value")}
+    with pytest.raises(FloatingPointError, match="non-finite gradient norm"):
+        agent.update(batch, 1e-3)
+    assert (tmp_path / "ppo_batch_dump.npz").exists()
+    for name, arr in before.items():  # no optimizer stepped, not even the other net's
+        assert same_bytes(agent._net_tensors()[name], arr), name

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from tricube import rng
 
@@ -56,6 +57,39 @@ def test_permutation_is_permutation():
     assert np.array_equal(np.sort(p), np.arange(1000))
     p2 = rng.permutation(rng.stream_key(9, 0, 4, rng.CH_MINIBATCH_SHUFFLE), 1000)
     assert not np.array_equal(p, p2)
+
+
+def spy_argsort(monkeypatch) -> list:
+    """Record the ``kind`` of every ``np.argsort`` call."""
+    kinds, real = [], np.argsort
+    monkeypatch.setattr(np, "argsort", lambda a, kind=None: kinds.append(kind) or real(a, kind=kind))
+    return kinds
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1000, 1920, 7680, 16384])
+def test_permutation_is_the_stable_sort_of_its_draws(n, monkeypatch):
+    kinds = spy_argsort(monkeypatch)
+    for word in range(20):
+        key = rng.stream_key(9, word, n, rng.CH_MINIBATCH_SHUFFLE)
+        want = np.argsort(rng.uniform(key, n), kind="stable")
+        assert np.array_equal(rng.permutation(key, n), want)
+    assert kinds == [None if i % 2 else "stable" for i in range(40)]  # no draws tied
+
+
+@pytest.mark.parametrize("levels", [1, 2, 7, 1000])
+def test_tied_draws_give_the_stable_order(levels, monkeypatch):
+    # draws on a grid of ``levels`` values: most of them tie
+    def tied_uniform(key, n):
+        return np.floor(rng.raw_uint64(key, n) % levels / levels * 8.0) / 8.0
+
+    n = 4096
+    key = rng.stream_key(10, levels, 0, rng.CH_MINIBATCH_SHUFFLE)
+    want = np.argsort(tied_uniform(key, n), kind="stable")
+    monkeypatch.setattr(rng, "uniform", tied_uniform)
+    kinds = spy_argsort(monkeypatch)
+    got = rng.permutation(key, n)
+    assert np.array_equal(got, want)
+    assert kinds == [None, "stable"]
 
 
 def test_channel_constants_unique():

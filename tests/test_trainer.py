@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from tricube import config, nets
+from tricube import cli, config, nets
 from tricube.config import EngineConfig, RunConfig
 from tricube.env import TaskConfig
 from tricube.ppo import PPOAgent, PPOConfig, read_checkpoint
@@ -138,6 +138,27 @@ def test_a_fresh_agent_draws_the_parameters_it_always_drew(profile, monkeypatch)
         digest.update(arr.tobytes())
     assert digest.hexdigest()[:16] == DRAWN[profile]
     assert len(draws) == agent.policy.trunk.n_layers + agent.value.trunk.n_layers
+
+
+# the sha256 of a smoke-profile run's checkpoint after two iterations, as
+# the per-tensor optimizer (before each net's parameters became one vector)
+# wrote it, by OpenBLAS core type: a training run's bits rest on its kernel
+SMOKE_CHECKPOINT = {
+    "SkylakeX": "c5fb678590058559ec647c31f27300bcc2f3922c35a68d0beb727cfd7ef7d4c9",
+    "Haswell": "70eea445ded10df08bc0ff4c8d05a6ef18bbdbbb3815483f3496b6fc02dccebe",
+    "Sandybridge": "f316c4e3f6a37ed6eed44a95882bae3eb7b902618a0f5030e7e2dd8da047c596",
+}
+
+
+def test_a_smoke_run_writes_the_checkpoint_bytes_it_always_wrote(tmp_path, monkeypatch):
+    corename = nets.blas_build()["corename"]
+    if corename not in SMOKE_CHECKPOINT:
+        pytest.skip(f"no checkpoint digest recorded for the {corename} kernel")
+    monkeypatch.setenv("TRICUBE_OUT", str(tmp_path))
+    assert cli.main(["train", "--profile", "smoke", "--out", "smoke", "--seed", "5",
+                     "--set", "run.total_steps=15360", "--set", "run.checkpoint_interval=1"]) == 0
+    written = (tmp_path / "smoke" / "ckpt_000002.tckpt").read_bytes()
+    assert hashlib.sha256(written).hexdigest() == SMOKE_CHECKPOINT[corename]
 
 
 # one smoke-profile (reach, 512 envs) iteration after two others, in a fresh
